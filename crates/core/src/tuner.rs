@@ -5,6 +5,12 @@
 //! learn* until the tuning-time budget is exhausted, and report the best
 //! configuration found with its full trial history.
 //!
+//! The loop is a private `Session`: `open` wires journals and telemetry,
+//! `baseline` scores the default, each `step` runs one round of *propose
+//! → screen → measure → observe* (round 0 measures the manipulator's
+//! structural primers) with every trial recorded by the one `observe`
+//! path, and `finish` builds the [`SessionRecord`].
+//!
 //! Evaluation flows through [`jtune_harness::EvalPipeline`]: with
 //! [`TunerOptions::cache`] set, re-proposed configurations are served
 //! from the trial cache (and within-batch duplicates run once); with a
@@ -22,13 +28,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
+use std::sync::atomic::Ordering::SeqCst;
 
-use jtune_flags::JvmConfig;
+use jtune_flags::{JvmConfig, Registry};
 use jtune_harness::{
-    journal, Budget, CachePolicy, EvalPipeline, Evaluation, Executor, JournalWriter, Protocol,
-    QuarantinePolicy, Racing, ReplayLog, SessionHeader, SessionRecord, TrialRecord,
+    journal, BatchReport, Budget, CachePolicy, EvalPipeline, Evaluation, Executor, JournalWriter,
+    Protocol, QuarantinePolicy, Racing, ReplayLog, SessionHeader, SessionRecord, TrialRecord,
 };
-use jtune_model::{screen, FeatureEncoder, ModelPolicy, Surrogate};
+use jtune_model::{FeatureEncoder, ModelPolicy, Surrogate};
 use jtune_telemetry::{phase, TelemetryBus, TraceEvent};
 use jtune_util::{stats, SimDuration, Xoshiro256pp};
 
@@ -62,8 +69,9 @@ impl ManipulatorKind {
 /// Tuner configuration.
 ///
 /// Construct via [`TunerOptions::builder`] for validation at build time,
-/// or as a struct literal (legacy style) — in which case invalid values
-/// surface as clamps or panics inside [`Tuner::run`].
+/// or as a struct literal — in which case [`Tuner::try_run`] validates
+/// before the session starts and rejects invalid values with
+/// [`SessionError::InvalidOptions`].
 #[derive(Clone, Debug)]
 pub struct TunerOptions {
     /// Tuning-time budget (the paper: 200 minutes).
@@ -144,45 +152,31 @@ impl TunerOptions {
 
     /// Check every invariant the builder enforces.
     pub fn validate(&self) -> Result<(), OptionsError> {
-        if self.batch == 0 {
-            return Err(OptionsError::ZeroBatch);
-        }
-        if self.workers == 0 {
-            return Err(OptionsError::ZeroWorkers);
-        }
-        if self.protocol.repeats == 0 {
-            return Err(OptionsError::ZeroRepeats);
-        }
-        if TechniqueSet::by_name(&self.technique).is_none() {
-            return Err(OptionsError::UnknownTechnique(self.technique.clone()));
-        }
-        if let Some(policy) = self.cache {
-            if !(0.0..=1.0).contains(&policy.recharge) {
-                return Err(OptionsError::InvalidRecharge(policy.recharge));
-            }
-        }
-        if let Some(racing) = self.protocol.racing {
-            if racing.min_repeats == 0 {
-                return Err(OptionsError::ZeroMinRepeats);
-            }
-            if !(racing.alpha > 0.0 && racing.alpha < 1.0) {
-                return Err(OptionsError::InvalidAlpha(racing.alpha));
-            }
-        }
-        if let Some(retry) = self.protocol.retry {
-            if !(retry.backoff.is_finite() && retry.backoff >= 1.0) {
-                return Err(OptionsError::InvalidBackoff(retry.backoff));
-            }
-        }
-        if let Some(q) = self.quarantine {
-            if q.streak == 0 {
-                return Err(OptionsError::ZeroQuarantineStreak);
-            }
-        }
-        if let Some(m) = self.model {
-            m.validate().map_err(OptionsError::InvalidModel)?;
-        }
-        Ok(())
+        let (racing, retry) = (self.protocol.racing, self.protocol.retry);
+        let error = if self.batch == 0 {
+            OptionsError::ZeroBatch
+        } else if self.workers == 0 {
+            OptionsError::ZeroWorkers
+        } else if self.protocol.repeats == 0 {
+            OptionsError::ZeroRepeats
+        } else if TechniqueSet::by_name(&self.technique).is_none() {
+            OptionsError::UnknownTechnique(self.technique.clone())
+        } else if let Some(c) = self.cache.filter(|c| !(0.0..=1.0).contains(&c.recharge)) {
+            OptionsError::InvalidRecharge(c.recharge)
+        } else if racing.is_some_and(|r| r.min_repeats == 0) {
+            OptionsError::ZeroMinRepeats
+        } else if let Some(r) = racing.filter(|r| !(r.alpha > 0.0 && r.alpha < 1.0)) {
+            OptionsError::InvalidAlpha(r.alpha)
+        } else if let Some(r) = retry.filter(|r| !(r.backoff.is_finite() && r.backoff >= 1.0)) {
+            OptionsError::InvalidBackoff(r.backoff)
+        } else if self.quarantine.is_some_and(|q| q.streak == 0) {
+            OptionsError::ZeroQuarantineStreak
+        } else if let Some(Err(msg)) = self.model.map(|m| m.validate()) {
+            OptionsError::InvalidModel(msg)
+        } else {
+            return Ok(());
+        };
+        Err(error)
     }
 
     /// Canonical rendering of every option that affects the trial
@@ -190,36 +184,26 @@ impl TunerOptions {
     /// changes results. This string pins a checkpoint journal to its
     /// session — resuming under different options is refused.
     pub fn signature(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
+        let (p, m) = (&self.protocol, self.model);
+        let optional = [
+            p.retry
+                .map(|r| format!(" retry={}x{}", r.max_retries, r.backoff)),
+            p.racing
+                .map(|r| format!(" racing={}a{}", r.min_repeats, r.alpha)),
+            self.cache.map(|c| format!(" cache={}", c.recharge)),
+            self.quarantine.map(|q| format!(" quarantine={}", q.streak)),
+            m.map(|m| format!(" model={}w{}k{}", m.screen_ratio, m.warmup, m.kappa)),
+            self.max_evaluations.map(|m| format!(" max_evals={m}")),
+        ];
+        let required = format!(
             "v1 technique={} manipulator={} batch={} repeats={} fail_fast={}",
             self.technique,
             self.manipulator.label(),
             self.batch,
-            self.protocol.repeats,
-            self.protocol.fail_fast,
+            p.repeats,
+            p.fail_fast,
         );
-        if let Some(r) = self.protocol.retry {
-            let _ = write!(s, " retry={}x{}", r.max_retries, r.backoff);
-        }
-        if let Some(r) = self.protocol.racing {
-            let _ = write!(s, " racing={}a{}", r.min_repeats, r.alpha);
-        }
-        if let Some(c) = self.cache {
-            let _ = write!(s, " cache={}", c.recharge);
-        }
-        if let Some(q) = self.quarantine {
-            let _ = write!(s, " quarantine={}", q.streak);
-        }
-        if let Some(m) = self.model {
-            let _ = write!(s, " model={}w{}k{}", m.screen_ratio, m.warmup, m.kappa);
-        }
-        if let Some(m) = self.max_evaluations {
-            let _ = write!(s, " max_evals={m}");
-        }
-        s
+        optional.into_iter().flatten().fold(required, |s, o| s + &o)
     }
 }
 
@@ -252,28 +236,18 @@ pub enum OptionsError {
 impl std::fmt::Display for OptionsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            OptionsError::ZeroBatch => write!(f, "batch must be at least 1"),
-            OptionsError::ZeroWorkers => write!(f, "workers must be at least 1"),
-            OptionsError::ZeroRepeats => write!(f, "protocol repeats must be at least 1"),
-            OptionsError::UnknownTechnique(name) => {
+            Self::ZeroBatch => write!(f, "batch must be at least 1"),
+            Self::ZeroWorkers => write!(f, "workers must be at least 1"),
+            Self::ZeroRepeats => write!(f, "protocol repeats must be at least 1"),
+            Self::UnknownTechnique(name) => {
                 write!(f, "unknown technique {name:?} (try \"ensemble\")")
             }
-            OptionsError::InvalidRecharge(r) => {
-                write!(f, "cache recharge fraction {r} outside [0, 1]")
-            }
-            OptionsError::ZeroMinRepeats => write!(f, "racing min repeats must be at least 1"),
-            OptionsError::InvalidAlpha(a) => {
-                write!(f, "racing alpha {a} outside (0, 1)")
-            }
-            OptionsError::InvalidBackoff(b) => {
-                write!(f, "retry backoff {b} must be a finite factor >= 1")
-            }
-            OptionsError::ZeroQuarantineStreak => {
-                write!(f, "quarantine streak must be at least 1")
-            }
-            OptionsError::InvalidModel(msg) => {
-                write!(f, "invalid model policy: {msg}")
-            }
+            Self::InvalidRecharge(r) => write!(f, "cache recharge fraction {r} outside [0, 1]"),
+            Self::ZeroMinRepeats => write!(f, "racing min repeats must be at least 1"),
+            Self::InvalidAlpha(a) => write!(f, "racing alpha {a} outside (0, 1)"),
+            Self::InvalidBackoff(b) => write!(f, "retry backoff {b} must be a finite factor >= 1"),
+            Self::ZeroQuarantineStreak => write!(f, "quarantine streak must be at least 1"),
+            Self::InvalidModel(msg) => write!(f, "invalid model policy: {msg}"),
         }
     }
 }
@@ -285,8 +259,8 @@ impl std::error::Error for OptionsError {}
 /// long-running daemon can reject a bad session without dying.
 #[derive(Debug)]
 pub enum SessionError {
-    /// The technique name is not in [`TechniqueSet`].
-    UnknownTechnique(String),
+    /// The options fail [`TunerOptions::validate`].
+    InvalidOptions(OptionsError),
     /// The resume journal could not be read (or is not a journal).
     ResumeLoad {
         /// The journal path.
@@ -315,7 +289,7 @@ pub enum SessionError {
 impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SessionError::UnknownTechnique(name) => write!(f, "unknown technique {name:?}"),
+            SessionError::InvalidOptions(e) => write!(f, "invalid options: {e}"),
             SessionError::ResumeLoad { path, error } => {
                 write!(f, "cannot resume from {}: {error}", path.display())
             }
@@ -493,14 +467,6 @@ impl Tuner {
         Tuner::new(TunerOptions::default())
     }
 
-    fn build_manipulator(&self) -> Box<dyn ConfigManipulator> {
-        match self.opts.manipulator {
-            ManipulatorKind::Hierarchical => Box::new(HierarchicalManipulator::new()),
-            ManipulatorKind::Flat => Box::new(FlatManipulator::new()),
-            ManipulatorKind::GcSubset => Box::new(SubsetManipulator::gc_and_heap()),
-        }
-    }
-
     /// Run one tuning session for `program` against `executor`, emitting
     /// every proposal, evaluation, budget charge and best-update on
     /// `bus` as a [`TraceEvent`]. Pass [`TelemetryBus::disabled`] to run
@@ -513,18 +479,17 @@ impl Tuner {
     /// the charges in the stream sum to the session's spent budget.
     ///
     /// # Panics
-    /// Panics if the technique name in the options is unknown (use
-    /// [`TunerOptions::builder`] to reject that at construction), if the
-    /// resume journal cannot be read or belongs to a different session
-    /// (its header pins program, executor, seed, budget and the options
-    /// signature), or if the checkpoint journal cannot be created.
-    /// [`Tuner::try_run`] surfaces the same conditions as typed errors.
+    /// Panics on any [`SessionError`]: invalid options, a resume journal
+    /// that cannot be read or belongs to a different session (its header
+    /// pins program, executor, seed, budget and the options signature),
+    /// or an uncreatable checkpoint journal. [`Tuner::try_run`] returns
+    /// them as typed errors.
     pub fn run(&self, executor: &dyn Executor, program: &str, bus: &TelemetryBus) -> TuningResult {
         self.try_run(executor, program, bus)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Tuner::run`], but session-startup failures (unknown technique,
+    /// [`Tuner::run`], but session-startup failures (invalid options,
     /// unreadable or foreign resume journal, uncreatable checkpoint) come
     /// back as a [`SessionError`] instead of a panic — the entry point a
     /// long-running service uses so one bad submission cannot kill it.
@@ -534,38 +499,90 @@ impl Tuner {
         program: &str,
         bus: &TelemetryBus,
     ) -> Result<TuningResult, SessionError> {
-        let opts = &self.opts;
-        let manipulator = self.build_manipulator();
-        let mut technique: Box<dyn Technique> = TechniqueSet::by_name(&opts.technique)
-            .ok_or_else(|| SessionError::UnknownTechnique(opts.technique.clone()))?;
-        let budget = Budget::new(opts.budget);
-        let mut rng = Xoshiro256pp::seed_from_u64(opts.seed);
+        self.opts.validate().map_err(SessionError::InvalidOptions)?;
+        let mut session = Session::open(&self.opts, executor, program, bus)?;
+        let mut step = session.baseline();
+        while let Step::Continue = step {
+            step = session.step();
+        }
+        Ok(session.finish(matches!(step, Step::Suspended)))
+    }
+}
+
+/// Where the session stands after [`Session::baseline`] or a [`Session::step`].
+enum Step {
+    /// More rounds to run.
+    Continue,
+    /// Budget, evaluation cap or degradation rule ended the search.
+    Done,
+    /// [`TunerOptions::stop`] was raised at a round boundary.
+    Suspended,
+}
+
+/// One tuning session in flight: the search state every round reads
+/// and the history every trial appends to.
+struct Session<'a> {
+    opts: &'a TunerOptions,
+    executor: &'a dyn Executor,
+    registry: &'a Registry,
+    program: &'a str,
+    bus: &'a TelemetryBus,
+    budget: Budget,
+    rng: Xoshiro256pp,
+    pipeline: EvalPipeline,
+    manipulator: Box<dyn ConfigManipulator>,
+    technique: Box<dyn Technique>,
+    model: Option<ModelGuide<'a>>,
+    /// Round 0 measures the primers; search rounds count from 1.
+    round: u64,
+    trials: Vec<TrialRecord>,
+    seen: HashSet<u64>,
+    eval_index: u64,
+    /// Best configuration and score; starts as the (unscored) default.
+    best: (JvmConfig, f64),
+    /// Racing baseline: the best candidate's raw samples, frozen for a
+    /// whole batch so abort decisions never depend on worker scheduling.
+    best_samples: Vec<f64>,
+    /// Infinite until [`Session::baseline`] scores the default.
+    default_score: f64,
+    last_technique: Option<String>,
+    /// Consecutive deterministic-failure runs per fingerprint.
+    fail_streak: HashMap<u64, u32>,
+    quarantined: HashSet<u64>,
+    /// Search rounds in a row that produced no usable score at all.
+    all_failed_batches: u32,
+}
+
+impl<'a> Session<'a> {
+    /// Wire up a session: load (and compact) the resume journal, create
+    /// the checkpoint writer, and announce the session on the bus.
+    fn open(
+        opts: &'a TunerOptions,
+        executor: &'a dyn Executor,
+        program: &'a str,
+        bus: &'a TelemetryBus,
+    ) -> Result<Session<'a>, SessionError> {
         let registry = executor.registry();
+        let manipulator: Box<dyn ConfigManipulator> = match opts.manipulator {
+            ManipulatorKind::Hierarchical => Box::new(HierarchicalManipulator::new()),
+            ManipulatorKind::Flat => Box::new(FlatManipulator::new()),
+            ManipulatorKind::GcSubset => Box::new(SubsetManipulator::gc_and_heap()),
+        };
         let mut pipeline = EvalPipeline::new(opts.protocol, opts.cache);
-        let racing = opts.protocol.racing.is_some();
 
         // Surrogate screening: enabled by an explicit policy or by the
         // `model:` technique-name prefix (default policy). The surrogate
         // seed is derived from — not equal to — the master seed, so its
         // bootstrap streams are independent of the search RNG.
-        let model_policy = match (opts.model, opts.technique.starts_with("model:")) {
-            (Some(p), _) => Some(p),
-            (None, true) => Some(ModelPolicy::default()),
-            (None, false) => None,
-        };
-        let mut model = model_policy.map(|policy| ModelGuide {
+        let prefixed = opts.technique.starts_with("model:");
+        let policy = opts.model.or(prefixed.then(ModelPolicy::default));
+        let model = policy.map(|policy| ModelGuide {
             policy,
             encoder: FeatureEncoder::new(registry, jtune_flagtree::hotspot_tree()),
             surrogate: Surrogate::new(opts.seed ^ 0x004d_4f44_454c),
             screened: 0,
             fits: 0,
         });
-
-        // Crash-safety wiring. The resume journal is loaded *before* the
-        // checkpoint writer is created: with both on the same path (the
-        // normal kill-and-restart cycle) creating the writer truncates
-        // the file, and replayed trials are re-recorded as they are
-        // served, rebuilding a complete journal.
         let header = SessionHeader {
             program: program.to_string(),
             executor: executor.describe(),
@@ -573,37 +590,7 @@ impl Tuner {
             budget_nanos: opts.budget.as_nanos(),
             signature: opts.signature(),
         };
-        let mut trials_replayed: u64 = 0;
-        if let Some(path) = &opts.resume {
-            // Compact while loading: the journal is rewritten as exactly
-            // the header plus the complete trial prefix, so repeated
-            // kill/resume cycles never accumulate torn tails or dead
-            // bytes — even when this session does not checkpoint again.
-            let (found, entries) =
-                journal::compact(path).map_err(|e| SessionError::ResumeLoad {
-                    path: path.clone(),
-                    error: e,
-                })?;
-            if found != header {
-                return Err(SessionError::ResumeMismatch {
-                    path: path.clone(),
-                    journal: Box::new(found),
-                    session: Box::new(header),
-                });
-            }
-            trials_replayed = entries.len() as u64;
-            pipeline.set_replay(ReplayLog::new(entries));
-        }
-        if let Some(path) = &opts.checkpoint {
-            let writer = JournalWriter::create(path, &header).map_err(|e| {
-                SessionError::CheckpointCreate {
-                    path: path.clone(),
-                    error: e,
-                }
-            })?;
-            pipeline.set_journal(writer);
-        }
-
+        let trials_replayed = attach_journals(opts, header, &mut pipeline)?;
         bus.emit(&TraceEvent::SessionStarted {
             program: program.to_string(),
             executor: executor.describe(),
@@ -613,7 +600,7 @@ impl Tuner {
             seed: opts.seed,
             workers: opts.workers as u64,
             batch: opts.batch as u64,
-            repeats: opts.protocol.repeats.max(1) as u64,
+            repeats: opts.protocol.repeats as u64,
         });
         if opts.resume.is_some() {
             // Ephemeral: tells live observers this process is replaying,
@@ -622,446 +609,480 @@ impl Tuner {
             bus.emit(&TraceEvent::SessionResumed { trials_replayed });
         }
 
-        let mut trials: Vec<TrialRecord> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut eval_index: u64 = 0;
-        let mut last_technique: Option<String> = None;
-        // Quarantine bookkeeping: consecutive deterministic-failure runs
-        // per fingerprint, the quarantined set, and how many batches in a
-        // row produced no usable score at all.
-        let mut fail_streak: HashMap<u64, u32> = HashMap::new();
-        let mut quarantined: HashSet<u64> = HashSet::new();
-        let mut all_failed_batches: u32 = 0;
-
-        // ---- baseline: the default configuration ----
         let mut default_config = JvmConfig::default_for(registry);
         manipulator.canonicalize(&mut default_config);
-        seen.insert(default_config.fingerprint());
-        let ev0 = pipeline.prime(executor, &default_config, opts.seed);
-        let charge0 = budget.charge_observed(ev0.cost);
-        emit_trial(bus, 0, "default", &[], &ev0, charge0.spent_after);
-        if charge0.crossed_limit {
-            bus.emit(&TraceEvent::BudgetExhausted {
-                spent_secs: charge0.spent_after.as_secs_f64(),
-                total_secs: opts.budget.as_secs_f64(),
-                evaluations: 1,
-            });
-        }
-        let default_score = match ev0.score {
-            Some(s) => s.as_secs_f64(),
-            None => {
-                // The default JVM fails the workload (can genuinely happen:
-                // live set over the default heap). Report a degenerate
-                // session; callers see default == best == infinity-ish.
-                bus.emit(&TraceEvent::SessionFinished {
-                    program: program.to_string(),
-                    default_secs: f64::INFINITY,
-                    best_secs: f64::INFINITY,
-                    improvement_percent: 0.0,
-                    evaluations: 1,
-                    spent_secs: charge0.spent_after.as_secs_f64(),
-                    best_delta: Vec::new(),
-                });
-                bus.flush();
-                let session = SessionRecord {
-                    program: program.to_string(),
-                    executor: executor.describe(),
-                    budget_mins: opts.budget.as_mins_f64(),
-                    default_secs: f64::INFINITY,
-                    best_secs: f64::INFINITY,
-                    best_delta: Vec::new(),
-                    evaluations: 1,
-                    distinct: 1,
-                    cache_hits: 0,
-                    aborted: 0,
-                    retried: pipeline.stats().retried,
-                    quarantined: 0,
-                    suppressed: 0,
-                    saved_secs: 0.0,
-                    screened: 0,
-                    model_fits: 0,
-                    trials,
-                };
-                return Ok(TuningResult {
-                    session,
-                    best_config: default_config,
-                    suspended: false,
-                });
-            }
+        Ok(Session {
+            opts,
+            executor,
+            registry,
+            program,
+            bus,
+            budget: Budget::new(opts.budget),
+            rng: Xoshiro256pp::seed_from_u64(opts.seed),
+            pipeline,
+            manipulator,
+            technique: TechniqueSet::by_name(&opts.technique).expect("validated technique"),
+            model,
+            round: 0,
+            trials: Vec::new(),
+            seen: HashSet::from([default_config.fingerprint()]),
+            eval_index: 0,
+            best: (default_config, f64::INFINITY),
+            best_samples: Vec::new(),
+            default_score: f64::INFINITY,
+            last_technique: None,
+            fail_streak: HashMap::new(),
+            quarantined: HashSet::new(),
+            all_failed_batches: 0,
+        })
+    }
+
+    /// Measure the default configuration as trial 0. When the default
+    /// JVM fails the workload (it can: a live set over the default heap)
+    /// the session is done at once, degenerate: no trials recorded and
+    /// default == best == infinity.
+    fn baseline(&mut self) -> Step {
+        let ev = self
+            .pipeline
+            .prime(self.executor, &self.best.0, self.opts.seed);
+        self.record(&ev, "default".to_string(), Vec::new());
+        let Some(score) = ev.score.map(|s| s.as_secs_f64()) else {
+            self.trials.clear();
+            return Step::Done;
         };
-        trials.push(TrialRecord {
-            index: 0,
-            at_secs: charge0.spent_after.as_secs_f64(),
-            score_secs: Some(default_score),
-            technique: "default".to_string(),
-            delta: Vec::new(),
+        if let Some(g) = self.model.as_mut() {
+            g.observe(&self.best.0, Some(score), score);
+        }
+        self.default_score = score;
+        self.best.1 = score;
+        self.best_samples = secs(&ev.samples);
+        self.emit_checkpoint();
+        Step::Continue
+    }
+
+    /// One round: propose → screen → measure → observe. Round 0 measures
+    /// the manipulator's structural primers instead of technique
+    /// proposals — a structure-aware manipulator enumerates its selector
+    /// combinations, capturing the collector/JIT-mode headroom before
+    /// free search begins — and is never stopped, capped or degraded.
+    fn step(&mut self) -> Step {
+        if !self.budget.has_remaining() {
+            return Step::Done;
+        }
+        let searching = self.round > 0;
+        let candidates = if searching {
+            // Cooperative suspension (daemon drain) at a round boundary:
+            // everything measured so far is journaled, so a later resume
+            // completes the session byte-identically.
+            if self.opts.stop.as_ref().is_some_and(|f| f.load(SeqCst)) {
+                return Step::Suspended;
+            }
+            if self.capped() {
+                return Step::Done;
+            }
+            let proposed = self.propose();
+            self.screen(proposed)
+        } else {
+            let mut primers = self.manipulator.primers();
+            primers.retain(|c| self.seen.insert(c.fingerprint()));
+            if primers.is_empty() {
+                self.round = 1;
+                return Step::Continue;
+            }
+            primers
+        };
+        let (technique, seed) = if searching {
+            (self.technique.name(), self.opts.seed ^ self.eval_index)
+        } else {
+            ("primer", self.opts.seed ^ 0x5052_494d)
+        };
+        self.bus.emit(&TraceEvent::RoundProposed {
+            round: self.round,
+            technique: technique.to_string(),
+            candidates: candidates.len() as u64,
         });
-        if let Some(g) = model.as_mut() {
-            g.observe(&default_config, Some(default_score), default_score);
+        let report = self.measure(&candidates, seed);
+        for (candidate, ev) in candidates.iter().zip(&report.evals) {
+            self.observe(candidate, ev);
+            if searching && self.capped() {
+                return Step::Done;
+            }
         }
-        eval_index += 1;
-        emit_checkpoint(opts, &pipeline, &budget, bus);
+        self.emit_checkpoint();
 
-        let mut best: (JvmConfig, f64) = (default_config.clone(), default_score);
-        // Racing baseline: the best-so-far candidate's raw samples,
-        // frozen at the start of each batch so abort decisions are
-        // independent of worker scheduling.
-        let mut best_samples: Vec<f64> = ev0.samples.iter().map(|s| s.as_secs_f64()).collect();
+        // Graceful degradation (quarantine sessions only, to keep legacy
+        // traces byte-stable): when whole batches keep producing no usable
+        // score — a broken executor, not an unlucky candidate — stop
+        // searching and keep the incumbent rather than burning the rest
+        // of the budget on failures.
+        if searching && self.opts.quarantine.is_some() {
+            if report.evals.iter().all(|ev| ev.score.is_none()) {
+                self.all_failed_batches += 1;
+                if self.all_failed_batches >= 3 {
+                    return Step::Done;
+                }
+            } else {
+                self.all_failed_batches = 0;
+            }
+        }
+        self.round += 1;
+        Step::Continue
+    }
 
-        // ---- structural priming ----
-        // A structure-aware manipulator enumerates its selector
-        // combinations; measuring them first captures the collector/JIT-
-        // mode headroom deterministically before free search begins.
-        let primers: Vec<JvmConfig> = manipulator
-            .primers()
-            .into_iter()
-            .filter(|c| seen.insert(c.fingerprint()))
+    fn capped(&self) -> bool {
+        matches!(self.opts.max_evaluations, Some(cap) if self.eval_index >= cap)
+    }
+
+    /// Ask the technique for one round of unseen candidates.
+    fn propose(&mut self) -> Vec<JvmConfig> {
+        let batch = self.opts.batch;
+        // With the surrogate warmed up, techniques over-propose and the
+        // model keeps the best `batch`. Before warmup (and with the model
+        // off) proposals equal measurement slots, so the RNG stream
+        // matches a model-free session exactly until the first screened
+        // round.
+        let n = match &self.model {
+            Some(g) if g.surrogate.ready(g.policy.warmup) => g.policy.proposals_for(batch),
+            _ => batch,
+        };
+        // With the cache on, a technique re-proposing a measured config
+        // gets it served from memory instead of a random substitute — but
+        // at most half a round, so every round still spends real budget
+        // (no zero-cost livelock).
+        let reuse_cap = self.opts.cache.map_or(0, |_| batch.div_ceil(2));
+        let mut reused = 0;
+        let _span = self.bus.span(phase::PROPOSE, self.round);
+        let state = SearchState {
+            manipulator: self.manipulator.as_ref(),
+            best: Some(&self.best),
+            default_score: self.default_score,
+            budget_fraction: self.budget.fraction_spent(),
+            reuse_fraction: self.pipeline.stats().reuse_fraction(),
+        };
+        let mut candidates = Vec::with_capacity(n);
+        for _ in 0..n {
+            let c = 'pick: {
+                let mut dup = None;
+                for _attempt in 0..8 {
+                    let c = self.technique.propose(&state, &mut self.rng);
+                    if self.seen.insert(c.fingerprint()) {
+                        break 'pick c;
+                    }
+                    dup = Some(c);
+                }
+                let dup = dup.expect("eight attempts, all duplicates");
+                // Re-serving a duplicate from cache is only worth it when
+                // the config is not quarantined: a fingerprint that keeps
+                // failing deterministically must not be re-proposed.
+                if reused < reuse_cap && !self.quarantined.contains(&dup.fingerprint()) {
+                    reused += 1;
+                    break 'pick dup;
+                }
+                // The technique is stuck on duplicates: inject fresh
+                // randomness.
+                let c = self.manipulator.random(&mut self.rng);
+                self.seen.insert(c.fingerprint());
+                c
+            };
+            candidates.push(c);
+        }
+        candidates
+    }
+
+    /// Once the surrogate is warm, refit it and keep the `batch`
+    /// acquisition-best proposals (in proposal order); the technique
+    /// forgets the rest.
+    fn screen(&mut self, candidates: Vec<JvmConfig>) -> Vec<JvmConfig> {
+        let Some(g) = self
+            .model
+            .as_mut()
+            .filter(|g| g.surrogate.ready(g.policy.warmup))
+        else {
+            return candidates;
+        };
+        let (bus, round, batch) = (self.bus, self.round, self.opts.batch);
+        let _span = bus.span(phase::SCREEN, round);
+        let fit = {
+            let _fit_span = bus.span(phase::FIT, round);
+            g.surrogate.fit()
+        };
+        g.fits += u64::from(fit.refit);
+        bus.emit(&TraceEvent::ModelFit {
+            round,
+            samples: fit.samples as u64,
+            refit: fit.refit,
+        });
+        if candidates.len() <= batch {
+            return candidates;
+        }
+        let scores: Vec<_> = candidates
+            .iter()
+            .map(|c| g.surrogate.predict(&g.encoder.encode(c)))
             .collect();
-        if !primers.is_empty() && budget.has_remaining() {
-            bus.emit(&TraceEvent::RoundProposed {
-                round: 0,
-                technique: "primer".to_string(),
-                candidates: primers.len() as u64,
-            });
-            let baseline = best_samples.clone();
-            let report = {
-                let _span = bus.span(phase::MEASURE, 0);
-                pipeline.evaluate_batch(
-                    executor,
-                    &primers,
-                    opts.seed ^ 0x5052_494d,
-                    opts.workers,
-                    racing.then_some(baseline.as_slice()),
-                    bus,
-                )
-            };
-            for (candidate, ev) in primers.iter().zip(report.evals.iter()) {
-                let charge = budget.charge_observed(ev.cost);
-                let score_secs = ev.score.map(|s| s.as_secs_f64());
-                let delta = candidate.to_args(registry);
-                emit_trial(bus, eval_index, "primer", &delta, ev, charge.spent_after);
-                if charge.crossed_limit {
-                    bus.emit(&TraceEvent::BudgetExhausted {
-                        spent_secs: charge.spent_after.as_secs_f64(),
-                        total_secs: opts.budget.as_secs_f64(),
-                        evaluations: eval_index + 1,
-                    });
-                }
-                trials.push(TrialRecord {
-                    index: eval_index,
-                    at_secs: charge.spent_after.as_secs_f64(),
-                    score_secs,
-                    technique: "primer".to_string(),
-                    delta,
-                });
-                eval_index += 1;
-                if let Some(g) = model.as_mut() {
-                    g.observe(candidate, score_secs, default_score);
-                }
-                if let Some(s) = score_secs {
-                    if s < best.1 {
-                        best = (candidate.clone(), s);
-                        best_samples = ev.samples.iter().map(|x| x.as_secs_f64()).collect();
-                        bus.emit(&TraceEvent::BestImproved {
-                            index: eval_index - 1,
-                            score_secs: s,
-                            improvement_percent: stats::improvement_percent(default_score, s),
-                            delta: best.0.to_args(registry),
-                        });
-                    }
-                }
-                note_quarantine(
-                    opts.quarantine,
-                    candidate.fingerprint(),
-                    ev,
-                    &mut fail_streak,
-                    &mut quarantined,
-                    bus,
-                );
-            }
-            emit_checkpoint(opts, &pipeline, &budget, bus);
-        }
-
-        // ---- search rounds ----
-        let cache_enabled = opts.cache.is_some();
-        let mut round: u64 = 0;
-        let mut suspended = false;
-        'outer: while budget.has_remaining() {
-            // Cooperative suspension (daemon drain): stop cleanly at a
-            // batch boundary. Everything measured so far is journaled, so
-            // a later resume completes the session byte-identically.
-            if let Some(flag) = &opts.stop {
-                if flag.load(std::sync::atomic::Ordering::SeqCst) {
-                    suspended = true;
-                    break 'outer;
-                }
-            }
-            if let Some(cap) = opts.max_evaluations {
-                if eval_index >= cap {
-                    break;
-                }
-            }
-            round += 1;
-            let batch_size = opts.batch.max(1);
-            // With the surrogate warmed up, techniques over-propose and
-            // the model keeps the best `batch_size`. Before warmup (and
-            // with the model off) proposals equal measurement slots, so
-            // the RNG stream matches a model-free session exactly until
-            // the first screened round.
-            let screening = model
-                .as_ref()
-                .is_some_and(|g| g.surrogate.ready(g.policy.warmup));
-            let propose_n = match (&model, screening) {
-                (Some(g), true) => g.policy.proposals_for(batch_size),
-                _ => batch_size,
-            };
-            // With the cache on, a technique re-proposing a measured
-            // config gets it served from memory instead of a random
-            // substitute — but at most half a round, so every round
-            // still spends real budget (no zero-cost livelock).
-            let reuse_cap = batch_size.div_ceil(2);
-            let mut reused = 0usize;
-            let mut candidates: Vec<JvmConfig> = Vec::with_capacity(propose_n);
-            {
-                let _span = bus.span(phase::PROPOSE, round);
-                let state = SearchState {
-                    manipulator: manipulator.as_ref(),
-                    best: Some(&best),
-                    default_score,
-                    budget_fraction: budget.fraction_spent(),
-                    reuse_fraction: pipeline.stats().reuse_fraction(),
-                };
-                for _ in 0..propose_n {
-                    let mut fresh = None;
-                    let mut last_dup = None;
-                    for _attempt in 0..8 {
-                        let c = technique.propose(&state, &mut rng);
-                        if seen.insert(c.fingerprint()) {
-                            fresh = Some(c);
-                            break;
-                        }
-                        last_dup = Some(c);
-                    }
-                    // Re-serving a duplicate from cache is only worth it
-                    // when the config is not quarantined: a fingerprint
-                    // that keeps failing deterministically must not be
-                    // re-proposed.
-                    let dup_allowed = cache_enabled
-                        && reused < reuse_cap
-                        && last_dup
-                            .as_ref()
-                            .is_some_and(|c| !quarantined.contains(&c.fingerprint()));
-                    let c = match fresh {
-                        Some(c) => c,
-                        None if dup_allowed => {
-                            reused += 1;
-                            last_dup.expect("eight attempts, all duplicates")
-                        }
-                        None => {
-                            // The technique is stuck on duplicates: inject
-                            // fresh randomness.
-                            let c = manipulator.random(&mut rng);
-                            seen.insert(c.fingerprint());
-                            c
-                        }
-                    };
-                    candidates.push(c);
-                }
-            }
-            if screening {
-                let _span = bus.span(phase::SCREEN, round);
-                let g = model.as_mut().expect("screening implies a model");
-                let fit = {
-                    let _fit_span = bus.span(phase::FIT, round);
-                    g.surrogate.fit()
-                };
-                if fit.refit {
-                    g.fits += 1;
-                }
-                bus.emit(&TraceEvent::ModelFit {
-                    round,
-                    samples: fit.samples as u64,
-                    refit: fit.refit,
-                });
-                if candidates.len() > batch_size {
-                    let scores: Vec<_> = candidates
-                        .iter()
-                        .map(|c| g.surrogate.predict(&g.encoder.encode(c)))
-                        .collect();
-                    let outcome = screen(&scores, batch_size, g.policy.kappa);
-                    for r in &outcome.rejected {
-                        let rejected = &candidates[r.index];
-                        bus.emit(&TraceEvent::CandidateScreened {
-                            round,
-                            fingerprint: rejected.fingerprint(),
-                            predicted_secs: r.predicted_secs,
-                            acquisition: r.acquisition,
-                        });
-                        // The technique will never get feedback for this
-                        // proposal; let it forget the pending state.
-                        technique.retract(rejected);
-                        g.screened += 1;
-                    }
-                    candidates = outcome
-                        .kept
-                        .into_iter()
-                        .map(|i| candidates[i].clone())
-                        .collect();
-                }
-            }
-            bus.emit(&TraceEvent::RoundProposed {
+        let outcome = jtune_model::screen(&scores, batch, g.policy.kappa);
+        for r in &outcome.rejected {
+            let rejected = &candidates[r.index];
+            bus.emit(&TraceEvent::CandidateScreened {
                 round,
-                technique: technique.name().to_string(),
-                candidates: candidates.len() as u64,
+                fingerprint: rejected.fingerprint(),
+                predicted_secs: r.predicted_secs,
+                acquisition: r.acquisition,
             });
+            // The technique will never get feedback for this proposal;
+            // let it forget the pending state.
+            self.technique.retract(rejected);
+            g.screened += 1;
+        }
+        outcome
+            .kept
+            .iter()
+            .map(|&i| candidates[i].clone())
+            .collect()
+    }
 
-            let baseline = best_samples.clone();
-            let report = {
-                let _span = bus.span(phase::MEASURE, round);
-                pipeline.evaluate_batch(
-                    executor,
-                    &candidates,
-                    opts.seed ^ eval_index,
-                    opts.workers,
-                    racing.then_some(baseline.as_slice()),
-                    bus,
-                )
+    /// Evaluate one batch through the pipeline, racing against the
+    /// incumbent's samples when the protocol races.
+    fn measure(&mut self, candidates: &[JvmConfig], seed: u64) -> BatchReport {
+        let _span = self.bus.span(phase::MEASURE, self.round);
+        let racing = self.opts.protocol.racing.is_some();
+        self.pipeline.evaluate_batch(
+            self.executor,
+            candidates,
+            seed,
+            self.opts.workers,
+            racing.then_some(self.best_samples.as_slice()),
+            self.bus,
+        )
+    }
+
+    /// The per-trial path: record the trial, then feed the technique (in
+    /// search rounds; it sees the pre-update best and the post-charge
+    /// budget), the surrogate, the incumbent and the quarantine.
+    fn observe(&mut self, candidate: &JvmConfig, ev: &Evaluation) {
+        let searching = self.round > 0;
+        let label = if searching {
+            // Attribute the trial to the proposing arm (the ensemble
+            // routes to inner techniques) before feedback clears the
+            // routing entry.
+            let label = self.technique.proposer(candidate).to_string();
+            let prev = self.last_technique.replace(label.clone());
+            if let Some(from) = prev.filter(|prev| *prev != label) {
+                self.bus.emit(&TraceEvent::TechniqueSwitched {
+                    index: self.eval_index,
+                    from,
+                    to: label.clone(),
+                });
+            }
+            label
+        } else {
+            "primer".to_string()
+        };
+        self.record(ev, label, candidate.to_args(self.registry));
+        let score_secs = ev.score.map(|s| s.as_secs_f64());
+        if searching {
+            let state = SearchState {
+                manipulator: self.manipulator.as_ref(),
+                best: Some(&self.best),
+                default_score: self.default_score,
+                budget_fraction: self.budget.fraction_spent(),
+                reuse_fraction: self.pipeline.stats().reuse_fraction(),
             };
+            self.technique.feedback(candidate, score_secs, &state);
+        }
+        if let Some(g) = self.model.as_mut() {
+            g.observe(candidate, score_secs, self.default_score);
+        }
+        if let Some(s) = score_secs.filter(|&s| s < self.best.1) {
+            self.best = (candidate.clone(), s);
+            self.best_samples = secs(&ev.samples);
+            self.bus.emit(&TraceEvent::BestImproved {
+                index: self.eval_index - 1,
+                score_secs: s,
+                improvement_percent: stats::improvement_percent(self.default_score, s),
+                delta: self.best.0.to_args(self.registry),
+            });
+        }
+        self.note_quarantine(candidate.fingerprint(), ev);
+    }
 
-            for (candidate, ev) in candidates.iter().zip(report.evals.iter()) {
-                let charge = budget.charge_observed(ev.cost);
-                let score_secs = ev.score.map(|s| s.as_secs_f64());
-                // Attribute the trial to the proposing arm (the ensemble
-                // routes to inner techniques) before feedback clears the
-                // routing entry.
-                let label = technique.proposer(candidate).to_string();
-                if let Some(prev) = &last_technique {
-                    if *prev != label {
-                        bus.emit(&TraceEvent::TechniqueSwitched {
-                            index: eval_index,
-                            from: prev.clone(),
-                            to: label.clone(),
-                        });
-                    }
-                }
-                last_technique = Some(label.clone());
-                let delta = candidate.to_args(registry);
-                emit_trial(bus, eval_index, &label, &delta, ev, charge.spent_after);
-                if charge.crossed_limit {
-                    bus.emit(&TraceEvent::BudgetExhausted {
-                        spent_secs: charge.spent_after.as_secs_f64(),
-                        total_secs: opts.budget.as_secs_f64(),
-                        evaluations: eval_index + 1,
+    /// Charge one evaluation to the budget, publish it as trial
+    /// `eval_index`, and append it to the history.
+    fn record(&mut self, ev: &Evaluation, technique: String, delta: Vec<String>) {
+        let charge = self.budget.charge_observed(ev.cost);
+        let (index, at_secs) = (self.eval_index, charge.spent_after.as_secs_f64());
+        let score_secs = ev.score.map(|s| s.as_secs_f64());
+        if self.bus.is_enabled() {
+            self.bus.emit(&TraceEvent::TrialEvaluated {
+                index,
+                technique: technique.clone(),
+                delta: delta.clone(),
+                repeat_secs: secs(&ev.samples),
+                score_secs,
+                cost_secs: ev.cost.as_secs_f64(),
+                budget_spent_secs: at_secs,
+                gc_pause_total_ms: ev.counters.map(|c| c.gc_pause_total.as_millis_f64()),
+                gc_collections: ev.counters.map(|c| c.gc_collections),
+                jit_compile_ms: ev.counters.map(|c| c.jit_compile_time.as_millis_f64()),
+                jit_compiles: ev.counters.map(|c| c.jit_compiles),
+                error: ev.error.as_ref().map(|e| e.message().to_string()),
+                error_kind: ev.error.as_ref().map(|e| e.kind().to_string()),
+            });
+        }
+        if charge.crossed_limit {
+            self.bus.emit(&TraceEvent::BudgetExhausted {
+                spent_secs: at_secs,
+                total_secs: self.opts.budget.as_secs_f64(),
+                evaluations: index + 1,
+            });
+        }
+        self.trials.push(TrialRecord {
+            index,
+            at_secs,
+            score_secs,
+            technique,
+            delta,
+        });
+        self.eval_index += 1;
+    }
+
+    /// Quarantine bookkeeping for one evaluated candidate: a
+    /// *deterministic* failure extends the fingerprint's streak, a score
+    /// clears it, and crossing the policy threshold quarantines it with
+    /// one [`TraceEvent::Quarantined`]. Transient failures (even
+    /// retry-exhausted ones) are bad luck, not proof, and never count.
+    fn note_quarantine(&mut self, fingerprint: u64, ev: &Evaluation) {
+        let Some(policy) = self.opts.quarantine else {
+            return;
+        };
+        if self.quarantined.contains(&fingerprint) {
+            return;
+        }
+        match &ev.error {
+            Some(e) if !e.is_transient() => {
+                let failed = ev.runs.saturating_sub(ev.samples.len() as u32).max(1);
+                let streak = self.fail_streak.entry(fingerprint).or_insert(0);
+                *streak += failed;
+                if *streak >= policy.streak {
+                    self.quarantined.insert(fingerprint);
+                    self.bus.emit(&TraceEvent::Quarantined {
+                        fingerprint,
+                        failures: *streak as u64,
+                        error_kind: e.kind().to_string(),
                     });
                 }
-                trials.push(TrialRecord {
-                    index: eval_index,
-                    at_secs: charge.spent_after.as_secs_f64(),
-                    score_secs,
-                    technique: label,
-                    delta,
-                });
-                eval_index += 1;
-                {
-                    let state = SearchState {
-                        manipulator: manipulator.as_ref(),
-                        best: Some(&best),
-                        default_score,
-                        budget_fraction: budget.fraction_spent(),
-                        reuse_fraction: pipeline.stats().reuse_fraction(),
-                    };
-                    technique.feedback(candidate, score_secs, &state);
-                }
-                if let Some(g) = model.as_mut() {
-                    g.observe(candidate, score_secs, default_score);
-                }
-                if let Some(s) = score_secs {
-                    if s < best.1 {
-                        best = (candidate.clone(), s);
-                        best_samples = ev.samples.iter().map(|x| x.as_secs_f64()).collect();
-                        bus.emit(&TraceEvent::BestImproved {
-                            index: eval_index - 1,
-                            score_secs: s,
-                            improvement_percent: stats::improvement_percent(default_score, s),
-                            delta: best.0.to_args(registry),
-                        });
-                    }
-                }
-                note_quarantine(
-                    opts.quarantine,
-                    candidate.fingerprint(),
-                    ev,
-                    &mut fail_streak,
-                    &mut quarantined,
-                    bus,
-                );
-                if let Some(cap) = opts.max_evaluations {
-                    if eval_index >= cap {
-                        break 'outer;
-                    }
-                }
             }
-            emit_checkpoint(opts, &pipeline, &budget, bus);
-
-            // Graceful degradation (quarantine sessions only, to keep
-            // legacy traces byte-stable): when whole batches keep
-            // producing no usable score — a broken executor, not an
-            // unlucky candidate — stop searching and keep the incumbent
-            // rather than burning the rest of the budget on failures.
-            if opts.quarantine.is_some() {
-                if report.evals.iter().all(|ev| ev.score.is_none()) {
-                    all_failed_batches += 1;
-                    if all_failed_batches >= 3 {
-                        break 'outer;
-                    }
-                } else {
-                    all_failed_batches = 0;
-                }
+            Some(_) => {}
+            None => {
+                self.fail_streak.remove(&fingerprint);
             }
         }
+    }
 
-        let stats = pipeline.stats();
+    /// Emit a [`TraceEvent::CheckpointWritten`] marker when the session
+    /// is checkpointing. Emitted at the same loop points in an original
+    /// and a resumed run, so the marker survives in the (byte-identical)
+    /// trace.
+    fn emit_checkpoint(&self) {
+        if self.opts.checkpoint.is_some() {
+            let trials = self.pipeline.journal_trials();
+            let _span = self.bus.span(phase::CHECKPOINT, trials);
+            self.bus.emit(&TraceEvent::CheckpointWritten {
+                trials,
+                spent_secs: self.budget.spent().as_secs_f64(),
+            });
+        }
+    }
+
+    /// Close the session: build its record and, unless it is suspended,
+    /// emit [`TraceEvent::SessionFinished`]. A suspended session is not
+    /// finished: the terminal event is withheld so the eventual resumed
+    /// completion emits it in the right place and the final trace stays
+    /// byte-identical to an uninterrupted run's.
+    fn finish(self, suspended: bool) -> TuningResult {
+        let stats = self.pipeline.stats();
         let session = SessionRecord {
-            program: program.to_string(),
-            executor: executor.describe(),
-            budget_mins: opts.budget.as_mins_f64(),
-            default_secs: default_score,
-            best_secs: best.1,
-            best_delta: best.0.to_args(registry),
-            evaluations: eval_index,
+            program: self.program.to_string(),
+            executor: self.executor.describe(),
+            budget_mins: self.opts.budget.as_mins_f64(),
+            default_secs: self.default_score,
+            best_secs: self.best.1,
+            best_delta: self.best.0.to_args(self.registry),
+            evaluations: self.eval_index,
             distinct: stats.fresh,
             cache_hits: stats.cache_hits,
             aborted: stats.aborted,
             retried: stats.retried,
-            quarantined: quarantined.len() as u64,
+            quarantined: self.quarantined.len() as u64,
             suppressed: stats.suppressed,
             saved_secs: stats.saved.as_secs_f64(),
-            screened: model.as_ref().map_or(0, |g| g.screened),
-            model_fits: model.as_ref().map_or(0, |g| g.fits),
-            trials,
+            screened: self.model.as_ref().map_or(0, |g| g.screened),
+            model_fits: self.model.as_ref().map_or(0, |g| g.fits),
+            trials: self.trials,
         };
         if !suspended {
-            // A suspended session is not finished: the terminal event is
-            // withheld so the eventual resumed completion emits it in the
-            // right place and the final trace stays byte-identical to an
-            // uninterrupted run's.
-            bus.emit(&TraceEvent::SessionFinished {
-                program: program.to_string(),
-                default_secs: default_score,
-                best_secs: best.1,
-                improvement_percent: session.improvement_percent(),
-                evaluations: eval_index,
-                spent_secs: budget.spent().as_secs_f64(),
+            self.bus.emit(&TraceEvent::SessionFinished {
+                program: session.program.clone(),
+                default_secs: session.default_secs,
+                best_secs: session.best_secs,
+                // `max` maps a failed default's infinity-over-infinity NaN
+                // to 0; a real session's best never loses to the default.
+                improvement_percent: session.improvement_percent().max(0.0),
+                evaluations: session.evaluations,
+                spent_secs: self.budget.spent().as_secs_f64(),
                 best_delta: session.best_delta.clone(),
             });
         }
-        bus.flush();
-        Ok(TuningResult {
+        self.bus.flush();
+        TuningResult {
             session,
-            best_config: best.0,
+            best_config: self.best.0,
             suspended,
-        })
+        }
     }
+}
+
+/// Attach the session's journals to `pipeline` and return how many
+/// trials will replay. The resume journal is loaded *before* the
+/// checkpoint writer is created: with both on the same path (the normal
+/// kill-and-restart cycle) creating the writer truncates the file, and
+/// replayed trials are re-recorded as they are served, rebuilding a
+/// complete journal.
+fn attach_journals(
+    opts: &TunerOptions,
+    header: SessionHeader,
+    pipeline: &mut EvalPipeline,
+) -> Result<u64, SessionError> {
+    let mut trials_replayed = 0;
+    if let Some(path) = &opts.resume {
+        // Compact while loading: the journal is rewritten as exactly the
+        // header plus the complete trial prefix, so repeated kill/resume
+        // cycles never accumulate torn tails or dead bytes — even when
+        // this session does not checkpoint again.
+        let (found, entries) =
+            journal::compact(path).map_err(|error| SessionError::ResumeLoad {
+                path: path.clone(),
+                error,
+            })?;
+        if found != header {
+            return Err(SessionError::ResumeMismatch {
+                path: path.clone(),
+                journal: Box::new(found),
+                session: Box::new(header),
+            });
+        }
+        trials_replayed = entries.len() as u64;
+        pipeline.set_replay(ReplayLog::new(entries));
+    }
+    if let Some(path) = &opts.checkpoint {
+        let writer = JournalWriter::create(path, &header).map_err(|error| {
+            SessionError::CheckpointCreate {
+                path: path.clone(),
+                error,
+            }
+        })?;
+        pipeline.set_journal(writer);
+    }
+    Ok(trials_replayed)
 }
 
 /// Per-session surrogate-screening state: the policy, the encoder over
@@ -1086,90 +1107,8 @@ impl ModelGuide<'_> {
     }
 }
 
-/// Emit a [`TraceEvent::CheckpointWritten`] marker when the session is
-/// checkpointing. Emitted at the same loop points in an original and a
-/// resumed run, so the marker survives in the (byte-identical) trace.
-fn emit_checkpoint(
-    opts: &TunerOptions,
-    pipeline: &EvalPipeline,
-    budget: &Budget,
-    bus: &TelemetryBus,
-) {
-    if opts.checkpoint.is_some() {
-        let _span = bus.span(phase::CHECKPOINT, pipeline.journal_trials());
-        bus.emit(&TraceEvent::CheckpointWritten {
-            trials: pipeline.journal_trials(),
-            spent_secs: budget.spent().as_secs_f64(),
-        });
-    }
-}
-
-/// Update quarantine bookkeeping after one evaluated candidate. Runs
-/// that failed with a *deterministic* error extend the fingerprint's
-/// streak; a scored evaluation clears it; crossing the policy threshold
-/// quarantines the fingerprint and emits [`TraceEvent::Quarantined`]
-/// once. Transient failures (even retry-exhausted ones) never count:
-/// they are bad luck, not proof the configuration is broken.
-fn note_quarantine(
-    policy: Option<QuarantinePolicy>,
-    fingerprint: u64,
-    ev: &Evaluation,
-    fail_streak: &mut HashMap<u64, u32>,
-    quarantined: &mut HashSet<u64>,
-    bus: &TelemetryBus,
-) {
-    let Some(policy) = policy else { return };
-    if quarantined.contains(&fingerprint) {
-        return;
-    }
-    match &ev.error {
-        Some(e) if !e.is_transient() => {
-            let failed = ev.runs.saturating_sub(ev.samples.len() as u32).max(1);
-            let streak = fail_streak.entry(fingerprint).or_insert(0);
-            *streak += failed;
-            if *streak >= policy.streak {
-                quarantined.insert(fingerprint);
-                bus.emit(&TraceEvent::Quarantined {
-                    fingerprint,
-                    failures: *streak as u64,
-                    error_kind: e.kind().to_string(),
-                });
-            }
-        }
-        Some(_) => {}
-        None => {
-            fail_streak.remove(&fingerprint);
-        }
-    }
-}
-
-/// Emit one [`TraceEvent::TrialEvaluated`] for an evaluation.
-fn emit_trial(
-    bus: &TelemetryBus,
-    index: u64,
-    technique: &str,
-    delta: &[String],
-    ev: &Evaluation,
-    spent_after: SimDuration,
-) {
-    if !bus.is_enabled() {
-        return;
-    }
-    bus.emit(&TraceEvent::TrialEvaluated {
-        index,
-        technique: technique.to_string(),
-        delta: delta.to_vec(),
-        repeat_secs: ev.samples.iter().map(|s| s.as_secs_f64()).collect(),
-        score_secs: ev.score.map(|s| s.as_secs_f64()),
-        cost_secs: ev.cost.as_secs_f64(),
-        budget_spent_secs: spent_after.as_secs_f64(),
-        gc_pause_total_ms: ev.counters.map(|c| c.gc_pause_total.as_millis_f64()),
-        gc_collections: ev.counters.map(|c| c.gc_collections),
-        jit_compile_ms: ev.counters.map(|c| c.jit_compile_time.as_millis_f64()),
-        jit_compiles: ev.counters.map(|c| c.jit_compiles),
-        error: ev.error.as_ref().map(|e| e.message().to_string()),
-        error_kind: ev.error.as_ref().map(|e| e.kind().to_string()),
-    });
+fn secs(samples: &[SimDuration]) -> Vec<f64> {
+    samples.iter().map(|s| s.as_secs_f64()).collect()
 }
 
 #[cfg(test)]
@@ -1567,8 +1506,21 @@ mod tests {
         let err = Tuner::new(opts)
             .try_run(&ex, "t", &TelemetryBus::disabled())
             .unwrap_err();
-        assert!(matches!(err, SessionError::UnknownTechnique(_)));
+        assert!(matches!(
+            err,
+            SessionError::InvalidOptions(OptionsError::UnknownTechnique(_))
+        ));
         assert!(err.to_string().contains("unknown technique"));
+
+        let mut opts = quick_opts();
+        opts.batch = 0;
+        let err = Tuner::new(opts)
+            .try_run(&ex, "t", &TelemetryBus::disabled())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SessionError::InvalidOptions(OptionsError::ZeroBatch)
+        ));
 
         let mut opts = quick_opts();
         opts.resume = Some(std::path::PathBuf::from("/nonexistent/journal.jsonl"));

@@ -82,20 +82,14 @@ impl FaultPlan {
 
     /// The fault assigned to one run. Pure function of the arguments.
     pub fn roll(&self, fingerprint: u64, run_seed: u64) -> Fault {
-        let mut rng = SplitMix64::new(
-            self.seed ^ fingerprint.rotate_left(32) ^ run_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let u = rng.next_f64();
-        if u < self.crash_rate {
-            Fault::Crash {
+        let mut rng = SplitMix64::keyed(self.seed, fingerprint, run_seed);
+        match rng.next_bucket(&[self.crash_rate, self.hang_rate, self.noise_rate]) {
+            Some(0) => Fault::Crash {
                 at_fraction: 0.1 + 0.8 * rng.next_f64(),
-            }
-        } else if u < self.crash_rate + self.hang_rate {
-            Fault::Hang
-        } else if u < self.crash_rate + self.hang_rate + self.noise_rate {
-            Fault::NoiseSpike
-        } else {
-            Fault::None
+            },
+            Some(1) => Fault::Hang,
+            Some(_) => Fault::NoiseSpike,
+            None => Fault::None,
         }
     }
 }

@@ -141,9 +141,7 @@ impl BackoffPolicy {
     pub fn delay_ms(&self, attempt: u32, hint_ms: Option<u64>) -> u64 {
         let raw = (self.base_ms as f64 * self.retry.cost_factor(attempt))
             .min(self.cap_ms as f64);
-        let mut rng = jtune_util::SplitMix64::new(
-            self.seed ^ (attempt as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        let mut rng = jtune_util::SplitMix64::keyed(self.seed, 0, attempt as u64 + 1);
         use jtune_util::Rng;
         let jittered = (raw * (0.5 + 0.5 * rng.next_f64())).round() as u64;
         jittered.min(self.cap_ms).max(hint_ms.unwrap_or(0))

@@ -223,27 +223,25 @@ impl NetFaultPlan {
 
     /// The fault (if any) injected on frame `frame` of connection
     /// `conn`. Pure: same plan, connection and frame index always give
-    /// the same fault (same mixing recipe as
-    /// [`jtune_harness::FaultPlan::roll`]).
+    /// the same fault (the [`SplitMix64::keyed`] roll that
+    /// [`jtune_harness::FaultPlan::roll`] also uses).
     pub fn roll(&self, conn: u64, frame: u64) -> NetFault {
         if !self.is_active() {
             return NetFault::None;
         }
-        let mut rng = SplitMix64::new(
-            self.seed ^ conn.rotate_left(32) ^ frame.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let u = rng.next_f64();
-        if u < self.drop_rate {
-            NetFault::Drop
-        } else if u < self.drop_rate + self.delay_rate {
-            let ms = 1 + (rng.next_u64() % self.max_delay_ms.max(1));
-            NetFault::DelayMs(ms)
-        } else if u < self.drop_rate + self.delay_rate + self.garble_rate {
-            NetFault::Garble
-        } else if u < self.drop_rate + self.delay_rate + self.garble_rate + self.disconnect_rate {
-            NetFault::Disconnect
-        } else {
-            NetFault::None
+        let mut rng = SplitMix64::keyed(self.seed, conn, frame);
+        let rates = [
+            self.drop_rate,
+            self.delay_rate,
+            self.garble_rate,
+            self.disconnect_rate,
+        ];
+        match rng.next_bucket(&rates) {
+            Some(0) => NetFault::Drop,
+            Some(1) => NetFault::DelayMs(1 + rng.next_u64() % self.max_delay_ms.max(1)),
+            Some(2) => NetFault::Garble,
+            Some(_) => NetFault::Disconnect,
+            None => NetFault::None,
         }
     }
 }

@@ -116,6 +116,20 @@ pub trait Rng {
         weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
     }
 
+    /// Which bucket one uniform draw lands in when `rates` are absolute
+    /// probabilities laid end to end over `[0, 1)`: bucket `i` covers
+    /// `[Σ rates[..i], Σ rates[..=i])`, and a draw past their sum is
+    /// `None`. Unlike [`Rng::next_weighted`] the rates are not
+    /// normalised — the remainder is the "nothing happens" outcome.
+    fn next_bucket(&mut self, rates: &[f64]) -> Option<usize> {
+        let u = self.next_f64();
+        let mut upper = 0.0;
+        rates.iter().position(|r| {
+            upper += r;
+            u < upper
+        })
+    }
+
     /// Fisher–Yates shuffle.
     fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -149,6 +163,14 @@ impl SplitMix64 {
     /// Create a generator from an arbitrary seed.
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
+    }
+
+    /// The stream keyed by `(seed, a, b)`, as
+    /// `seed ^ a.rotate_left(32) ^ b·0x9E37_79B9_7F4A_7C15`: the one key
+    /// mix behind every seeded roll (trial faults, network chaos, retry
+    /// jitter), so each roll is a pure function of its key.
+    pub fn keyed(seed: u64, a: u64, b: u64) -> Self {
+        Self::new(seed ^ a.rotate_left(32) ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
@@ -315,6 +337,31 @@ mod tests {
         let total: u32 = counts.iter().sum();
         let p1 = counts[1] as f64 / total as f64;
         assert!((p1 - 2.0 / 6.0).abs() < 0.02, "p1 {p1}");
+    }
+
+    #[test]
+    fn keyed_streams_mix_both_keys() {
+        let first = |a, b| SplitMix64::keyed(7, a, b).next_u64();
+        assert_eq!(first(0, 0), SplitMix64::new(7).next_u64());
+        assert_ne!(first(1, 0), first(0, 1));
+        assert_ne!(first(1, 2), first(2, 1));
+    }
+
+    #[test]
+    fn buckets_partition_the_unit_interval_by_rate() {
+        let mut g = Xoshiro256pp::seed_from_u64(29);
+        let mut counts = [0u32; 3];
+        for _ in 0..30_000 {
+            match g.next_bucket(&[0.1, 0.3]) {
+                Some(i) => counts[i] += 1,
+                None => counts[2] += 1,
+            }
+        }
+        let share = |n: u32| n as f64 / 30_000.0;
+        assert!((share(counts[0]) - 0.1).abs() < 0.02, "{counts:?}");
+        assert!((share(counts[1]) - 0.3).abs() < 0.02, "{counts:?}");
+        assert_eq!(g.next_bucket(&[]), None);
+        assert_eq!(g.next_bucket(&[1.0]), Some(0));
     }
 
     #[test]
