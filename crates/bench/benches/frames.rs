@@ -63,7 +63,10 @@ fn read(h: &jtune_bench::BenchHarness) {
     // Frames sized just under a tight cap: the reader must pay the cap
     // check without copying the line twice.
     let near_cap: Vec<u8> = {
-        let line = format!("{{\"v\":1,\"op\":\"status\",\"pad\":\"{}\"}}\n", "x".repeat(900));
+        let line = format!(
+            "{{\"v\":1,\"op\":\"status\",\"pad\":\"{}\"}}\n",
+            "x".repeat(900)
+        );
         line.into_bytes().repeat(1_000)
     };
     h.bench("read/near_cap_1k", 30, || {
@@ -128,7 +131,9 @@ fn write(h: &jtune_bench::BenchHarness) {
         let mut sink = Vec::with_capacity((line.len() + 1) * FRAMES as usize);
         let mut writer = ChaosWriter::new(&mut sink, plan, 1);
         for _ in 0..FRAMES {
-            writer.write_frame(black_box(&line)).expect("no kills in plan");
+            writer
+                .write_frame(black_box(&line))
+                .expect("no kills in plan");
         }
         sink.len()
     });

@@ -624,7 +624,10 @@ mod tests {
         assert!(md.contains("| worker reconnects | 1 |"), "{md}");
         let html = to_html(&r);
         assert!(html.contains("<h2>Daemon</h2>"), "{html}");
-        assert!(html.contains("<td>frames rejected</td><td>2</td>"), "{html}");
+        assert!(
+            html.contains("<td>frames rejected</td><td>2</td>"),
+            "{html}"
+        );
         let v = json::parse(&to_json(&r)).expect("valid JSON");
         assert_eq!(
             v.get("daemon")

@@ -210,7 +210,7 @@ fn retryable(error: &WireError, idempotent: bool) -> bool {
 }
 
 /// Run `op` against a fresh connection, retrying per `policy` on
-/// retryable failures (see [`retryable`]). Each retry waits the
+/// retryable failures (see `retryable`). Each retry waits the
 /// policy's jittered exponential backoff, floored by the server's
 /// `retry_after_ms` hint when one came back; retried requests carry a
 /// retry tag so the daemon's `clients_retried` counter sees them. A

@@ -397,13 +397,13 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
                 .ok_or_else(|| WireError::new("bad-frame", "register requires an 'executor'"))?
                 .to_string(),
             slots: field("slots")?,
-            reconnect: match v.get("prev_wid").and_then(JsonValue::as_u64) {
-                Some(prev_wid) => Some(Reconnect {
+            reconnect: v
+                .get("prev_wid")
+                .and_then(JsonValue::as_u64)
+                .map(|prev_wid| Reconnect {
                     prev_wid,
                     attempts: v.get("attempts").and_then(JsonValue::as_u64).unwrap_or(1),
                 }),
-                None => None,
-            },
         }),
         "lease" => Ok(Request::Lease {
             wid: field("wid")?,

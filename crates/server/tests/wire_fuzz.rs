@@ -8,10 +8,12 @@
 
 use std::io::BufReader;
 
+use jtune_server::wire::{
+    error_frame, parse_reply, parse_request, parse_response, render_request, render_response,
+};
 use jtune_server::{
     read_frame, FrameReadError, LeaseOffer, Reconnect, Request, Response, SessionSpec, TrialOutcome,
 };
-use jtune_server::wire::{error_frame, parse_reply, parse_request, parse_response, render_request, render_response};
 
 /// Every error code the request/response decoders are allowed to emit.
 const STABLE_CODES: &[&str] = &[
@@ -106,7 +108,8 @@ fn junk_reply_frames_decode_to_stable_codes() {
 
 #[test]
 fn overload_hints_survive_the_reply_decoder() {
-    let line = "{\"v\":1,\"ok\":false,\"code\":\"overloaded\",\"error\":\"busy\",\"retry_after_ms\":250}";
+    let line =
+        "{\"v\":1,\"ok\":false,\"code\":\"overloaded\",\"error\":\"busy\",\"retry_after_ms\":250}";
     let err = parse_reply(line).expect_err("error frame");
     assert_eq!(err.code, "overloaded");
     assert_eq!(err.retry_after_ms, Some(250));

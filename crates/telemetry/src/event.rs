@@ -793,7 +793,10 @@ mod tests {
                 attempt: 0,
                 delay_ms: 120,
             },
-            TraceEvent::WorkerReconnected { wid: 3, attempts: 2 },
+            TraceEvent::WorkerReconnected {
+                wid: 3,
+                attempts: 2,
+            },
             TraceEvent::PhaseStarted {
                 phase: "propose".into(),
                 round: 4,

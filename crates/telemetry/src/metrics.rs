@@ -497,7 +497,10 @@ mod tests {
             attempt: 0,
             delay_ms: 80,
         });
-        m.on_event(&TraceEvent::WorkerReconnected { wid: 2, attempts: 1 });
+        m.on_event(&TraceEvent::WorkerReconnected {
+            wid: 2,
+            attempts: 1,
+        });
         assert_eq!(m.counter("connections_rejected"), 2);
         assert_eq!(m.counter("frames_rejected"), 1);
         assert_eq!(m.counter("clients_retried"), 1);

@@ -258,7 +258,14 @@ fn chaos_run_with_worker_churn_matches_one_shot_byte_for_byte() {
     let out = client(
         &daemon.addr,
         &[
-            "submit", "compress", "--budget", "10", "--seed", "55", "--retries", "3",
+            "submit",
+            "compress",
+            "--budget",
+            "10",
+            "--seed",
+            "55",
+            "--retries",
+            "3",
         ],
     );
     assert!(
