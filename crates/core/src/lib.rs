@@ -60,5 +60,5 @@ pub use techniques::portfolio::Portfolio;
 pub use techniques::{Technique, TechniqueSet};
 pub use tuner::{
     ManipulatorKind, OptionsError, SessionError, Tuner, TunerOptions, TunerOptionsBuilder,
-    TuningResult,
+    TuningResult, TUNER_OPTIONS,
 };

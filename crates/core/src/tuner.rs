@@ -33,10 +33,12 @@ use std::sync::atomic::Ordering::SeqCst;
 use jtune_flags::{JvmConfig, Registry};
 use jtune_harness::{
     journal, BatchReport, Budget, CachePolicy, EvalPipeline, Evaluation, Executor, JournalWriter,
-    Protocol, QuarantinePolicy, Racing, ReplayLog, SessionHeader, SessionRecord, TrialRecord,
+    Protocol, QuarantinePolicy, Racing, ReplayLog, RetryPolicy, SessionHeader, SessionRecord,
+    TrialRecord,
 };
 use jtune_model::{FeatureEncoder, ModelPolicy, Surrogate};
 use jtune_telemetry::{phase, TelemetryBus, TraceEvent};
+use jtune_util::cli::{self, Opt};
 use jtune_util::{stats, SimDuration, Xoshiro256pp};
 
 use crate::manipulator::{
@@ -429,6 +431,62 @@ impl TunerOptionsBuilder {
         Ok(self.opts)
     }
 }
+
+/// The tuning options of `jtune tune`/`suite` and, where a row names an
+/// environment variable, of the experiment drivers. Rows apply in this
+/// order, so implications are plain `get_or_insert_with` setters
+/// (`--cache-recharge` implies `--cache`, `--min-repeats` `--racing`,
+/// `--retry-backoff` `--retries`, `--screen-ratio` `--model`), and
+/// `--portfolio` comes before `--technique` so an explicit technique
+/// wins. [`TunerOptions::signature`] is deliberately not derived from
+/// these rows: it is a persisted journal format.
+#[rustfmt::skip]
+pub const TUNER_OPTIONS: &[Opt<TunerOptions>] = &[
+    Opt::env("JTUNE_BUDGET_MINS", "--budget MIN", "200", "virtual tuning budget in minutes",
+        |o, v| cli::parse(v, "a whole number of minutes").map(|m| o.budget = SimDuration::from_mins(m))),
+    Opt::env("JTUNE_SEED", "--seed N", "319242456645", "master seed: sessions are pure functions of it",
+        |o, v| cli::int(v).map(|seed| o.seed = seed)),
+    Opt::env("JTUNE_PORTFOLIO", "--portfolio", "off", "seeded bandit over every technique (--technique portfolio)",
+        |o, _| { o.technique = "portfolio".to_string(); Ok(()) }),
+    Opt::new("--technique NAME", "ensemble", "ensemble, portfolio or one technique (random, hillclimb, ils, anneal, \
+        genetic, diffevo, neldermead); prefix model: to add the screen",
+        |o, v| { o.technique = v.to_string(); Ok(()) }),
+    Opt::new("--manipulator KIND", "hier", "move generator: hier, flat or subset",
+        |o, v| { o.manipulator = match v {
+            "hier" | "hierarchical" => ManipulatorKind::Hierarchical,
+            "flat" => ManipulatorKind::Flat,
+            "subset" | "gc-subset" => ManipulatorKind::GcSubset,
+            _ => return Err("is not hier, flat or subset".to_string()),
+        }; Ok(()) }),
+    Opt::new("--workers N", "4", "parallel evaluation slots (never changes results)",
+        |o, v| cli::int(v).map(|n| o.workers = n)),
+    Opt::new("--batch N", "4", "candidates proposed per round",
+        |o, v| cli::int(v).map(|n| o.batch = n)),
+    Opt::env("JTUNE_CACHE", "--cache", "off", "memoize trials: revisited configurations cost zero budget",
+        |o, _| { o.cache.get_or_insert_with(CachePolicy::default); Ok(()) }),
+    Opt::new("--cache-recharge F", "0", "charge cache hits F (0..1) times their original cost (implies --cache)",
+        |o, v| cli::number(v).map(|f| o.cache.get_or_insert_with(CachePolicy::default).recharge = f)),
+    Opt::env("JTUNE_RACING", "--racing", "off", "abort statistically hopeless candidates, refunding unspent repeats",
+        |o, _| { o.protocol.racing.get_or_insert_with(Racing::default); Ok(()) }),
+    Opt::new("--min-repeats N", "2", "runs before racing may abort a candidate (implies --racing)",
+        |o, v| cli::int(v).map(|n| o.protocol.racing.get_or_insert_with(Racing::default).min_repeats = n)),
+    Opt::env_not("JTUNE_FAIL_FAST", "--no-fail-fast", "fail fast", "keep measuring a candidate after a failed run",
+        |o, _| { o.protocol.fail_fast = false; Ok(()) }),
+    Opt::env("JTUNE_RETRIES", "--retries N", "off", "retry transiently-failing runs up to N times, budget-charged",
+        |o, v| cli::int(v).map(|n| o.protocol.retry.get_or_insert_with(RetryPolicy::default).max_retries = n)),
+    Opt::env("JTUNE_RETRY_BACKOFF", "--retry-backoff F", "1.5", "charge retry attempt k at F^k its cost (implies --retries)",
+        |o, v| cli::number(v).map(|f| o.protocol.retry.get_or_insert_with(RetryPolicy::default).backoff = f)),
+    Opt::env("JTUNE_QUARANTINE", "--quarantine N", "off", "quarantine a configuration after N deterministic-failure runs",
+        |o, v| cli::int(v).map(|streak| o.quarantine = Some(QuarantinePolicy { streak }))),
+    Opt::env("JTUNE_MODEL", "--model", "off", "surrogate screen: over-propose, measure only the acquisition-ranked best",
+        |o, _| { o.model.get_or_insert_with(ModelPolicy::default); Ok(()) }),
+    Opt::env("JTUNE_SCREEN_RATIO", "--screen-ratio F", "4", "over-proposal factor of the screen (implies --model)",
+        |o, v| cli::number(v).map(|r| o.model.get_or_insert_with(ModelPolicy::default).screen_ratio = r)),
+    Opt::new("--checkpoint PATH", "off", "journal every completed trial to PATH, crash-safe",
+        |o, v| { o.checkpoint = Some(v.into()); Ok(()) }),
+    Opt::new("--resume PATH", "off", "replay a journal before measuring anything new (killed + resumed = uninterrupted)",
+        |o, v| { o.resume = Some(v.into()); Ok(()) }),
+];
 
 /// Outcome of one tuning session.
 #[derive(Clone, Debug)]

@@ -6,7 +6,7 @@
 //! strictly fewer measurements.
 
 use autotuner_core::{ModelPolicy, Tuner, TuningResult};
-use jtune_experiments::{budget_mins, master_seed, telemetry, tuner_options};
+use jtune_experiments::Experiment;
 use jtune_harness::SimExecutor;
 use jtune_util::table::{fpct, Align, Table};
 
@@ -26,8 +26,8 @@ fn measurements_to_reach(result: &TuningResult, target_secs: f64) -> Option<u64>
 }
 
 fn main() {
-    let budget = budget_mins(100);
-    let tel = telemetry("e10_model");
+    let exp = Experiment::from_env("e10_model", 100);
+    let budget = exp.budget_mins();
     let programs = ["serial", "xml.validation", "compiler.compiler", "dacapo:h2"];
     let variants: [(&str, Option<ModelPolicy>, Option<&str>); 4] = [
         ("plain", None, None),
@@ -46,7 +46,7 @@ fn main() {
         let mut row = Vec::new();
         for (i, p) in programs.iter().enumerate() {
             let w = jtune_workloads::workload_by_name(p).expect("known program");
-            let mut opts = tuner_options(budget, master_seed() ^ 0xE10 ^ ((i as u64) << 16));
+            let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE10 ^ ((i as u64) << 16));
             if let Some(m) = model {
                 opts.model = Some(*m);
             }
@@ -54,7 +54,7 @@ fn main() {
                 opts.technique = t.to_string();
             }
             let ex = SimExecutor::new(w);
-            let bus = tel.bus_for(&format!("{label}+{p}"));
+            let bus = exp.telemetry.bus_for(&format!("{label}+{p}"));
             row.push(Tuner::new(opts).run(&ex, p, &bus));
         }
         results.push(row);
@@ -144,7 +144,7 @@ fn main() {
     println!("the screen trades cheap surrogate scores for expensive JVM runs:");
     println!("each round over-proposes, keeps only the acquisition-ranked best,");
     println!("and the budget those rejects would have burned goes to real trials.");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

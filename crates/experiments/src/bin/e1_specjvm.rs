@@ -3,12 +3,12 @@
 //! Paper targets: 16 programs improved by 19 % on average within a
 //! 200-minute budget each; three programs by 63 %, 51 % and 32 %.
 
-use jtune_experiments::{budget_mins, render_suite_table, telemetry, tune_suite};
+use jtune_experiments::{render_suite_table, Experiment};
 
 fn main() {
-    let budget = budget_mins(200);
-    let tel = telemetry("e1_specjvm");
-    let rows = tune_suite(jtune_workloads::specjvm2008_startup(), budget, &tel);
+    let exp = Experiment::from_env("e1_specjvm", 200);
+    let budget = exp.budget_mins();
+    let rows = exp.tune_suite(jtune_workloads::specjvm2008_startup());
     print!(
         "{}",
         render_suite_table(
@@ -17,7 +17,7 @@ fn main() {
         )
     );
     println!("paper: average +19%, top-3 +63% / +51% / +32%");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

@@ -3,12 +3,12 @@
 //! Paper targets: 13 programs, average improvement 26 %, maximum 42 %,
 //! with at least 200 minutes of tuning per program.
 
-use jtune_experiments::{budget_mins, render_suite_table, telemetry, tune_suite};
+use jtune_experiments::{render_suite_table, Experiment};
 
 fn main() {
-    let budget = budget_mins(200);
-    let tel = telemetry("e2_dacapo");
-    let rows = tune_suite(jtune_workloads::dacapo(), budget, &tel);
+    let exp = Experiment::from_env("e2_dacapo", 200);
+    let budget = exp.budget_mins();
+    let rows = exp.tune_suite(jtune_workloads::dacapo());
     print!(
         "{}",
         render_suite_table(
@@ -17,7 +17,7 @@ fn main() {
         )
     );
     println!("paper: average +26%, max +42%");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

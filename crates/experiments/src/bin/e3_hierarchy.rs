@@ -3,13 +3,15 @@
 //!
 //! E3 is pure static analysis — it runs no tuning sessions, so unlike the
 //! other drivers it emits no telemetry trace (there are no trial events
-//! to record; `--trace`/`--progress` are accepted and ignored).
+//! to record). It still checks its options like every driver, and
+//! ignores them.
 
 use jtune_flags::{hotspot_registry, Category};
 use jtune_flagtree::{hotspot_tree, SpaceStats};
 use jtune_util::table::{fnum, Align, Table};
 
 fn main() {
+    jtune_experiments::Experiment::from_env("e3_hierarchy", 200);
     let registry = hotspot_registry();
     let tree = hotspot_tree();
 

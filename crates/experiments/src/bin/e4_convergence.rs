@@ -2,14 +2,12 @@
 //! representative programs (the paper's motivation for the 200-minute
 //! budget). One long session per program yields the whole curve.
 
-use jtune_experiments::{
-    budget_mins, improvement_at, master_seed, telemetry, tune_program, tuner_options,
-};
+use jtune_experiments::{improvement_at, Experiment};
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
-    let budget = budget_mins(200);
-    let tel = telemetry("e4_convergence");
+    let exp = Experiment::from_env("e4_convergence", 200);
+    let budget = exp.budget_mins();
     let programs = ["serial", "xml.validation", "compress", "dacapo:h2"];
     let checkpoints = [5.0, 10.0, 25.0, 50.0, 100.0, 150.0, budget as f64];
 
@@ -17,8 +15,8 @@ fn main() {
         .iter()
         .map(|p| {
             let w = jtune_workloads::workload_by_name(p).expect("known program");
-            let bus = tel.bus_for(p);
-            tune_program(w, tuner_options(budget, master_seed() ^ 0xE4), &bus)
+            let bus = exp.telemetry.bus_for(p);
+            exp.tune(w, exp.tuner_options(budget, exp.seed() ^ 0xE4), &bus)
         })
         .collect();
 
@@ -37,7 +35,7 @@ fn main() {
     print!("{}", t.render());
     println!("expectation: curves rise steeply early and flatten towards the budget,");
     println!("which is why the paper fixes 200 minutes per program.");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

@@ -5,13 +5,13 @@
 
 use autotuner_core::tuner::ManipulatorKind;
 use autotuner_core::Tuner;
-use jtune_experiments::{budget_mins, master_seed, telemetry, tuner_options};
+use jtune_experiments::Experiment;
 use jtune_harness::SimExecutor;
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
-    let budget = budget_mins(200);
-    let tel = telemetry("e5_subset_baseline");
+    let exp = Experiment::from_env("e5_subset_baseline", 200);
+    let budget = exp.budget_mins();
     let programs = [
         "serial",
         "xml.validation",
@@ -38,10 +38,10 @@ fn main() {
         let w = jtune_workloads::workload_by_name(p).expect("known program");
         let mut cells = vec![p.to_string()];
         for (i, (_, kind)) in kinds.iter().enumerate() {
-            let mut opts = tuner_options(budget, master_seed() ^ 0xE5 ^ (i as u64));
+            let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE5 ^ (i as u64));
             opts.manipulator = *kind;
             let ex = SimExecutor::new(w.clone());
-            let bus = tel.bus_for(&format!("{p}+{}", kind.label()));
+            let bus = exp.telemetry.bus_for(&format!("{p}+{}", kind.label()));
             let result = Tuner::new(opts).run(&ex, p, &bus);
             let imp = result.improvement_percent();
             sums[i] += imp;
@@ -78,7 +78,7 @@ fn main() {
     println!("refuses to start (see the failure row), and it only stays cheap");
     println!("because failed JVM launches cost almost no budget; the hierarchy");
     println!("spends every evaluation on a launchable configuration.");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

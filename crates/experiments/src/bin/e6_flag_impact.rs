@@ -6,19 +6,23 @@
 //! flag's marginal impact. Flags whose reversion changes nothing are the
 //! "hitchhikers" random search drags along — reported as a count.
 
-use jtune_experiments::{budget_mins, master_seed, telemetry, tune_program, tuner_options};
+use jtune_experiments::Experiment;
 use jtune_harness::{Executor, SimExecutor};
 use jtune_util::stats;
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
-    let budget = budget_mins(200);
-    let tel = telemetry("e6_flag_impact");
+    let exp = Experiment::from_env("e6_flag_impact", 200);
+    let budget = exp.budget_mins();
     let programs = ["serial", "xml.validation", "dacapo:h2", "dacapo:xalan"];
     for p in programs {
         let w = jtune_workloads::workload_by_name(p).expect("known program");
-        let bus = tel.bus_for(p);
-        let row = tune_program(w.clone(), tuner_options(budget, master_seed() ^ 0xE6), &bus);
+        let bus = exp.telemetry.bus_for(p);
+        let row = exp.tune(
+            w.clone(),
+            exp.tuner_options(budget, exp.seed() ^ 0xE6),
+            &bus,
+        );
         let ex = SimExecutor::new(w);
         let registry = ex.registry();
         let best = &row.result.best_config;
@@ -66,7 +70,7 @@ fn main() {
             impacts.len()
         );
     }
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

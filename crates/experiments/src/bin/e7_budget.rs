@@ -4,12 +4,13 @@
 //! One 400-minute session per program; best-so-far is sampled at each
 //! budget checkpoint from the trial log.
 
-use jtune_experiments::{improvement_at, master_seed, telemetry, tune_program, tuner_options};
+use jtune_experiments::{improvement_at, Experiment};
 use jtune_util::stats::Summary;
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
-    let tel = telemetry("e7_budget");
+    // Fixed 400-minute sessions: the budget is this experiment's axis.
+    let exp = Experiment::from_env("e7_budget", 400);
     let budgets = [25.0, 50.0, 100.0, 200.0, 400.0];
     let suites: [(&str, Vec<jtune_jvmsim::Workload>); 2] = [
         (
@@ -36,12 +37,9 @@ fn main() {
             .into_iter()
             .enumerate()
             .map(|(i, w)| {
-                let bus = tel.bus_for(&format!("{name}+{}", w.name));
-                tune_program(
-                    w,
-                    tuner_options(400, master_seed() ^ 0xE7 ^ ((i as u64) << 24)),
-                    &bus,
-                )
+                let bus = exp.telemetry.bus_for(&format!("{name}+{}", w.name));
+                let seed = exp.seed() ^ 0xE7 ^ ((i as u64) << 24);
+                exp.tune(w, exp.tuner_options(400, seed), &bus)
             })
             .collect();
         let mut cells = vec![name.to_string()];
@@ -53,7 +51,7 @@ fn main() {
     }
     print!("{}", t.render());
     println!("the paper's 200-minute choice sits where the curves flatten.");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

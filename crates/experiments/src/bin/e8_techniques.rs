@@ -2,13 +2,13 @@
 //! ensemble, at a fixed budget (why the tuner is an ensemble).
 
 use autotuner_core::Tuner;
-use jtune_experiments::{budget_mins, master_seed, telemetry, tuner_options};
+use jtune_experiments::Experiment;
 use jtune_harness::SimExecutor;
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
-    let budget = budget_mins(100);
-    let tel = telemetry("e8_techniques");
+    let exp = Experiment::from_env("e8_techniques", 100);
+    let budget = exp.budget_mins();
     let programs = ["serial", "xml.validation", "compiler.compiler", "dacapo:h2"];
     let mut techniques: Vec<&str> = autotuner_core::TechniqueSet::names().to_vec();
     techniques.push("ensemble");
@@ -27,10 +27,10 @@ fn main() {
         let mut sum = 0.0;
         for (i, p) in programs.iter().enumerate() {
             let w = jtune_workloads::workload_by_name(p).expect("known program");
-            let mut opts = tuner_options(budget, master_seed() ^ 0xE8 ^ ((i as u64) << 16));
+            let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE8 ^ ((i as u64) << 16));
             opts.technique = tech.to_string();
             let ex = SimExecutor::new(w);
-            let bus = tel.bus_for(&format!("{tech}+{p}"));
+            let bus = exp.telemetry.bus_for(&format!("{tech}+{p}"));
             let imp = Tuner::new(opts).run(&ex, p, &bus).improvement_percent();
             sum += imp;
             cells.push(fpct(imp));
@@ -43,7 +43,7 @@ fn main() {
     println!("the ensemble's value is robustness: its per-program *minimum* is the");
     println!("highest of any row, i.e. it avoids every technique's worst case —");
     println!("what matters when each program gets one budgeted session.");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

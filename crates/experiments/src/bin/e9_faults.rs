@@ -8,10 +8,7 @@
 //! not correctness. Override the rate with `JTUNE_FAULT_RATE` (and
 //! `JTUNE_FAULT_SEED` to reseed the plan).
 
-use jtune_experiments::{
-    budget_mins, master_seed, render_suite_table, telemetry, tune_program_with, tuner_options,
-    ExperimentTelemetry, SuiteRow,
-};
+use jtune_experiments::{render_suite_table, Experiment, SuiteRow};
 use jtune_harness::{FaultPlan, QuarantinePolicy, RetryPolicy};
 use jtune_jvmsim::Workload;
 
@@ -19,18 +16,17 @@ use jtune_jvmsim::Workload;
 /// deriving per-program seeds exactly as `tune_suite` does so the clean
 /// arm reproduces E1 at the same budget.
 fn tune_arm(
+    exp: &Experiment,
     workloads: Vec<Workload>,
-    budget: u64,
     fault: Option<FaultPlan>,
-    tel: &ExperimentTelemetry,
     label: &str,
 ) -> Vec<SuiteRow> {
-    let seed = master_seed();
     workloads
         .into_iter()
         .enumerate()
         .map(|(i, w)| {
-            let mut opts = tuner_options(budget, seed ^ ((i as u64 + 1) << 32));
+            let seed = exp.seed() ^ ((i as u64 + 1) << 32);
+            let mut opts = exp.tuner_options(exp.budget_mins(), seed);
             opts.seed ^= i as u64;
             if fault.is_some() {
                 // The faulty arm always tunes with the safety net on;
@@ -38,8 +34,8 @@ fn tune_arm(
                 opts.protocol.retry.get_or_insert(RetryPolicy::default());
                 opts.quarantine.get_or_insert(QuarantinePolicy::default());
             }
-            let bus = tel.bus_for(&format!("{label}+{}", w.name));
-            tune_program_with(w, opts, fault, &bus)
+            let bus = exp.telemetry.bus_for(&format!("{label}+{}", w.name));
+            exp.tune_with(w, opts, fault, &bus)
         })
         .collect()
 }
@@ -53,14 +49,15 @@ fn main() {
     // so the default budget is smaller than E1's 200 minutes; retry
     // surcharges compound with budget, widening the gap slightly at
     // paper-scale budgets (still ~3 points at 200).
-    let budget = budget_mins(50);
-    let tel = telemetry("e9_faults");
-    let plan =
-        jtune_experiments::fault_plan().unwrap_or_else(|| FaultPlan::transient(0.05, 0xFA_017));
+    let exp = Experiment::from_env("e9_faults", 50);
+    let budget = exp.budget_mins();
+    let plan = exp
+        .fault
+        .unwrap_or_else(|| FaultPlan::transient(0.05, FaultPlan::DEFAULT_SEED));
 
     let workloads = jtune_workloads::specjvm2008_startup();
-    let clean = tune_arm(workloads.clone(), budget, None, &tel, "clean");
-    let faulty = tune_arm(workloads, budget, Some(plan), &tel, "faulty");
+    let clean = tune_arm(&exp, workloads.clone(), None, "clean");
+    let faulty = tune_arm(&exp, workloads, Some(plan), "faulty");
 
     print!(
         "{}",
@@ -91,7 +88,7 @@ fn main() {
     println!("faults absorbed: {retried} runs retried, {quarantined} configurations quarantined");
     println!("claim: bounded retries + quarantine keep the gap within ~3 points —");
     println!("injected faults cost tuning budget, not result quality.");
-    if let Some(path) = tel.write_report() {
+    if let Some(path) = exp.telemetry.write_report() {
         eprintln!("report: {}", path.display());
     }
 }

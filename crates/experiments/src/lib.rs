@@ -1,66 +1,38 @@
 //! # jtune-experiments
 //!
 //! Shared machinery for the experiment drivers (`e1_specjvm` …
-//! `e8_techniques`), one binary per table/figure of the paper. See
+//! `e10_model`), one binary per table/figure of the paper. See
 //! DESIGN.md for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results.
 //!
-//! Environment knobs (all optional):
+//! Each driver parses its run once, in `main`, with
+//! [`Experiment::from_env`]: its command line first, then the
+//! environment. It accepts exactly the option rows that name a `JTUNE_*`
+//! variable — in [`TUNER_OPTIONS`], [`EXECUTOR_OPTIONS`] and
+//! [`EXPERIMENT_OPTIONS`] — and lists them on a usage error. The
+//! drivers' own defaults replace two of the rows': the budget is the
+//! experiment's paper value and the master seed is 7. Every pipeline
+//! feature defaults **off**, in which case every driver produces output
+//! byte-identical to the published `results/` tables.
 //!
-//! - `JTUNE_BUDGET_MINS` — override the tuning budget (default: the
-//!   experiment's paper value, usually 200).
-//! - `JTUNE_SEED` — master seed (default 7).
-//! - `JTUNE_OUT` — directory to write per-session TSV logs into.
-//! - `JTUNE_CACHE` (or `--cache`) — enable trial memoization: revisited
-//!   configurations are served from the session cache at zero budget
-//!   charge.
-//! - `JTUNE_RACING` (or `--racing`) — enable sequential racing: abort
-//!   candidates that are statistically worse than the best-so-far,
-//!   refunding their unspent repeats.
-//! - `JTUNE_FAIL_FAST=0` (or `--no-fail-fast`) — keep measuring a
-//!   candidate's remaining repeats after a failed run.
-//! - `JTUNE_RETRIES` / `JTUNE_RETRY_BACKOFF` (or `--retries N` /
-//!   `--retry-backoff F`) — retry transiently-failing runs, charging
-//!   attempt `k` at `F^k` its cost.
-//! - `JTUNE_QUARANTINE` (or `--quarantine N`) — blacklist configurations
-//!   after `N` deterministic-failure runs.
-//! - `JTUNE_FAULT_RATE` / `JTUNE_FAULT_SEED` (or `--fault-rate F` /
-//!   `--fault-seed N`) — inject deterministic transient faults into `F`
-//!   of all runs (resilience testing; see `e9_faults`).
-//! - `JTUNE_MODEL` (or `--model`) — surrogate-guided candidate
-//!   screening: over-propose each round, score the proposals with an
-//!   online bagged-tree model, and only measure the most promising.
-//! - `JTUNE_SCREEN_RATIO` (or `--screen-ratio F`) — over-proposal
-//!   factor for the screen (implies `--model`; default 4).
-//! - `JTUNE_PORTFOLIO` (or `--portfolio`) — run the `portfolio`
-//!   bandit over the full technique set instead of the default
-//!   ensemble.
-//!
-//! All of these default **off**, in which case every driver produces
-//! output byte-identical to the published `results/` tables.
-//!
-//! Telemetry (see [`telemetry`]): by default every tuning session streams
-//! its trial events to `results/traces/<experiment>/<label>.jsonl`.
-//! `--no-trace` (or `JTUNE_NO_TRACE=1`) disables the traces,
-//! `--trace DIR` (or `JTUNE_TRACE_DIR`) redirects them,
-//! `--progress` (or `JTUNE_PROGRESS=1`) adds live stderr reporting, and
-//! `--spans` (or `JTUNE_SPANS=1`) turns on timing spans plus a
-//! [`MetricsRegistry`] aggregated across the whole run (dumped to
-//! `<dir>/metrics.txt` by [`ExperimentTelemetry::write_report`]). Spans
+//! By default every tuning session streams its trial events to
+//! `results/traces/<experiment>/<label>.jsonl`, and after the run every
+//! session-running driver renders that directory into `<dir>/report.md`
+//! via [`ExperimentTelemetry::write_report`] (plus `<dir>/metrics.txt`,
+//! a [`MetricsRegistry`] aggregated over the run, with spans on). Spans
 //! are ephemeral: the JSONL traces stay byte-identical either way.
-//! After the run, every session-running driver renders the trace
-//! directory into `<dir>/report.md` via [`ExperimentTelemetry::write_report`].
 
 #![warn(missing_docs)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use autotuner_core::{ModelPolicy, Tuner, TunerOptions};
-use jtune_harness::{CachePolicy, ExecutorSpec, FaultPlan, QuarantinePolicy, Racing, RetryPolicy};
+use autotuner_core::{Tuner, TunerOptions, TUNER_OPTIONS};
+use jtune_harness::{ExecutorSpec, FaultPlan, EXECUTOR_OPTIONS};
 use jtune_jvmsim::Workload;
 use jtune_telemetry::{JsonlSink, MetricsRegistry, ProgressReporter, TelemetryBus};
-use jtune_util::table::{fnum, fpct, Align, Table};
+use jtune_util::cli::{self, Args, Opt, Table};
+use jtune_util::table::{fnum, fpct, Align, Table as TextTable};
 use jtune_util::{stats, SimDuration};
 
 /// A tuned program's headline row.
@@ -96,128 +68,11 @@ pub struct SuiteRow {
     pub result: autotuner_core::TuningResult,
 }
 
-/// Read the budget (minutes) with env override.
-pub fn budget_mins(default_mins: u64) -> u64 {
-    std::env::var("JTUNE_BUDGET_MINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_mins)
-}
-
-/// Read the master seed with env override.
-pub fn master_seed() -> u64 {
-    std::env::var("JTUNE_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7)
-}
-
-/// True when `flag` is on the command line or `var` is set in the
-/// environment.
-fn flag_or_env(flag: &str, var: &str) -> bool {
-    std::env::args().skip(1).any(|a| a == flag) || std::env::var_os(var).is_some()
-}
-
-/// Trial memoization requested for this run (`--cache` / `JTUNE_CACHE`).
-pub fn cache_enabled() -> bool {
-    flag_or_env("--cache", "JTUNE_CACHE")
-}
-
-/// Sequential racing requested for this run (`--racing` / `JTUNE_RACING`).
-pub fn racing_enabled() -> bool {
-    flag_or_env("--racing", "JTUNE_RACING")
-}
-
-/// The value following `flag` on the command line, or `var` from the
-/// environment.
-fn opt_or_env(flag: &str, var: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var(var).ok())
-}
-
-/// Fail-fast (stop a candidate after its first failed run) — the
-/// default; disabled by `--no-fail-fast` or `JTUNE_FAIL_FAST=0`.
-pub fn fail_fast_enabled() -> bool {
-    if std::env::args().skip(1).any(|a| a == "--no-fail-fast") {
-        return false;
-    }
-    std::env::var("JTUNE_FAIL_FAST").map_or(true, |v| v != "0")
-}
-
-/// Retry policy requested for this run (`--retries` / `JTUNE_RETRIES`,
-/// `--retry-backoff` / `JTUNE_RETRY_BACKOFF`); `None` when neither knob
-/// is set.
-pub fn retry_policy() -> Option<RetryPolicy> {
-    let retries = opt_or_env("--retries", "JTUNE_RETRIES").and_then(|v| v.parse().ok());
-    let backoff = opt_or_env("--retry-backoff", "JTUNE_RETRY_BACKOFF").and_then(|v| v.parse().ok());
-    if retries.is_none() && backoff.is_none() {
-        return None;
-    }
-    let mut policy = RetryPolicy::default();
-    if let Some(n) = retries {
-        policy.max_retries = n;
-    }
-    if let Some(f) = backoff {
-        policy.backoff = f;
-    }
-    Some(policy)
-}
-
-/// Quarantine policy requested for this run (`--quarantine` /
-/// `JTUNE_QUARANTINE`).
-pub fn quarantine_policy() -> Option<QuarantinePolicy> {
-    let streak = opt_or_env("--quarantine", "JTUNE_QUARANTINE").and_then(|v| v.parse().ok())?;
-    Some(QuarantinePolicy { streak })
-}
-
-/// Model-guided screening requested for this run (`--model` /
-/// `JTUNE_MODEL`, with the over-proposal factor from `--screen-ratio` /
-/// `JTUNE_SCREEN_RATIO`, which implies `--model`); `None` (the default)
-/// keeps the legacy byte-stable pipeline.
-pub fn model_policy() -> Option<ModelPolicy> {
-    let ratio = opt_or_env("--screen-ratio", "JTUNE_SCREEN_RATIO").and_then(|v| v.parse().ok());
-    if ratio.is_none() && !flag_or_env("--model", "JTUNE_MODEL") {
-        return None;
-    }
-    let mut policy = ModelPolicy::default();
-    if let Some(r) = ratio {
-        policy.screen_ratio = r;
-    }
-    Some(policy)
-}
-
-/// Portfolio bandit requested for this run (`--portfolio` /
-/// `JTUNE_PORTFOLIO`): run the `portfolio` technique instead of the
-/// default ensemble.
-pub fn portfolio_enabled() -> bool {
-    flag_or_env("--portfolio", "JTUNE_PORTFOLIO")
-}
-
-/// Fault-injection plan requested for this run (`--fault-rate` /
-/// `JTUNE_FAULT_RATE`, seeded by `--fault-seed` / `JTUNE_FAULT_SEED`);
-/// `None` (the default) injects nothing.
-pub fn fault_plan() -> Option<FaultPlan> {
-    let rate: f64 = opt_or_env("--fault-rate", "JTUNE_FAULT_RATE")?
-        .parse()
-        .ok()?;
-    if rate <= 0.0 {
-        return None;
-    }
-    let seed = opt_or_env("--fault-seed", "JTUNE_FAULT_SEED")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xFA_017);
-    Some(FaultPlan::transient(rate, seed))
-}
-
-/// Standard tuner options for an experiment. The budget-stretching
-/// pipeline features are applied when requested on the command line or
-/// via the environment (see the crate docs) and are off by default, so
-/// published tables reproduce byte-for-byte.
+/// Standard tuner options for an experiment session, with every
+/// pipeline feature off; [`Experiment::tuner_options`] adds the ones
+/// the run asked for.
 pub fn tuner_options(budget_minutes: u64, seed: u64) -> TunerOptions {
-    let mut b = TunerOptions::builder()
+    TunerOptions::builder()
         .budget(SimDuration::from_mins(budget_minutes))
         .seed(seed)
         .workers(
@@ -225,35 +80,156 @@ pub fn tuner_options(budget_minutes: u64, seed: u64) -> TunerOptions {
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
         )
-        .batch(8);
-    if cache_enabled() {
-        b = b.cache(CachePolicy::default());
+        .batch(8)
+        .build()
+        .expect("standard experiment options are valid")
+}
+
+/// The options only the experiment drivers have.
+#[rustfmt::skip]
+pub const EXPERIMENT_OPTIONS: &[Opt<Experiment>] = &[
+    Opt::env("JTUNE_TRACE_DIR", "--trace DIR", "results/traces", "write session traces under DIR/<experiment>/",
+        |e, v| { e.telemetry.dir = Some(v.into()); Ok(()) }),
+    Opt::env("JTUNE_NO_TRACE", "--no-trace", "off", "write no traces and no report",
+        |e, _| { e.telemetry.dir = None; Ok(()) }),
+    Opt::env("JTUNE_PROGRESS", "--progress", "off", "report live tuning progress on stderr",
+        |e, _| { e.telemetry.progress = true; Ok(()) }),
+    Opt::env("JTUNE_SPANS", "--spans", "off", "timing spans plus run-wide metrics in <dir>/metrics.txt",
+        |e, _| { e.telemetry.spans = true; Ok(()) }),
+    Opt::env("JTUNE_OUT", "--out DIR", "off", "also write each session record as DIR/<program>.tsv",
+        |e, v| { e.out = Some(v.into()); Ok(()) }),
+];
+
+/// Every table a driver parses; only rows naming a variable count.
+const SURFACE: &[&dyn Table] = &[&TUNER_OPTIONS, &EXECUTOR_OPTIONS, &EXPERIMENT_OPTIONS];
+
+/// One driver run, parsed once in `main` (see the crate docs).
+#[derive(Clone, Debug)]
+pub struct Experiment {
+    /// The options every session starts from: [`tuner_options`] with
+    /// the requested pipeline features, the run's budget and its
+    /// master seed.
+    pub options: TunerOptions,
+    /// Fault injection requested for the run; `None` injects nothing.
+    pub fault: Option<FaultPlan>,
+    /// Directory for per-session TSV records, if any.
+    pub out: Option<PathBuf>,
+    /// Where traces go and whether progress and spans are on.
+    pub telemetry: ExperimentTelemetry,
+}
+
+impl Experiment {
+    /// Parse the process's arguments and environment for driver `name`
+    /// with its default budget; on a bad option, print it and the
+    /// accepted options, then exit with status 2.
+    pub fn from_env(name: &str, budget_mins: u64) -> Experiment {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let env = |var: &str| std::env::var(var).ok();
+        Experiment::parse(name, budget_mins, &argv, &env).unwrap_or_else(|e| {
+            let options = cli::reference(SURFACE, true);
+            eprintln!(
+                "{e}\n\noptions, or their [variables] (here the budget defaults to \
+                 {budget_mins} and the seed to 7):\n{options}"
+            );
+            std::process::exit(2)
+        })
     }
-    if racing_enabled() {
-        b = b.racing(Racing::default());
+
+    /// Parse `argv`, then the variables `env` looks up, for driver
+    /// `name` with its default budget.
+    pub fn parse(
+        name: &str,
+        budget_mins: u64,
+        argv: &[String],
+        env: &dyn Fn(&str) -> Option<String>,
+    ) -> Result<Experiment, String> {
+        let args = Args::parse_env(name, argv, SURFACE, env)?;
+        let mut exp = Experiment {
+            options: tuner_options(budget_mins, 7),
+            fault: None,
+            out: None,
+            telemetry: ExperimentTelemetry {
+                dir: Some(PathBuf::from("results/traces")),
+                ..ExperimentTelemetry::disabled()
+            },
+        };
+        args.apply(&mut exp.options, TUNER_OPTIONS)?;
+        exp.options
+            .validate()
+            .map_err(|e| format!("{name}: invalid options: {e}"))?;
+        // The executor rows only set layers, so any workload carries them.
+        let mut layers = ExecutorSpec::sim(Workload::baseline(name));
+        args.apply(&mut layers, EXECUTOR_OPTIONS)?;
+        exp.fault = layers.fault;
+        args.apply(&mut exp, EXPERIMENT_OPTIONS)?;
+        exp.telemetry.dir = exp.telemetry.dir.map(|dir| dir.join(name));
+        Ok(exp)
     }
-    if !fail_fast_enabled() {
-        b = b.fail_fast(false);
+
+    /// The run's tuning budget in minutes.
+    pub fn budget_mins(&self) -> u64 {
+        self.options.budget.as_mins_f64() as u64
     }
-    if let Some(retry) = retry_policy() {
-        b = b.retry(retry);
+
+    /// The run's master seed.
+    pub fn seed(&self) -> u64 {
+        self.options.seed
     }
-    if let Some(q) = quarantine_policy() {
-        b = b.quarantine(q);
+
+    /// Options for one session: the run's features with this budget and
+    /// seed.
+    pub fn tuner_options(&self, budget_minutes: u64, seed: u64) -> TunerOptions {
+        TunerOptions {
+            budget: SimDuration::from_mins(budget_minutes),
+            seed,
+            ..self.options.clone()
+        }
     }
-    if let Some(m) = model_policy() {
-        b = b.model(m);
+
+    /// Tune one workload under the run's fault plan.
+    pub fn tune(&self, workload: Workload, opts: TunerOptions, bus: &TelemetryBus) -> SuiteRow {
+        self.tune_with(workload, opts, self.fault, bus)
     }
-    if portfolio_enabled() {
-        b = b.technique("portfolio");
+
+    /// Tune one workload under an explicit fault plan, recording the
+    /// session as TSV when the run asked for it.
+    pub fn tune_with(
+        &self,
+        workload: Workload,
+        opts: TunerOptions,
+        fault: Option<FaultPlan>,
+        bus: &TelemetryBus,
+    ) -> SuiteRow {
+        let row = tune_program_with(workload, opts, fault, bus);
+        if let Some(dir) = &self.out {
+            let _ = std::fs::create_dir_all(dir);
+            let path = dir.join(format!("{}.tsv", row.program));
+            let _ = std::fs::write(path, row.result.session.to_tsv());
+        }
+        row
     }
-    b.build().expect("standard experiment options are valid")
+
+    /// Tune an entire suite, one trace per program. Each program's seed
+    /// is derived from the master seed so sessions are independent but
+    /// reproducible.
+    pub fn tune_suite(&self, workloads: Vec<Workload>) -> Vec<SuiteRow> {
+        workloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let seed = self.seed() ^ ((i as u64 + 1) << 32);
+                let mut opts = self.tuner_options(self.budget_mins(), seed);
+                opts.seed ^= i as u64;
+                let bus = self.telemetry.bus_for(&w.name);
+                self.tune(w, opts, &bus)
+            })
+            .collect()
+    }
 }
 
 /// Per-experiment telemetry configuration: where (and whether) each
 /// tuning session's JSONL trace goes, and whether to report live
-/// progress on stderr. Built by [`telemetry`] from the driver's command
-/// line and environment.
+/// progress on stderr. Set by [`EXPERIMENT_OPTIONS`].
 #[derive(Clone, Debug)]
 pub struct ExperimentTelemetry {
     /// Trace directory (`None` when tracing is disabled).
@@ -332,50 +308,12 @@ impl ExperimentTelemetry {
     }
 }
 
-/// Resolve the telemetry configuration for `experiment` (e.g.
-/// `"e1_specjvm"`) from the driver's command line and environment:
-/// `--no-trace`/`JTUNE_NO_TRACE` disables traces, `--trace DIR`/
-/// `JTUNE_TRACE_DIR` overrides the base directory (default
-/// `results/traces`), `--progress`/`JTUNE_PROGRESS` adds live reporting,
-/// and `--spans`/`JTUNE_SPANS` turns on timing spans plus run-wide
-/// metrics aggregation (traces stay byte-identical — spans are
-/// ephemeral, never serialised).
-pub fn telemetry(experiment: &str) -> ExperimentTelemetry {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let no_trace =
-        args.iter().any(|a| a == "--no-trace") || std::env::var_os("JTUNE_NO_TRACE").is_some();
-    let progress =
-        args.iter().any(|a| a == "--progress") || std::env::var_os("JTUNE_PROGRESS").is_some();
-    let spans = args.iter().any(|a| a == "--spans") || std::env::var_os("JTUNE_SPANS").is_some();
-    let base = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var("JTUNE_TRACE_DIR").ok())
-        .unwrap_or_else(|| "results/traces".to_string());
-    let dir = (!no_trace).then(|| Path::new(&base).join(experiment));
-    ExperimentTelemetry {
-        dir,
-        progress,
-        spans,
-        metrics: Arc::new(MetricsRegistry::new()),
-    }
-}
-
-/// Tune one workload with the given options, emitting telemetry on
-/// `bus` (pass [`TelemetryBus::disabled()`] for a silent run). Applies
-/// the globally-requested fault-injection plan (see [`fault_plan`]);
-/// use [`tune_program_with`] for an explicit plan.
-pub fn tune_program(workload: Workload, opts: TunerOptions, bus: &TelemetryBus) -> SuiteRow {
-    tune_program_with(workload, opts, fault_plan(), bus)
-}
-
-/// Like [`tune_program`], but with an explicit fault-injection plan:
-/// `Some(plan)` wraps the simulator in a
-/// [`FaultyExecutor`](jtune_harness::FaultyExecutor), `None`
-/// runs fault-free regardless of the environment. The stack is built
-/// from the shared [`ExecutorSpec`] description, the same path the CLI
-/// and daemon sessions use.
+/// Tune one workload with the given options and fault plan, emitting
+/// telemetry on `bus` (pass [`TelemetryBus::disabled()`] for a silent
+/// run). `Some(plan)` wraps the simulator in a
+/// [`FaultyExecutor`](jtune_harness::FaultyExecutor), `None` runs
+/// fault-free. The stack is built from the shared [`ExecutorSpec`]
+/// description, the same path the CLI and daemon sessions use.
 pub fn tune_program_with(
     workload: Workload,
     opts: TunerOptions,
@@ -387,11 +325,6 @@ pub fn tune_program_with(
         .with_fault(fault.filter(FaultPlan::is_active))
         .build();
     let result = Tuner::new(opts).run(executor.as_ref(), &name, bus);
-    if let Ok(dir) = std::env::var("JTUNE_OUT") {
-        let _ = std::fs::create_dir_all(&dir);
-        let path = std::path::Path::new(&dir).join(format!("{name}.tsv"));
-        let _ = std::fs::write(path, result.session.to_tsv());
-    }
     SuiteRow {
         program: name,
         default_secs: result.session.default_secs,
@@ -408,29 +341,6 @@ pub fn tune_program_with(
         best_delta: result.session.best_delta.clone(),
         result,
     }
-}
-
-/// Tune an entire suite with per-session telemetry (each program's trace
-/// file is named after the program; pass
-/// [`ExperimentTelemetry::disabled()`] for silent runs). Each program's
-/// seed is derived from the master seed so sessions are independent but
-/// reproducible.
-pub fn tune_suite(
-    workloads: Vec<Workload>,
-    budget_minutes: u64,
-    tel: &ExperimentTelemetry,
-) -> Vec<SuiteRow> {
-    let seed = master_seed();
-    workloads
-        .into_iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let mut opts = tuner_options(budget_minutes, seed ^ ((i as u64 + 1) << 32));
-            opts.seed ^= i as u64;
-            let bus = tel.bus_for(&w.name);
-            tune_program(w, opts, &bus)
-        })
-        .collect()
 }
 
 /// Render the paper-style suite table (per-program default/tuned times and
@@ -472,7 +382,7 @@ pub fn render_suite_table(title: &str, rows: &[SuiteRow]) -> String {
         headers.extend(["screened", "fits"]);
         aligns.extend([Align::Right, Align::Right]);
     }
-    let mut t = Table::new(&headers, &aligns);
+    let mut t = TextTable::new(&headers, &aligns);
     for r in rows {
         let mut row = vec![
             r.program.clone(),
@@ -547,14 +457,107 @@ pub fn improvement_at(row: &SuiteRow, minutes: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autotuner_core::ModelPolicy;
+    use jtune_harness::{QuarantinePolicy, RetryPolicy};
     use jtune_workloads::workload_by_name;
+
+    fn parse(line: &str, vars: &[(&str, &str)]) -> Result<Experiment, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let env = |name: &str| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        };
+        Experiment::parse("e0", 200, &argv, &env)
+    }
+
+    #[test]
+    fn defaults_reproduce_the_published_tables() {
+        let exp = parse("", &[]).unwrap();
+        let plain = tuner_options(200, 7);
+        assert_eq!(exp.options.signature(), plain.signature());
+        assert_eq!((exp.budget_mins(), exp.seed()), (200, 7));
+        assert!(exp.fault.is_none() && exp.out.is_none());
+        assert_eq!(exp.telemetry.dir, Some(PathBuf::from("results/traces/e0")));
+    }
+
+    #[test]
+    fn switch_variables_are_off_when_zero_or_empty() {
+        for off in ["0", ""] {
+            let exp = parse("", &[("JTUNE_MODEL", off), ("JTUNE_CACHE", off)]).unwrap();
+            assert!(exp.options.model.is_none(), "JTUNE_MODEL={off:?}");
+            assert!(exp.options.cache.is_none(), "JTUNE_CACHE={off:?}");
+            let exp = parse("", &[("JTUNE_FAIL_FAST", off)]).unwrap();
+            assert!(!exp.options.protocol.fail_fast, "JTUNE_FAIL_FAST={off:?}");
+            let exp = parse("", &[("JTUNE_NO_TRACE", off)]).unwrap();
+            assert!(exp.telemetry.dir.is_some(), "JTUNE_NO_TRACE={off:?}");
+        }
+        let exp = parse("", &[("JTUNE_MODEL", "1"), ("JTUNE_FAIL_FAST", "1")]).unwrap();
+        assert_eq!(exp.options.model, Some(ModelPolicy::default()));
+        assert!(exp.options.protocol.fail_fast);
+    }
+
+    #[test]
+    fn argv_and_environment_set_the_same_rows() {
+        let vars = [
+            ("JTUNE_BUDGET_MINS", "20"),
+            ("JTUNE_SEED", "3"),
+            ("JTUNE_FAULT_RATE", "0.05"),
+            ("JTUNE_SCREEN_RATIO", "2"),
+            ("JTUNE_TRACE_DIR", "/tmp/t"),
+            ("JTUNE_OUT", "/tmp/o"),
+        ];
+        let exp = parse("--budget 30 --no-trace", &vars).unwrap();
+        assert_eq!((exp.budget_mins(), exp.seed()), (30, 3), "argv wins");
+        assert_eq!(
+            exp.fault,
+            Some(FaultPlan::transient(0.05, FaultPlan::DEFAULT_SEED))
+        );
+        assert_eq!(exp.options.model.map(|m| m.screen_ratio), Some(2.0));
+        assert_eq!(exp.telemetry.dir, None, "--no-trace beats the trace dir");
+        assert_eq!(exp.out, Some(PathBuf::from("/tmp/o")));
+        let opts = exp.tuner_options(5, 9);
+        assert_eq!((opts.budget, opts.seed), (SimDuration::from_mins(5), 9));
+        assert_eq!(opts.signature(), exp.options.signature());
+    }
+
+    #[test]
+    fn malformed_values_and_unknown_flags_are_errors() {
+        for (line, vars, want) in [
+            (
+                "",
+                &[("JTUNE_BUDGET_MINS", "3m")][..],
+                "JTUNE_BUDGET_MINS \"3m\" is not",
+            ),
+            (
+                "",
+                &[("JTUNE_FAULT_RATE", "5%")][..],
+                "JTUNE_FAULT_RATE \"5%\" is not a number",
+            ),
+            (
+                "",
+                &[("JTUNE_RETRY_BACKOFF", "0.5")][..],
+                "e0: invalid options",
+            ),
+            ("--modle", &[][..], "e0: unknown flag \"--modle\""),
+            (
+                "--technique random",
+                &[][..],
+                "e0: unknown flag \"--technique\"",
+            ),
+            ("--budget", &[][..], "e0: flag --budget requires a value"),
+        ] {
+            let err = parse(line, vars).err().unwrap_or_default();
+            assert!(err.contains(want), "{line} {vars:?}: {err}");
+        }
+    }
 
     #[test]
     fn tune_program_produces_consistent_row() {
         let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(2, 1);
         opts.max_evaluations = Some(10);
-        let row = tune_program(w, opts, &TelemetryBus::disabled());
+        let row = tune_program_with(w, opts, None, &TelemetryBus::disabled());
         assert!(row.tuned_secs <= row.default_secs);
         assert!(
             (row.improvement - stats::improvement_percent(row.default_secs, row.tuned_secs)).abs()
@@ -566,7 +569,7 @@ mod tests {
     fn improvement_at_is_monotone_in_time() {
         let w = workload_by_name("serial").unwrap();
         let opts = tuner_options(5, 2);
-        let row = tune_program(w, opts, &TelemetryBus::disabled());
+        let row = tune_program_with(w, opts, None, &TelemetryBus::disabled());
         let early = improvement_at(&row, 1.0);
         let late = improvement_at(&row, 5.0);
         assert!(late >= early);
@@ -578,7 +581,7 @@ mod tests {
         let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let rows = vec![tune_program(w, opts, &TelemetryBus::disabled())];
+        let rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
         let s = render_suite_table("t", &rows);
         assert!(s.contains("compress"));
         assert!(s.contains("average improvement"));
@@ -594,7 +597,7 @@ mod tests {
         let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let mut rows = vec![tune_program(w, opts, &TelemetryBus::disabled())];
+        let mut rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
         rows[0].cache_hits = 3;
         rows[0].aborted = 1;
         let s = render_suite_table("t", &rows);
@@ -608,7 +611,7 @@ mod tests {
         let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let mut rows = vec![tune_program(w, opts, &TelemetryBus::disabled())];
+        let mut rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
         rows[0].retried = 2;
         rows[0].quarantined = 1;
         let s = render_suite_table("t", &rows);
@@ -622,7 +625,7 @@ mod tests {
         let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let mut rows = vec![tune_program(w, opts, &TelemetryBus::disabled())];
+        let mut rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
         rows[0].screened = 4;
         rows[0].model_fits = 2;
         let s = render_suite_table("t", &rows);
@@ -637,7 +640,7 @@ mod tests {
         let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(10, 5);
         opts.model = Some(ModelPolicy::default());
-        let row = tune_program(w, opts, &TelemetryBus::disabled());
+        let row = tune_program_with(w, opts, None, &TelemetryBus::disabled());
         assert!(row.screened > 0, "screen never rejected a proposal");
         assert!(row.model_fits > 0, "surrogate never fitted");
         assert!(row.tuned_secs <= row.default_secs);
@@ -650,7 +653,7 @@ mod tests {
         opts.max_evaluations = Some(40);
         opts.protocol.retry = Some(RetryPolicy::default());
         opts.quarantine = Some(QuarantinePolicy::default());
-        let plan = FaultPlan::transient(0.05, 0xFA_017);
+        let plan = FaultPlan::transient(0.05, FaultPlan::DEFAULT_SEED);
         let row = tune_program_with(w, opts, Some(plan), &TelemetryBus::disabled());
         assert!(row.tuned_secs <= row.default_secs);
     }

@@ -6,6 +6,7 @@ use std::time::Instant;
 
 use jtune_flags::{JvmConfig, Registry};
 use jtune_jvmsim::{JvmSim, Machine, RunFailure, Workload};
+use jtune_util::cli::{self, Opt};
 use jtune_util::SimDuration;
 
 use crate::error::TrialError;
@@ -474,6 +475,22 @@ impl ExecutorSpec {
         }
     }
 }
+
+/// The executor options of `jtune tune`/`suite`, applied to the spec of
+/// each tuned workload. `--fault-seed` reseeds the plan `--fault-rate`
+/// created, so it comes second (and does nothing without a rate).
+#[rustfmt::skip]
+pub const EXECUTOR_OPTIONS: &[Opt<ExecutorSpec>] = &[
+    Opt::new("--deadline SECS", "off", "trial watchdog: kill runs exceeding SECS (virtual for the simulator, wall-clock for a JVM)",
+        |spec, v| match v.parse().ok().filter(|s: &f64| *s > 0.0) {
+            Some(secs) => { spec.deadline_secs = Some(secs); Ok(()) }
+            None => Err("is not a positive number".into()),
+        }),
+    Opt::env("JTUNE_FAULT_RATE", "--fault-rate F", "off", "inject seeded transient faults (crashes, hangs, noise spikes) into F of runs",
+        |spec, v| cli::number(v).map(|r| spec.fault = (r > 0.0).then(|| FaultPlan::transient(r, FaultPlan::DEFAULT_SEED)))),
+    Opt::env("JTUNE_FAULT_SEED", "--fault-seed N", "1024023", "reseed the --fault-rate schedule",
+        |spec, v| cli::int(v).map(|seed| if let Some(plan) = &mut spec.fault { plan.seed = seed })),
+];
 
 #[cfg(test)]
 mod tests {

@@ -60,6 +60,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The seed `--fault-rate` uses unless `--fault-seed` says otherwise.
+    pub const DEFAULT_SEED: u64 = 0xFA_017;
+
     /// A plan injecting only *transient* faults at a total rate of
     /// `rate`, split 60% crashes / 20% hangs / 20% noise spikes — the
     /// mix used by the `e9_faults` experiment.

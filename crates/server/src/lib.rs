@@ -55,11 +55,12 @@ pub mod wire;
 pub mod worker;
 
 pub use client::{with_retries, Client};
-pub use net::{read_frame, ChaosWriter, FrameReadError, NetFault, NetFaultPlan};
+pub use net::{read_frame, ChaosWriter, FrameReadError, NetFault, NetFaultPlan, NET_FAULT_OPTIONS};
 pub use scheduler::{FairScheduler, GatedExecutor, SchedPermit};
-pub use server::{ServerConfig, SessionHandle, TuneServer};
-pub use session::{ProgressProbe, SessionSpec, SessionState};
+pub use server::{ServerConfig, SessionHandle, TuneServer, SERVER_OPTIONS};
+pub use session::{ProgressProbe, SessionSpec, SessionState, SESSION_OPTIONS};
 pub use wire::{LeaseOffer, Reconnect, Request, Response, TrialOutcome, WireError};
 pub use worker::{
     run_worker, LeaseGrant, RemoteExecutor, WorkerOptions, WorkerRegistry, WorkerStats,
+    WORKER_OPTIONS,
 };

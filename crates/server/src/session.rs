@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use autotuner_core::{ModelPolicy, TunerOptions};
 use jtune_harness::ExecutorSpec;
 use jtune_telemetry::{TraceEvent, TuningObserver};
+use jtune_util::cli::{self, Opt};
 use jtune_util::json::{self, JsonObject, JsonValue};
 use jtune_util::SimDuration;
 
@@ -153,6 +154,24 @@ impl SessionSpec {
         ExecutorSpec::named(&format!("sim:{}", self.program))
     }
 }
+
+/// The options of `jtune client submit`. Like the spec JSON keys, these
+/// are spelled out rather than derived from the tuner's rows: the keys
+/// are a persisted format, and a spec keeps an explicit `--technique`
+/// even when it names the default.
+#[rustfmt::skip]
+pub const SESSION_OPTIONS: &[Opt<SessionSpec>] = &[
+    Opt::new("--budget MIN", "200", "virtual tuning budget in minutes",
+        |s, v| cli::parse(v, "a whole number of minutes").map(|m| s.budget_mins = m)),
+    Opt::new("--seed N", "319242456645", "master seed: the session is a pure function of it",
+        |s, v| cli::int(v).map(|seed| s.seed = seed)),
+    Opt::new("--max-evals N", "none", "hard cap on evaluations",
+        |s, v| cli::int(v).map(|n| s.max_evaluations = Some(n))),
+    Opt::new("--screen-ratio F", "off", "surrogate screen over-proposing by F (the one-shot --model)",
+        |s, v| cli::number(v).map(|r| s.screen_ratio = Some(r))),
+    Opt::new("--technique NAME", "ensemble", "search technique, as for `jtune tune`",
+        |s, v| { s.technique = Some(v.to_string()); Ok(()) }),
+];
 
 /// Where a session is in its life. Terminal states keep their dirs (and
 /// results) on disk; `Suspended` sessions resume on daemon restart.

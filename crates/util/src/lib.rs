@@ -18,6 +18,9 @@
 //! - [`histogram`] — fixed-bucket latency histograms for GC-pause
 //!   distributions.
 //! - [`table`] — plain-text table rendering for experiment output.
+//! - [`cli`] — the one strict command-line parser: options described
+//!   once as table rows, from which parsing, environment overrides and
+//!   help text are all derived.
 //! - [`json`] — minimal, byte-deterministic JSON emission for the
 //!   telemetry trace stream and the CLI's `--json` surface.
 //!
@@ -28,6 +31,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod cli;
 pub mod histogram;
 pub mod json;
 pub mod rng;

@@ -1,5 +1,7 @@
 //! CLI argument validation: unknown flags and malformed values must
-//! exit non-zero with usage instead of warning and tuning anyway.
+//! exit non-zero with usage instead of warning and tuning anyway; every
+//! accepted line must map to the session it always meant; and the README
+//! flag reference must match the option rows.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -117,4 +119,256 @@ fn resume_from_a_missing_journal_exits_nonzero() {
         "{}",
         stderr_of(&out)
     );
+}
+
+/// Lines the parser must reject, each with the message it must print
+/// (exit 2, usage follows).
+#[test]
+fn parser_defects_stay_fixed() {
+    for (args, want) in [
+        // A value that is itself a flag: no trace file named `--json`.
+        (
+            &["tune", "serial", "--trace", "--json"][..],
+            "tune: flag --trace requires a value",
+        ),
+        (
+            &["tune", "compress", "--seed", "1", "--seed", "2"][..],
+            "tune: flag --seed given twice",
+        ),
+        (
+            &["tune", "compress", "extra"][..],
+            "tune: unexpected argument \"extra\"",
+        ),
+        (
+            &["suite", "spec", "--budget", "1", "--budget", "2"][..],
+            "given twice",
+        ),
+        (
+            &["serve", "--max-frame", "0"][..],
+            "serve: --max-frame \"0\" must be at least 1",
+        ),
+        (
+            &["worker", "--connect", "x", "--slots", "0"][..],
+            "worker: --slots \"0\" must be",
+        ),
+        (
+            &["worker", "--slots", "2"][..],
+            "worker: missing --connect HOST:PORT",
+        ),
+        (
+            &["client", "status", "--retries", "lots"][..],
+            "client status: --retries \"lots\"",
+        ),
+        (
+            &["report", "x", "--format", "pdf"][..],
+            "report: --format \"pdf\" is not md, html or json",
+        ),
+    ] {
+        let out = jtune(args);
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(want) && err.contains("USAGE"),
+            "args: {args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn positionals_may_follow_options() {
+    let out = jtune(&["tune", "--budget", "1", "--json", "compress"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    // No daemon listens on port 1: the submit gets as far as connecting.
+    let out = jtune(&[
+        "client",
+        "submit",
+        "--budget",
+        "5",
+        "compress",
+        "--addr",
+        "127.0.0.1:1",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    assert!(err.starts_with("client submit: connect-error"), "{err}");
+}
+
+#[test]
+fn client_errors_name_the_subcommand_once() {
+    for (args, want) in [
+        (
+            &["client", "submit"][..],
+            "client submit: missing workload name\n",
+        ),
+        (
+            &["client", "watch"][..],
+            "client watch: missing session ID\n",
+        ),
+        (
+            &["client", "cancel", "x"][..],
+            "client cancel: session ID must be an integer\n",
+        ),
+    ] {
+        let out = jtune(args);
+        assert_eq!(out.status.code(), Some(1), "args: {args:?}");
+        assert_eq!(stderr_of(&out), want, "args: {args:?}");
+    }
+}
+
+/// Every implication rule, and `--portfolio` against `--technique`, as
+/// the journal header each line writes: executor tag, seed and
+/// `TunerOptions::signature()`, recorded before the option tables
+/// replaced the hand-written parsers.
+#[rustfmt::skip]
+#[test]
+fn argv_maps_to_the_pinned_session_signature() {
+    const SIM: &str = "sim:compress";
+    const FAULTY: &str = "faulty[seed=1024023,crash=0.03,hang=0.010000000000000002,noise=0.010000000000000002x3]:sim:compress";
+    const FAULTY_11: &str = "faulty[seed=11,crash=0.03,hang=0.010000000000000002,noise=0.010000000000000002x3]:sim:compress";
+    let cases: &[(&str, &str, u64, &str)] = &[
+        ("", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--cache", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true cache=0"),
+        ("--cache-recharge 0.5", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true cache=0.5"),
+        ("--cache --cache-recharge 0.25", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true cache=0.25"),
+        ("--racing", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true racing=2a0.2"),
+        ("--min-repeats 3", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true racing=3a0.2"),
+        ("--racing --min-repeats 4", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true racing=4a0.2"),
+        ("--retries 2", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true retry=2x1.5"),
+        ("--retry-backoff 2", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true retry=2x2"),
+        ("--retries 3 --retry-backoff 1.25", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true retry=3x1.25"),
+        ("--quarantine 4", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true quarantine=4"),
+        ("--no-fail-fast", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=false"),
+        ("--model", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true model=4w12k1"),
+        ("--screen-ratio 2", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true model=2w12k1"),
+        ("--model --screen-ratio 6", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true model=6w12k1"),
+        ("--portfolio", SIM, 319242456645, "v1 technique=portfolio manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--portfolio --technique random", SIM, 319242456645, "v1 technique=random manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--technique hillclimb --portfolio", SIM, 319242456645, "v1 technique=hillclimb manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--model --portfolio", SIM, 319242456645, "v1 technique=portfolio manipulator=hierarchical batch=4 repeats=3 fail_fast=true model=4w12k1"),
+        ("--technique model:ensemble", SIM, 319242456645, "v1 technique=model:ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--manipulator flat --batch 6", SIM, 319242456645, "v1 technique=ensemble manipulator=flat batch=6 repeats=3 fail_fast=true"),
+        ("--manipulator subset --workers 2", SIM, 319242456645, "v1 technique=ensemble manipulator=gc-subset batch=4 repeats=3 fail_fast=true"),
+        ("--seed 9", SIM, 9, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--fault-rate 0.05", FAULTY, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--fault-rate 0.05 --fault-seed 11", FAULTY_11, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--deadline 30", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+        ("--fault-seed 11", SIM, 319242456645, "v1 technique=ensemble manipulator=hierarchical batch=4 repeats=3 fail_fast=true"),
+    ];
+    let dir = temp_dir("signatures");
+    for (i, (line, executor, seed, signature)) in cases.iter().enumerate() {
+        let journal = dir.join(format!("{i}.jsonl"));
+        let mut args = vec!["tune", "compress", "--budget", "1", "--json"];
+        args.extend(line.split_whitespace());
+        args.extend(["--checkpoint", journal.to_str().expect("utf8 path")]);
+        let out = jtune(&args);
+        assert_eq!(out.status.code(), Some(0), "{line}: {}", stderr_of(&out));
+        let text = std::fs::read_to_string(&journal).expect("journal written");
+        let header = format!(
+            "{{\"type\":\"JournalHeader\",\"version\":1,\"program\":\"compress\",\"executor\":\"{executor}\",\"seed\":{seed},\"budget_nanos\":60000000000,\"signature\":\"{signature}\"}}"
+        );
+        assert_eq!(text.lines().next(), Some(header.as_str()), "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The README's flag reference is the one `jtune --help` renders from
+/// the tune/suite rows: every row's flag and default, line for line.
+#[test]
+fn readme_flag_reference_matches_the_rows() {
+    use hotspot_autotuner::harness::EXECUTOR_OPTIONS;
+    use hotspot_autotuner::tuner::TUNER_OPTIONS;
+
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    let infos = TUNER_OPTIONS.iter().map(|o| o.info);
+    for info in infos.chain(EXECUTOR_OPTIONS.iter().map(|o| o.info)) {
+        let usage = format!("{} ", info.usage);
+        let line = readme.lines().find(|l| l.trim_start().starts_with(&usage));
+        assert!(
+            line.is_some_and(|l| l.contains(&format!(" {} ", info.default))),
+            "README lacks `{}` with default {}",
+            info.usage,
+            info.default
+        );
+    }
+    let help = stderr_of(&jtune(&["--help"]));
+    let section = help
+        .split("tune / suite options:\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("tune / suite section");
+    for line in section.lines() {
+        assert!(readme.contains(line), "README lacks help line {line:?}");
+    }
+}
+
+/// The daemon and worker rows keep the rules their hand-written
+/// parsers had.
+#[test]
+fn daemon_and_worker_rows_keep_their_rules() {
+    use hotspot_autotuner::harness::{BackoffPolicy, BACKOFF_OPTIONS};
+    use hotspot_autotuner::server::{
+        NetFaultPlan, ServerConfig, WorkerOptions, NET_FAULT_OPTIONS, SERVER_OPTIONS,
+        WORKER_OPTIONS,
+    };
+    use hotspot_autotuner::util::cli::Args;
+
+    let argv = |line: &str| {
+        line.split_whitespace()
+            .map(String::from)
+            .collect::<Vec<_>>()
+    };
+    let serve = |line: &str| {
+        let args = Args::parse(
+            "serve",
+            &argv(line),
+            &[&SERVER_OPTIONS, &NET_FAULT_OPTIONS],
+            0,
+        )
+        .expect("valid line");
+        let mut config = ServerConfig::new("state");
+        args.apply(&mut config, SERVER_OPTIONS)
+            .expect("valid values");
+        args.apply(&mut config.net_faults, NET_FAULT_OPTIONS)
+            .expect("valid values");
+        config
+    };
+    let config = serve("--capacity 3");
+    assert_eq!(
+        (config.capacity, config.queue),
+        (3, 3),
+        "--capacity sets --queue"
+    );
+    let config = serve("--queue 1 --capacity 3");
+    assert_eq!(
+        (config.capacity, config.queue),
+        (3, 1),
+        "an explicit --queue wins"
+    );
+    assert_eq!(
+        serve("--net-fault-seed 9").net_faults,
+        NetFaultPlan::inactive()
+    );
+    let plan = NetFaultPlan::chaotic(0.1, NetFaultPlan::DEFAULT_SEED);
+    assert_eq!(serve("--net-fault-rate 0.1").net_faults, plan);
+    let reseeded = serve("--net-fault-seed 9 --net-fault-rate 0.1").net_faults;
+    assert_eq!(reseeded, NetFaultPlan { seed: 9, ..plan });
+
+    let line = argv("--connect h:1 --retries 2 --retry-max-ms 0");
+    let tables: &[&dyn hotspot_autotuner::util::cli::Table] =
+        &[&WORKER_OPTIONS, &BACKOFF_OPTIONS, &NET_FAULT_OPTIONS];
+    let args = Args::parse("worker", &line, tables, 0).expect("valid line");
+    let mut options = WorkerOptions::new("");
+    assert_eq!(
+        options.backoff,
+        BackoffPolicy::default(),
+        "5 reconnects by default"
+    );
+    args.apply(&mut options, WORKER_OPTIONS)
+        .expect("valid values");
+    args.apply(&mut options.backoff, BACKOFF_OPTIONS)
+        .expect("valid values");
+    assert_eq!(options.addr, "h:1");
+    assert_eq!(options.backoff.retry.max_retries, 2);
+    assert_eq!(options.backoff.cap_ms, 1, "a zero cap is floored at 1 ms");
 }
