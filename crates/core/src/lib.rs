@@ -16,9 +16,11 @@
 //! - [`techniques`] — the search techniques: random sampling, greedy
 //!   hill-climbing with restarts, simulated annealing, a genetic
 //!   algorithm, differential evolution and Nelder-Mead on the numeric
-//!   subspace, and the [`techniques::ensemble::AucBandit`] meta-technique
-//!   that allocates proposals to whichever technique is currently paying
-//!   off (the OpenTuner-style ensemble the paper's tuner embodies).
+//!   subspace, and the [`Bandit`] meta-technique that allocates proposals
+//!   to whichever technique is currently paying off: the OpenTuner-style
+//!   AUC ensemble the paper's tuner embodies, or the Exp3 portfolio over
+//!   the solo techniques plus an ensemble. [`TechniqueSet`] names every
+//!   technique once.
 //! - [`tuner`] — the driver: evaluate the default, then propose/evaluate/
 //!   learn in parallel batches until the tuning-time budget is exhausted,
 //!   recording every trial for the convergence experiments.
@@ -55,8 +57,7 @@ pub use jtune_model::ModelPolicy;
 pub use manipulator::{
     ConfigManipulator, FlatManipulator, HierarchicalManipulator, SubsetManipulator,
 };
-pub use techniques::ensemble::AucBandit;
-pub use techniques::portfolio::Portfolio;
+pub use techniques::bandit::Bandit;
 pub use techniques::{Technique, TechniqueSet};
 pub use tuner::{
     ManipulatorKind, OptionsError, SessionError, Tuner, TunerOptions, TunerOptionsBuilder,

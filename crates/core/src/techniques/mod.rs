@@ -3,9 +3,9 @@
 //! Every technique implements [`Technique`]: the tuner asks it to
 //! *propose* a candidate, evaluates the candidate (possibly in parallel
 //! with others), and then *feeds back* the measured score. Techniques are
-//! deliberately proposal-oriented rather than loop-oriented so the
-//! AUC-bandit ensemble ([`ensemble`]) can interleave them and the tuner
-//! can batch evaluations.
+//! deliberately proposal-oriented rather than loop-oriented so a
+//! [`bandit::Bandit`] can interleave them and the tuner can batch
+//! evaluations. [`TechniqueSet`] names every technique once.
 //!
 //! Scores are run times in seconds — lower is better; `None` means the
 //! candidate failed (crash / OOM), which techniques treat as "very bad"
@@ -13,13 +13,12 @@
 //! its budget, as it would on a real testbed).
 
 pub mod anneal;
+pub mod bandit;
 pub mod diffevo;
-pub mod ensemble;
 pub mod genetic;
 pub mod hillclimb;
 pub mod ils;
 pub mod neldermead;
-pub mod portfolio;
 pub mod random;
 
 use jtune_flags::{Domain, FlagId, FlagValue, JvmConfig};
@@ -67,8 +66,8 @@ pub trait Technique: Send {
     fn feedback(&mut self, config: &JvmConfig, score: Option<f64>, state: &SearchState<'_>);
 
     /// Which technique actually proposed `config`. Composite techniques
-    /// (the AUC-bandit ensemble) attribute the inner arm so telemetry can
-    /// trace technique switches; plain techniques return their own name.
+    /// (the bandits) attribute the inner arm so telemetry can trace
+    /// technique switches; plain techniques return their own name.
     /// Only meaningful between [`Technique::propose`] and the matching
     /// [`Technique::feedback`].
     fn proposer(&self, config: &JvmConfig) -> &'static str {
@@ -88,31 +87,36 @@ pub trait Technique: Send {
     }
 }
 
-/// The standard technique roster (what the ensemble runs over).
+/// Builds one fresh technique.
+type Constructor = fn() -> Box<dyn Technique>;
+
+/// Every technique, each named once. The first [`SOLO`] rows are the
+/// solo techniques the bandits run over, so they must never hold a
+/// composite (a bandit arm that builds a bandit would recurse). The
+/// default `ensemble` is the last row.
+#[rustfmt::skip]
+const ROSTER: [(&str, Constructor); 9] = [
+    ("random", || Box::new(random::RandomSearch::new())),
+    ("hillclimb", || Box::new(hillclimb::HillClimb::new())),
+    ("ils", || Box::new(ils::IteratedLocalSearch::new())),
+    ("anneal", || Box::new(anneal::SimulatedAnnealing::new())),
+    ("genetic", || Box::new(genetic::GeneticAlgorithm::new())),
+    ("diffevo", || Box::new(diffevo::DifferentialEvolution::new())),
+    ("neldermead", || Box::new(neldermead::NelderMead::new())),
+    ("portfolio", || Box::new(bandit::Bandit::portfolio())),
+    ("ensemble", || Box::new(bandit::Bandit::ensemble())),
+];
+
+/// How many leading [`ROSTER`] rows are solo techniques.
+const SOLO: usize = 7;
+
+/// The technique roster.
 pub struct TechniqueSet;
 
 impl TechniqueSet {
-    /// The simple techniques the AUC-bandit ensemble runs over. The
-    /// ensemble and the portfolio are built *from* this roster, so it
-    /// must never contain a composite (that would recurse).
-    pub fn ensemble_arms() -> Vec<Box<dyn Technique>> {
-        vec![
-            Box::new(random::RandomSearch::new()),
-            Box::new(hillclimb::HillClimb::new()),
-            Box::new(ils::IteratedLocalSearch::new()),
-            Box::new(anneal::SimulatedAnnealing::new()),
-            Box::new(genetic::GeneticAlgorithm::new()),
-            Box::new(diffevo::DifferentialEvolution::new()),
-            Box::new(neldermead::NelderMead::new()),
-        ]
-    }
-
-    /// Every registered technique, fresh, in [`TechniqueSet::names`]
-    /// order (the solo roster plus the composite portfolio).
-    pub fn standard() -> Vec<Box<dyn Technique>> {
-        let mut all = Self::ensemble_arms();
-        all.push(Box::new(portfolio::Portfolio::standard()));
-        all
+    /// The solo techniques, fresh, in roster order: the bandits' arms.
+    pub(crate) fn solo_arms() -> Vec<Box<dyn Technique>> {
+        ROSTER[..SOLO].iter().map(|(_, make)| make()).collect()
     }
 
     /// Construct one technique by name (experiment E8 runs them solo).
@@ -122,37 +126,21 @@ impl TechniqueSet {
     /// the tuner, not the technique), and the tuner enables the default
     /// model policy when it sees the prefix.
     pub fn by_name(name: &str) -> Option<Box<dyn Technique>> {
-        if let Some(inner) = name.strip_prefix("model:") {
-            return Self::by_name(inner);
-        }
-        Some(match name {
-            "random" => Box::new(random::RandomSearch::new()),
-            "hillclimb" => Box::new(hillclimb::HillClimb::new()),
-            "ils" => Box::new(ils::IteratedLocalSearch::new()),
-            "anneal" => Box::new(anneal::SimulatedAnnealing::new()),
-            "genetic" => Box::new(genetic::GeneticAlgorithm::new()),
-            "diffevo" => Box::new(diffevo::DifferentialEvolution::new()),
-            "neldermead" => Box::new(neldermead::NelderMead::new()),
-            "ensemble" => Box::new(ensemble::AucBandit::standard()),
-            "portfolio" => Box::new(portfolio::Portfolio::standard()),
-            _ => return None,
-        })
+        let name = name.trim_start_matches("model:");
+        ROSTER
+            .iter()
+            .find(|(row, _)| *row == name)
+            .map(|(_, make)| make())
     }
 
-    /// Names of the registered techniques, in [`TechniqueSet::standard`]
-    /// order (the composite ensemble is additionally reachable through
-    /// [`TechniqueSet::by_name`]).
-    pub fn names() -> &'static [&'static str] {
-        &[
-            "random",
-            "hillclimb",
-            "ils",
-            "anneal",
-            "genetic",
-            "diffevo",
-            "neldermead",
-            "portfolio",
-        ]
+    /// Names of the techniques E8 compares against the default
+    /// `ensemble`, in roster order: every technique but the ensemble
+    /// (which [`TechniqueSet::by_name`] also resolves).
+    pub fn names() -> Vec<&'static str> {
+        ROSTER[..ROSTER.len() - 1]
+            .iter()
+            .map(|(name, _)| *name)
+            .collect()
     }
 }
 
@@ -278,26 +266,17 @@ mod tests {
 
     #[test]
     fn technique_set_has_all_names() {
-        for name in TechniqueSet::names() {
-            assert!(TechniqueSet::by_name(name).is_some(), "missing {name}");
+        for name in TechniqueSet::names().into_iter().chain(["ensemble"]) {
+            let t = TechniqueSet::by_name(name).expect("registered name");
+            assert_eq!(t.name(), name);
         }
-        assert!(TechniqueSet::by_name("ensemble").is_some());
         assert!(TechniqueSet::by_name("nope").is_none());
-        // The registry is closed: standard() and names() must agree
-        // element by element, so adding a technique to one without the
-        // other (or reordering) fails here, not in an experiment.
-        let standard = TechniqueSet::standard();
-        assert_eq!(standard.len(), TechniqueSet::names().len());
-        for (technique, name) in standard.iter().zip(TechniqueSet::names()) {
-            assert_eq!(technique.name(), *name);
-        }
-        // The portfolio's arms are the solo roster plus the ensemble —
-        // and the solo roster must stay composite-free (a composite arm
-        // would recurse on construction).
-        for arm in TechniqueSet::ensemble_arms() {
+        // The solo arms must stay composite-free (a composite arm would
+        // recurse on construction).
+        for arm in TechniqueSet::solo_arms() {
             assert!(
                 !matches!(arm.name(), "ensemble" | "portfolio"),
-                "composite {} in ensemble_arms()",
+                "composite {} in solo_arms()",
                 arm.name()
             );
         }
@@ -305,15 +284,11 @@ mod tests {
 
     #[test]
     fn model_prefix_resolves_to_the_inner_technique() {
-        for name in TechniqueSet::names() {
+        for name in TechniqueSet::names().into_iter().chain(["ensemble"]) {
             let wrapped = format!("model:{name}");
             let t = TechniqueSet::by_name(&wrapped).expect("model-wrapped variant");
-            assert_eq!(t.name(), *name);
+            assert_eq!(t.name(), name);
         }
-        assert_eq!(
-            TechniqueSet::by_name("model:ensemble").unwrap().name(),
-            "ensemble"
-        );
         assert!(TechniqueSet::by_name("model:nope").is_none());
         assert!(TechniqueSet::by_name("model:").is_none());
     }
@@ -332,7 +307,8 @@ mod tests {
             reuse_fraction: 0.0,
         };
         let mut rng = Xoshiro256pp::seed_from_u64(17);
-        for mut t in TechniqueSet::standard() {
+        for (_, make) in ROSTER {
+            let mut t = make();
             let c = t.propose(&st, &mut rng);
             // Retract then feed back: the feedback must be ignored (no
             // panic, no misattribution) for every registered technique.

@@ -24,19 +24,6 @@ impl JvmConfig {
         }
     }
 
-    /// Construct from raw values.
-    ///
-    /// # Panics
-    /// Panics if the value count does not match the registry.
-    pub fn from_values(registry: &Registry, values: Vec<FlagValue>) -> Self {
-        assert_eq!(
-            values.len(),
-            registry.len(),
-            "config arity must match registry"
-        );
-        Self { values }
-    }
-
     /// Number of flags.
     pub fn len(&self) -> usize {
         self.values.len()

@@ -47,6 +47,19 @@ impl TrialError {
         }
     }
 
+    /// The variant [`TrialError::kind`] tags `kind`, carrying `message`;
+    /// `None` for a tag outside the closed set.
+    pub fn from_kind(kind: &str, message: impl Into<String>) -> Option<TrialError> {
+        let variant: fn(String) -> TrialError = match kind {
+            "crash" => TrialError::Crash,
+            "oom" => TrialError::Oom,
+            "timeout" => TrialError::Timeout,
+            "flag-conflict" => TrialError::FlagConflict,
+            _ => return None,
+        };
+        Some(variant(message.into()))
+    }
+
     /// The human-readable message, exactly as the executor reported it.
     pub fn message(&self) -> &str {
         match self {
@@ -214,6 +227,22 @@ mod tests {
         assert!(
             !TrialError::FlagConflict("conflict: UseG1GC with UseParallelGC".into()).is_transient()
         );
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_from_kind() {
+        for error in [
+            TrialError::Crash("exit 134".into()),
+            TrialError::Oom("heap space".into()),
+            TrialError::Timeout("timed out".into()),
+            TrialError::FlagConflict("conflict".into()),
+        ] {
+            assert_eq!(
+                TrialError::from_kind(error.kind(), error.message()),
+                Some(error.clone())
+            );
+        }
+        assert_eq!(TrialError::from_kind("martian", "?"), None);
     }
 
     #[test]

@@ -322,7 +322,7 @@ fn parse_trial(line: &str) -> Result<(u64, Evaluation), String> {
         v.get("error_kind").and_then(JsonValue::as_str),
         v.get("error").and_then(JsonValue::as_str),
     ) {
-        (Some(kind), Some(msg)) => Some(error_from(kind, msg.to_string())),
+        (Some(kind), Some(msg)) => Some(error_from(kind, msg)),
         _ => None,
     };
     let counters = match v.get("counters") {
@@ -393,8 +393,7 @@ fn parse_trial(line: &str) -> Result<(u64, Evaluation), String> {
                         .ok_or("bad retry")?,
                     r.get("msg")
                         .and_then(JsonValue::as_str)
-                        .ok_or("bad retry")?
-                        .to_string(),
+                        .ok_or("bad retry")?,
                 ),
                 cost: SimDuration::from_nanos(
                     r.get("cost")
@@ -418,13 +417,9 @@ fn parse_trial(line: &str) -> Result<(u64, Evaluation), String> {
     Ok((fingerprint, evaluation))
 }
 
-fn error_from(kind: &str, message: String) -> TrialError {
-    match kind {
-        "oom" => TrialError::Oom(message),
-        "timeout" => TrialError::Timeout(message),
-        "flag-conflict" => TrialError::FlagConflict(message),
-        _ => TrialError::Crash(message),
-    }
+/// Decode a journaled failure; an unknown kind reads back as a crash.
+fn error_from(kind: &str, message: &str) -> TrialError {
+    TrialError::from_kind(kind, message).unwrap_or_else(|| TrialError::Crash(message.to_string()))
 }
 
 /// Completed trials queued for replay, consumed in journal order.

@@ -60,15 +60,6 @@ impl Objective {
         })
     }
 
-    /// The pause percentile this objective needs measured, if any.
-    pub fn wanted_percentile(&self) -> Option<f64> {
-        match self {
-            Objective::Throughput => None,
-            Objective::PausePercentile(p) => Some(*p),
-            Objective::Weighted { percentile, .. } => Some(*percentile),
-        }
-    }
-
     /// Short label for reports.
     pub fn name(&self) -> String {
         match self {

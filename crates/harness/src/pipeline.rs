@@ -180,11 +180,6 @@ impl EvalPipeline {
         self.protocol
     }
 
-    /// Is memoization (and with it duplicate suppression) on?
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Session totals so far.
     pub fn stats(&self) -> PipelineStats {
         self.stats

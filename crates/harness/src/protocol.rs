@@ -84,6 +84,13 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// Is failed attempt `attempt` (0 = the original try) allowed
+    /// another retry? The one retry bound: trial retries, client
+    /// resubmits and worker reconnects all stop here.
+    pub fn allows(&self, attempt: u32) -> bool {
+        attempt < self.max_retries
+    }
+
     /// Budget-cost multiplier for attempt `attempt` (0 = the original try).
     pub fn cost_factor(&self, attempt: u32) -> f64 {
         self.backoff.max(1.0).powi(attempt as i32)
@@ -104,8 +111,8 @@ impl RetryPolicy {
 /// undercuts what the server asked for.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BackoffPolicy {
-    /// Retry budget and per-attempt growth factor (reuses
-    /// [`RetryPolicy::cost_factor`] as the exponential curve).
+    /// Retry bound ([`RetryPolicy::allows`]) and per-attempt growth
+    /// factor ([`RetryPolicy::cost_factor`] as the exponential curve).
     pub retry: RetryPolicy,
     /// Delay before the first retry, in milliseconds.
     pub base_ms: u64,
@@ -131,11 +138,6 @@ impl Default for BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// Is attempt `attempt` (0 = the original try) allowed another retry?
-    pub fn should_retry(&self, attempt: u32) -> bool {
-        attempt < self.retry.max_retries
-    }
-
     /// Delay in milliseconds before retrying after failed attempt
     /// `attempt` (0-based). `hint_ms` is the server's `retry_after_ms`
     /// suggestion, honoured as a lower bound.
@@ -307,7 +309,7 @@ impl Protocol {
                     total.jit_compiles += c.jit_compiles;
                 }
                 match (&m.error, self.retry) {
-                    (Some(e), Some(policy)) if e.is_transient() && attempt < policy.max_retries => {
+                    (Some(e), Some(policy)) if e.is_transient() && policy.allows(attempt) => {
                         retried += 1;
                         retry_log.push(RetryRecord {
                             rep,
@@ -728,8 +730,8 @@ mod tests {
             (0..5).map(|a| q.delay_ms(a, None)).collect::<Vec<_>>()
         );
         // Retry budget comes from the embedded RetryPolicy.
-        assert!(p.should_retry(0) && p.should_retry(4));
-        assert!(!p.should_retry(5));
+        assert!(p.retry.allows(0) && p.retry.allows(4));
+        assert!(!p.retry.allows(5));
     }
 
     #[test]

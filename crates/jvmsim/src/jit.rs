@@ -262,15 +262,6 @@ impl JitModel {
         f.max(0.05)
     }
 
-    /// The best factor this run can ever reach (all buckets at `stop_at`).
-    pub fn asymptotic_factor(&self) -> f64 {
-        match self.stop_at {
-            Tier::Interp => self.speeds.interp,
-            Tier::C1 => self.speeds.c1,
-            Tier::C2 => self.speeds.c2,
-        }
-    }
-
     /// Advance the model by `work` units retired over `dt_secs` of mutator
     /// time; `calls_per_unit` comes from the workload.
     ///

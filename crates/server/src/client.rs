@@ -241,7 +241,7 @@ pub fn with_retries<T>(
         match outcome {
             Ok(value) => return Ok(value),
             Err(e) => {
-                if !retryable(&e, idempotent) || !policy.should_retry(attempt) {
+                if !retryable(&e, idempotent) || !policy.retry.allows(attempt) {
                     return Err(e);
                 }
                 let delay = policy.delay_ms(attempt, e.retry_after_ms);

@@ -13,7 +13,6 @@ use autotuner_core::Tuner;
 use jtune_harness::{MeasurementCache, MemoExecutor};
 use jtune_telemetry::{EventStreamSink, JsonlSink, MetricsRegistry, TelemetryBus, TraceEvent};
 use jtune_util::cli::{self, Opt};
-use jtune_util::json::JsonValue;
 use jtune_workloads::workload_by_name;
 
 use crate::net::{self, ChaosWriter, FrameReadError, NetFaultPlan};
@@ -952,10 +951,4 @@ impl TuneServer {
                 .record_wall("frame_wall", frame_start.elapsed().as_secs_f64());
         }
     }
-}
-
-/// Convenience for tests and embedders: pull a `u64` payload field out
-/// of a parsed ok frame.
-pub fn frame_u64(frame: &JsonValue, key: &str) -> Option<u64> {
-    frame.get(key).and_then(JsonValue::as_u64)
 }

@@ -233,23 +233,13 @@ impl TrialOutcome {
     /// Reconstruct the exact measurement. Fails (`bad-frame`) on an
     /// unknown error kind — the tags are a closed set.
     pub fn to_measurement(&self) -> Result<Measurement, WireError> {
-        let error = match (&self.error_kind, &self.error) {
-            (Some(kind), message) => {
-                let message = message.clone().unwrap_or_default();
-                Some(match kind.as_str() {
-                    "crash" => TrialError::Crash(message),
-                    "oom" => TrialError::Oom(message),
-                    "timeout" => TrialError::Timeout(message),
-                    "flag-conflict" => TrialError::FlagConflict(message),
-                    other => {
-                        return Err(WireError::new(
-                            "bad-frame",
-                            format!("unknown error kind {other:?}"),
-                        ))
-                    }
-                })
-            }
-            (None, _) => None,
+        let error = match &self.error_kind {
+            Some(kind) => Some(
+                TrialError::from_kind(kind, self.error.clone().unwrap_or_default()).ok_or_else(
+                    || WireError::new("bad-frame", format!("unknown error kind {kind:?}")),
+                )?,
+            ),
+            None => None,
         };
         let counters = self.gc_pause_ns.map(|gc_pause| RunCounters {
             gc_pause_total: SimDuration::from_nanos(gc_pause),

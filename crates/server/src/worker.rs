@@ -701,7 +701,7 @@ pub fn run_worker(options: &WorkerOptions) -> Result<WorkerStats, WireError> {
                 outage_attempt = 0;
             }
             Err(e) => {
-                if !policy.should_retry(outage_attempt) {
+                if !policy.retry.allows(outage_attempt) {
                     return Err(e);
                 }
             }

@@ -2,13 +2,11 @@
 //!
 //! Structured observability for the tuning stack: a typed trial-event
 //! model ([`TraceEvent`]), an observer trait ([`TuningObserver`]) with a
-//! fan-out bus ([`TelemetryBus`]), and four built-in sinks:
+//! fan-out bus ([`TelemetryBus`]), and these built-in sinks:
 //!
 //! - [`MemoryRecorder`] — in-memory event log (tests, post-run analysis);
 //! - [`JsonlSink`] — JSON Lines trace file (the `--trace` surface);
 //! - [`MetricsRegistry`] — counters + latency histograms over the stream;
-//! - [`MetricsSink`] — file-backed registry snapshots (the `--metrics`
-//!   surface), flushed on session finish and on drop;
 //! - [`ProgressReporter`] — live human-readable progress on stderr
 //!   (the `--progress` surface).
 //!
@@ -52,7 +50,6 @@ pub mod jsonl;
 pub mod metrics;
 pub mod progress;
 pub mod recorder;
-pub mod sink;
 pub mod stream;
 
 pub use bus::{phase, SpanGuard, TelemetryBus, TuningObserver};
@@ -61,5 +58,4 @@ pub use jsonl::JsonlSink;
 pub use metrics::{FixedHistogram, MetricsRegistry, WALL_BUCKETS};
 pub use progress::ProgressReporter;
 pub use recorder::MemoryRecorder;
-pub use sink::MetricsSink;
 pub use stream::EventStreamSink;

@@ -138,15 +138,6 @@ impl Histogram {
             self.max = other.max;
         }
     }
-
-    /// Iterate over non-empty buckets as `(bucket_floor, count)` pairs.
-    pub fn nonempty_buckets(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (SimDuration::from_nanos(Self::bucket_floor(i)), c))
-    }
 }
 
 #[cfg(test)]

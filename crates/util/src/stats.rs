@@ -105,12 +105,6 @@ impl Summary {
         }
     }
 
-    /// Normal-approximation 95 % confidence interval for the mean.
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_err();
-        (self.mean() - half, self.mean() + half)
-    }
-
     /// Merge another summary into this one (parallel reduction).
     pub fn merge(&mut self, other: &Summary) {
         if other.n == 0 {
