@@ -26,27 +26,80 @@
 //! observation as if it were a fresh sample would silently narrow the
 //! measured distribution.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use jtune_flags::{JvmConfig, Registry};
 use jtune_util::SimDuration;
 
-use crate::executor::{Executor, Measurement};
+use crate::executor::{Executor, Measurement, RunCounters};
 
 /// A shared, thread-safe memo of executor measurements, keyed by
 /// `(executor tag, configuration fingerprint, noise seed)`.
 ///
 /// Wrap it in an `Arc` and hand a clone to one [`MemoExecutor`] per
-/// session. The map grows for the lifetime of the cache;
+/// session. The memo grows for the lifetime of the cache;
 /// [`MeasurementCache::len`] reports the footprint so an owner can
-/// decide when to drop and rebuild it.
+/// decide when to drop and rebuild it. It keeps one B-tree per executor
+/// tag: a B-tree grows a node at a time, so no insert ever rehashes or
+/// doubles a table holding everything measured so far.
 #[derive(Debug, Default)]
 pub struct MeasurementCache {
-    entries: Mutex<HashMap<(u64, u64, u64), Measurement>>,
+    entries: Mutex<HashMap<u64, Table>>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// One executor tag's memo: `(fingerprint, seed)` → measurement.
+type Table = BTreeMap<(u64, u64), Entry>;
+
+/// One memoized measurement. A clean run with counters (every simulator
+/// run that did not fail) is held inline in 56 bytes; anything else is
+/// boxed. A `Measurement` itself is 96 bytes, so an entry with its key
+/// shrinks from 112 bytes to 72.
+#[derive(Debug)]
+enum Entry {
+    Run {
+        time: SimDuration,
+        pause_p99: Option<SimDuration>,
+        counters: RunCounters,
+    },
+    Other(Box<Measurement>),
+}
+
+impl Entry {
+    fn of(measurement: Measurement) -> Entry {
+        match measurement {
+            Measurement {
+                time,
+                pause_p99,
+                counters: Some(counters),
+                error: None,
+            } => Entry::Run {
+                time,
+                pause_p99,
+                counters,
+            },
+            other => Entry::Other(Box::new(other)),
+        }
+    }
+
+    fn measurement(&self) -> Measurement {
+        match self {
+            Entry::Run {
+                time,
+                pause_p99,
+                counters,
+            } => Measurement {
+                time: *time,
+                pause_p99: *pause_p99,
+                counters: Some(*counters),
+                error: None,
+            },
+            Entry::Other(measurement) => (**measurement).clone(),
+        }
+    }
 }
 
 /// Stable key half for one executor: distinct workloads (or fault plans)
@@ -72,7 +125,10 @@ impl MeasurementCache {
     /// Look up a prior measurement. Counts a global hit or miss.
     pub fn lookup(&self, tag: u64, fingerprint: u64, seed: u64) -> Option<Measurement> {
         let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let found = entries.get(&(tag, fingerprint, seed)).cloned();
+        let found = entries
+            .get(&tag)
+            .and_then(|table| table.get(&(fingerprint, seed)))
+            .map(Entry::measurement);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -86,8 +142,10 @@ impl MeasurementCache {
         self.entries
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .entry((tag, fingerprint, seed))
-            .or_insert(measurement);
+            .entry(tag)
+            .or_default()
+            .entry((fingerprint, seed))
+            .or_insert_with(|| Entry::of(measurement));
     }
 
     /// Distinct `(tag, fingerprint, seed)` points stored.
@@ -95,7 +153,9 @@ impl MeasurementCache {
         self.entries
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .len()
+            .values()
+            .map(BTreeMap::len)
+            .sum()
     }
 
     /// Is the cache empty?
@@ -190,6 +250,7 @@ impl<E: Executor> Executor for MemoExecutor<E> {
 mod tests {
     use super::*;
     use crate::executor::SimExecutor;
+    use crate::TrialError;
     use jtune_jvmsim::Workload;
     use std::sync::Arc;
 
@@ -239,6 +300,39 @@ mod tests {
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 3);
+    }
+
+    #[test]
+    fn entries_round_trip_every_measurement_shape() {
+        let counters = RunCounters {
+            gc_pause_total: SimDuration::from_millis(7),
+            gc_collections: 3,
+            jit_compile_time: SimDuration::from_millis(2),
+            jit_compiles: 40,
+        };
+        let clean = Measurement {
+            time: SimDuration::from_secs(5),
+            pause_p99: Some(SimDuration::from_millis(4)),
+            counters: Some(counters),
+            error: None,
+        };
+        let failed = Measurement {
+            error: Some(TrialError::Oom("heap".into())),
+            ..clean.clone()
+        };
+        let bare = Measurement {
+            pause_p99: None,
+            counters: None,
+            ..clean.clone()
+        };
+        for m in [clean, failed, bare] {
+            let back = Entry::of(m.clone()).measurement();
+            assert_eq!(back.time, m.time);
+            assert_eq!(back.pause_p99, m.pause_p99);
+            assert_eq!(back.counters, m.counters);
+            assert_eq!(back.error, m.error);
+        }
+        assert!(std::mem::size_of::<Entry>() < std::mem::size_of::<Measurement>());
     }
 
     #[test]

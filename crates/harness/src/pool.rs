@@ -136,25 +136,36 @@ pub(crate) fn run_selected(
         selected.iter().map(|_| Mutex::new(None)).collect();
     let workers = workers.min(selected.len());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= selected.len() {
-                    break;
-                }
-                let i = selected[k];
-                let start = Instant::now();
-                let ev = protocol.evaluate_raced(
-                    executor,
-                    &candidates[i],
-                    seed_for(base_seed, i),
-                    baseline,
-                );
-                let wall = start.elapsed().as_secs_f64();
-                // A panicking sibling poisons the mutex but not the data:
-                // recover rather than cascading the panic into the daemon.
-                *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((ev, wall));
-            });
+        let threads: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= selected.len() {
+                        break;
+                    }
+                    let i = selected[k];
+                    let start = Instant::now();
+                    let ev = protocol.evaluate_raced(
+                        executor,
+                        &candidates[i],
+                        seed_for(base_seed, i),
+                        baseline,
+                    );
+                    let wall = start.elapsed().as_secs_f64();
+                    // A panicking sibling poisons the mutex but not the data:
+                    // recover rather than cascading the panic into the daemon.
+                    *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((ev, wall));
+                })
+            })
+            .collect();
+        // Joined by hand: the scope's own join returns once the closures
+        // finish, while the threads may still be exiting and holding
+        // their malloc arenas, so the next batch's threads would take
+        // fresh arenas and a long-running daemon would warm them all.
+        for thread in threads {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots

@@ -54,6 +54,9 @@ impl Client {
         conn: u64,
     ) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Frames are strictly request/reply: Nagle would hold each one
+        // back waiting for the ACK of the last.
+        stream.set_nodelay(true)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: ChaosWriter::new(stream, plan, conn),
@@ -260,4 +263,17 @@ pub fn with_retries<T>(
 
 fn unexpected(op: &str, response: &Response) -> WireError {
     WireError::new("bad-frame", format!("unexpected {op} reply: {response:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connected_clients_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.get_mut().nodelay().unwrap());
+    }
 }

@@ -135,6 +135,9 @@ pub fn read_frame<R: BufRead>(
             if buf.last() == Some(&b'\r') {
                 buf.pop();
             }
+            // A line longer than one read chunk grew by doubling; callers
+            // may keep it (a session record), so drop the slack.
+            buf.shrink_to_fit();
             return match String::from_utf8(buf) {
                 Ok(s) => Ok(Some(s)),
                 Err(_) => Err(FrameReadError::NotUtf8),
@@ -262,9 +265,9 @@ impl NetFaultPlan {
 }
 
 /// Frame-writing wrapper applying a [`NetFaultPlan`] between the codec
-/// and the socket. With an inactive plan it is a transparent
-/// `writeln!`; with an active one, each outbound frame rolls the
-/// schedule and may be delayed, garbled, dropped or followed by a
+/// and the socket. With an inactive plan it writes each frame and its
+/// newline in one write; with an active one, each outbound frame rolls
+/// the schedule and may be delayed, garbled, dropped or followed by a
 /// connection kill. Injected kills surface as `ConnectionAborted`
 /// errors so callers take their ordinary dead-connection path.
 #[derive(Debug)]
@@ -302,7 +305,9 @@ impl<W: Write> ChaosWriter<W> {
     }
 
     /// Write one frame (a line, newline appended) through the fault
-    /// schedule.
+    /// schedule. Every path hands the socket the whole frame in one
+    /// `write_all`: two small writes on a TCP stream leave as two
+    /// segments, and the second one waits out the peer's delayed ACK.
     pub fn write_frame(&mut self, line: &str) -> io::Result<()> {
         if self.killed {
             return Err(self.injected_kill("connection already killed"));
@@ -310,30 +315,28 @@ impl<W: Write> ChaosWriter<W> {
         let fault = self.plan.roll(self.conn, self.frame);
         self.frame += 1;
         match fault {
-            NetFault::None => writeln!(self.inner, "{line}"),
-            NetFault::DelayMs(ms) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-                writeln!(self.inner, "{line}")
-            }
-            NetFault::Garble => {
-                // Corrupt the frame but keep it one line: flip a byte in
-                // the middle to break the JSON without hiding the tear.
-                let mut garbled = line.as_bytes().to_vec();
-                let mid = garbled.len() / 2;
-                if let Some(b) = garbled.get_mut(mid) {
-                    *b = if *b == b'!' { b'?' } else { b'!' };
-                }
-                garbled.retain(|&b| b != b'\n');
-                self.inner.write_all(&garbled)?;
-                self.inner.write_all(b"\n")
-            }
-            NetFault::Drop => Err(self.injected_kill("frame dropped")),
-            NetFault::Disconnect => {
-                writeln!(self.inner, "{line}")?;
-                let _ = self.inner.flush();
-                Err(self.injected_kill("disconnect after frame"))
-            }
+            NetFault::Drop => return Err(self.injected_kill("frame dropped")),
+            NetFault::DelayMs(ms) => std::thread::sleep(std::time::Duration::from_millis(ms)),
+            NetFault::None | NetFault::Garble | NetFault::Disconnect => {}
         }
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        if fault == NetFault::Garble {
+            // Corrupt the frame but keep it one line: flip a byte in the
+            // middle to break the JSON without hiding the tear.
+            let mid = frame.len() / 2;
+            if let Some(b) = frame.get_mut(mid) {
+                *b = if *b == b'!' { b'?' } else { b'!' };
+            }
+            frame.retain(|&b| b != b'\n');
+        }
+        frame.push(b'\n');
+        self.inner.write_all(&frame)?;
+        if fault == NetFault::Disconnect {
+            let _ = self.inner.flush();
+            return Err(self.injected_kill("disconnect after frame"));
+        }
+        Ok(())
     }
 
     /// Flush the wrapped writer.
@@ -439,6 +442,60 @@ mod tests {
         w.write_frame("{\"v\":1,\"ok\":true}").unwrap();
         w.write_frame("{\"v\":1,\"sid\":2}").unwrap();
         assert_eq!(out, b"{\"v\":1,\"ok\":true}\n{\"v\":1,\"sid\":2}\n");
+    }
+
+    /// A sink that counts `write` calls: each one is a `send()` on a
+    /// socket, and so a TCP segment of its own.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        let plans = [
+            ("no fault", NetFaultPlan::inactive()),
+            (
+                "delay",
+                NetFaultPlan {
+                    seed: 1,
+                    delay_rate: 1.0,
+                    max_delay_ms: 1,
+                    ..NetFaultPlan::inactive()
+                },
+            ),
+            (
+                "garble",
+                NetFaultPlan {
+                    seed: 1,
+                    garble_rate: 1.0,
+                    ..NetFaultPlan::inactive()
+                },
+            ),
+        ];
+        for (path, plan) in plans {
+            let mut w = ChaosWriter::new(CountingWriter::default(), plan, 0);
+            for frame in 1..=3 {
+                w.write_frame("{\"v\":1,\"ok\":true}").unwrap();
+                let sink = w.get_mut();
+                assert_eq!(sink.writes, frame, "{path}: one write per frame");
+                assert_eq!(sink.bytes.iter().filter(|&&b| b == b'\n').count(), frame);
+                assert_eq!(sink.bytes.last(), Some(&b'\n'), "{path}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The tuning daemon: session manager, state directory, TCP front-end.
 
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -150,9 +150,28 @@ pub struct SessionHandle {
     stop: Arc<AtomicBool>,
     stream: Arc<EventStreamSink>,
     probe: Arc<ProgressProbe>,
-    metrics: Arc<MetricsRegistry>,
-    executor: Mutex<Option<Arc<SessionExecutor>>>,
+    tally: Mutex<Tally>,
     join: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What `status` and `stats` read of a session besides its probe: the
+/// live sources while its thread runs, their final values once it ends.
+enum Tally {
+    /// Not started, or running: the registry its bus feeds and, while
+    /// its thread runs, its executor stack.
+    Live {
+        metrics: Arc<MetricsRegistry>,
+        executor: Option<Arc<SessionExecutor>>,
+    },
+    /// The thread ended: its cross-session hit count, its `stats` row
+    /// metrics rendered for good, and its wall histograms (for
+    /// [`SessionHandle::metrics`]). The executor stack and the event
+    /// histograms are gone.
+    Frozen {
+        shared_hits: u64,
+        metrics_json: String,
+        walls: Arc<MetricsRegistry>,
+    },
 }
 
 impl SessionHandle {
@@ -164,8 +183,10 @@ impl SessionHandle {
             stop: Arc::new(AtomicBool::new(false)),
             stream: Arc::new(EventStreamSink::new()),
             probe: Arc::new(ProgressProbe::new()),
-            metrics: Arc::new(MetricsRegistry::new()),
-            executor: Mutex::new(None),
+            tally: Mutex::new(Tally::Live {
+                metrics: Arc::new(MetricsRegistry::new()),
+                executor: None,
+            }),
             join: Mutex::new(None),
         }
     }
@@ -179,25 +200,56 @@ impl SessionHandle {
         *self.state.lock().unwrap_or_else(|p| p.into_inner()) = next;
     }
 
+    fn tally(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Trials this session has evaluated so far (live).
     pub fn trials(&self) -> u64 {
         self.probe.trials()
     }
 
-    /// This session's live metrics registry (event counters plus, with
-    /// spans enabled, wall-clock histograms).
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+    /// This session's metrics registry: event counters plus, with spans
+    /// enabled, wall-clock histograms. Once the session's thread has
+    /// ended, only the wall histograms remain; the rest lives on in its
+    /// frozen `stats` row.
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        match &*self.tally() {
+            Tally::Live { metrics, .. } => Arc::clone(metrics),
+            Tally::Frozen { walls, .. } => Arc::clone(walls),
+        }
+    }
+
+    /// The `metrics` object of this session's `stats` row.
+    fn metrics_json(&self) -> String {
+        match &*self.tally() {
+            Tally::Live { metrics, .. } => metrics.to_json(),
+            Tally::Frozen { metrics_json, .. } => metrics_json.clone(),
+        }
     }
 
     /// Cross-session cache hits this session has enjoyed so far.
     pub fn shared_hits(&self) -> u64 {
-        self.executor
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-            .map(|e| e.hits())
-            .unwrap_or(0)
+        match &*self.tally() {
+            Tally::Live { executor, .. } => executor.as_ref().map_or(0, |e| e.hits()),
+            Tally::Frozen { shared_hits, .. } => *shared_hits,
+        }
+    }
+
+    /// The thread is done with the session: keep only final values.
+    fn settle(&self) {
+        let mut tally = self.tally();
+        if let Tally::Live {
+            metrics,
+            executor: Some(executor),
+        } = &*tally
+        {
+            *tally = Tally::Frozen {
+                shared_hits: executor.hits(),
+                metrics_json: metrics.to_json(),
+                walls: Arc::new(metrics.wall_only()),
+            };
+        }
     }
 }
 
@@ -224,6 +276,10 @@ pub struct TuneServer {
     /// Monotonic connection counter: each connection's index into the
     /// [`NetFaultPlan`] schedule.
     next_conn: AtomicU64,
+    /// Sessions whose thread may not have been joined yet. Each session
+    /// start joins the threads that have finished, since a finished
+    /// thread keeps its stack until it is joined.
+    unjoined: Mutex<Vec<Arc<SessionHandle>>>,
 }
 
 /// How long an over-capacity submitter should wait before retrying,
@@ -255,6 +311,7 @@ impl TuneServer {
             workers,
             connections: AtomicUsize::new(0),
             next_conn: AtomicU64::new(0),
+            unjoined: Mutex::new(Vec::new()),
             config,
         });
         server.restore()?;
@@ -487,7 +544,16 @@ impl TuneServer {
             ),
             Arc::clone(&self.memo),
         ));
-        *handle.executor.lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&executor));
+        let metrics = match &mut *handle.tally() {
+            Tally::Live {
+                metrics,
+                executor: slot,
+            } => {
+                *slot = Some(Arc::clone(&executor));
+                Arc::clone(metrics)
+            }
+            Tally::Frozen { .. } => unreachable!("a session thread starts once"),
+        };
 
         let mut opts = handle.spec.tuner_options();
         opts.checkpoint = Some(journal.clone());
@@ -500,7 +566,7 @@ impl TuneServer {
         bus.add(Arc::new(sink));
         bus.add(Arc::clone(&handle.stream) as Arc<dyn jtune_telemetry::TuningObserver>);
         bus.add(Arc::clone(&handle.probe) as Arc<dyn jtune_telemetry::TuningObserver>);
-        bus.add(Arc::clone(&handle.metrics) as Arc<dyn jtune_telemetry::TuningObserver>);
+        bus.add(metrics as Arc<dyn jtune_telemetry::TuningObserver>);
 
         handle.set_state(SessionState::Running);
         let thread_handle = Arc::clone(&handle);
@@ -511,7 +577,13 @@ impl TuneServer {
         let server = Arc::downgrade(self);
         let join = std::thread::spawn(move || {
             let program = thread_handle.spec.program.clone();
-            let outcome = Tuner::new(opts).try_run(executor.as_ref(), &program, &bus);
+            let outcome = {
+                // Dropped at the block's end: the trace file closes, and
+                // only the handle holds the executor stack until `settle`
+                // releases it.
+                let (executor, bus) = (executor, bus);
+                Tuner::new(opts).try_run(executor.as_ref(), &program, &bus)
+            };
             let next = match outcome {
                 Ok(result) if result.suspended => {
                     if cancelled_marker.exists() {
@@ -535,8 +607,23 @@ impl TuneServer {
             if let Some(server) = server.upgrade() {
                 server.kick_queue();
             }
+            thread_handle.settle();
         });
         *handle.join.lock().unwrap_or_else(|p| p.into_inner()) = Some(join);
+        let finished: Vec<JoinHandle<()>> = {
+            let mut unjoined = self.unjoined.lock().unwrap_or_else(|p| p.into_inner());
+            unjoined.push(handle);
+            let mut finished = Vec::new();
+            unjoined.retain(|h| {
+                let mut join = h.join.lock().unwrap_or_else(|p| p.into_inner());
+                finished.extend(join.take_if(|t| t.is_finished()));
+                join.is_some()
+            });
+            finished
+        };
+        for thread in finished {
+            let _ = thread.join();
+        }
     }
 
     /// Render the status payload (one session, or all in ID order): the
@@ -607,7 +694,7 @@ impl TuneServer {
                     .u64("sid", h.sid)
                     .str("program", &h.spec.program)
                     .str("state", h.state().label())
-                    .raw("metrics", &h.metrics.to_json())
+                    .raw("metrics", &h.metrics_json())
                     .finish()
             })
             .collect();
@@ -714,7 +801,7 @@ impl TuneServer {
             if self.is_shutting_down() {
                 break;
             }
-            let mut stream = match conn {
+            let stream = match conn {
                 Ok(s) => s,
                 Err(_) => continue,
             };
@@ -733,7 +820,9 @@ impl TuneServer {
                     ),
                 )
                 .with_retry_after(250);
-                let _ = writeln!(stream, "{}", wire::error_frame(&err));
+                let _ = stream.set_nodelay(true);
+                let _ = ChaosWriter::new(stream, NetFaultPlan::inactive(), 0)
+                    .write_frame(&wire::error_frame(&err));
                 continue;
             }
             self.connections.fetch_add(1, Ordering::SeqCst);
@@ -751,6 +840,9 @@ impl TuneServer {
         stream: TcpStream,
         self_addr: std::net::SocketAddr,
     ) -> std::io::Result<()> {
+        // Each reply leaves in one write; Nagle would hold it until the
+        // peer ACKs the previous one, and the peer delays that ACK.
+        stream.set_nodelay(true)?;
         // Socket deadlines are the slow-loris defence: a peer that
         // stalls mid-frame (or never drains its replies) trips the
         // timeout and this handler thread is reclaimed, instead of

@@ -765,17 +765,35 @@ fn run_worker_session(
         extra.push(connect()?);
     }
     let drained = AtomicBool::new(false);
+    let pulse = Pulse::default();
     std::thread::scope(|scope| {
-        for mut client in extra.drain(..) {
-            let completed = &completed;
-            let failed = &failed;
-            let options = &options;
-            let drained = &drained;
-            scope.spawn(move || {
-                run_lease_loop(&mut client, wid, options, completed, failed, drained);
-            });
+        scope.spawn(|| pulse.run(&options.addr, wid));
+        // Stops the heartbeat thread once the slot loops are done, or as
+        // a panic in one of them unwinds this scope.
+        let _stop = StopPulse(&pulse);
+        let slots: Vec<_> = extra
+            .drain(..)
+            .map(|mut client| {
+                let (completed, failed, drained, pulse) = (&completed, &failed, &drained, &pulse);
+                scope.spawn(move || {
+                    run_lease_loop(&mut client, wid, options, completed, failed, drained, pulse);
+                })
+            })
+            .collect();
+        run_lease_loop(
+            &mut control,
+            wid,
+            options,
+            completed,
+            failed,
+            &drained,
+            &pulse,
+        );
+        for slot in slots {
+            if let Err(panic) = slot.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
-        run_lease_loop(&mut control, wid, options, completed, failed, &drained);
     });
     if drained.load(Ordering::SeqCst) {
         let _ = control.request(&Request::Deregister { wid });
@@ -793,6 +811,7 @@ fn run_lease_loop(
     completed: &AtomicU64,
     failed: &AtomicU64,
     drained: &AtomicBool,
+    pulse: &Pulse,
 ) {
     // Executors are rebuilt only when the tag changes (one session's
     // leases all share a tag).
@@ -816,7 +835,10 @@ fn run_lease_loop(
             }
             Ok(_) | Err(_) => return, // daemon gone or confused: reconnect
         };
-        let reply = match execute_lease(&grant, &mut cache, options, wid) {
+        pulse.start(grant.lease, grant.deadline_ms);
+        let outcome = execute_lease(&grant, &mut cache);
+        pulse.finish(grant.lease);
+        let reply = match outcome {
             Ok(outcome) => {
                 completed.fetch_add(1, Ordering::SeqCst);
                 Request::Complete {
@@ -845,8 +867,6 @@ fn run_lease_loop(
 fn execute_lease(
     offer: &LeaseOffer,
     cache: &mut Option<(String, Box<dyn Executor>)>,
-    options: &WorkerOptions,
-    wid: u64,
 ) -> Result<TrialOutcome, String> {
     if cache.as_ref().map(|(tag, _)| tag.as_str()) != Some(offer.executor.as_str()) {
         let spec = ExecutorSpec::named(&offer.executor)?;
@@ -870,46 +890,228 @@ fn execute_lease(
             offer.fingerprint
         ));
     }
-    // Long trials (a real JVM under ProcessExecutor) would outlive the
-    // lease deadline, so a sidecar connection heartbeats while we
-    // measure. The simulator finishes in microseconds; skip the sidecar
-    // for short deadlines to keep the common path allocation-free.
-    let measurement = if offer.deadline_ms >= 2_000 {
-        let running = AtomicBool::new(true);
-        let interval = Duration::from_millis(offer.deadline_ms / 3);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut beat = match Client::connect(&options.addr) {
-                    Ok(c) => c,
-                    Err(_) => return,
-                };
-                // A lost heartbeat ack must not pin this sidecar (and
-                // with it the whole lease scope) past the measurement.
-                if beat.set_io_timeout(Duration::from_millis(2_000)).is_err() {
-                    return;
-                }
-                while running.load(Ordering::SeqCst) {
-                    std::thread::sleep(interval.min(Duration::from_millis(250)));
-                    if !running.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if beat
-                        .request(&Request::Heartbeat {
-                            wid,
-                            leases: vec![offer.lease],
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            });
-            let m = executor.measure(&config, offer.seed);
-            running.store(false, Ordering::SeqCst);
-            m
-        })
-    } else {
-        executor.measure(&config, offer.seed)
-    };
+    let measurement = executor.measure(&config, offer.seed);
     Ok(TrialOutcome::from_measurement(&measurement))
+}
+
+/// How often an in-flight lease is heartbeated: a third of its
+/// deadline, at most 250 ms. Leases under 2 s are never beaten: they
+/// run on the simulator, which finishes in microseconds. Long trials (a
+/// real JVM under `ProcessExecutor`) would outlive their deadline
+/// without beats.
+fn beat_interval(deadline_ms: u64) -> Option<Duration> {
+    (deadline_ms >= 2_000).then(|| Duration::from_millis((deadline_ms / 3).min(250)))
+}
+
+/// Stops a [`Pulse`]'s heartbeat thread when dropped.
+struct StopPulse<'a>(&'a Pulse);
+
+impl Drop for StopPulse<'_> {
+    fn drop(&mut self) {
+        self.0.stop();
+    }
+}
+
+/// The leases a worker's slots are measuring, as its heartbeat thread
+/// sees them.
+#[derive(Debug, Default)]
+struct PulseTable {
+    /// In-flight lease → (beat interval, last beat or lease start).
+    leases: HashMap<u64, (Duration, Instant)>,
+    /// The heartbeat thread waits with nothing in flight: a new lease
+    /// must wake it.
+    idle: bool,
+    /// The slot loops are done: the heartbeat thread exits.
+    stopped: bool,
+}
+
+impl PulseTable {
+    /// Track `lease` from `now` if its deadline calls for beats; returns
+    /// whether the heartbeat thread must be woken to see it.
+    fn start(&mut self, lease: u64, deadline_ms: u64, now: Instant) -> bool {
+        let Some(every) = beat_interval(deadline_ms) else {
+            return false;
+        };
+        self.leases.insert(lease, (every, now));
+        self.idle
+    }
+
+    /// The leases whose beat is due at `now`, in lease order; each is
+    /// marked beaten.
+    fn due(&mut self, now: Instant) -> Vec<u64> {
+        let mut due: Vec<u64> = Vec::new();
+        for (lease, (every, last)) in &mut self.leases {
+            if now.saturating_duration_since(*last) >= *every {
+                *last = now;
+                due.push(*lease);
+            }
+        }
+        due.sort_unstable();
+        due
+    }
+
+    /// When the next beat falls due, if anything is in flight.
+    fn next_due(&self) -> Option<Instant> {
+        self.leases
+            .values()
+            .map(|(every, last)| *last + *every)
+            .min()
+    }
+}
+
+/// One worker connection's in-flight leases, shared by its slot loops
+/// and its one heartbeat thread ([`Pulse::run`]). A lease costs its slot
+/// loop two uncontended locks; the heartbeat connection opens only when
+/// the first beat falls due, so a worker whose trials all finish within
+/// one beat interval (simulator runs) never opens it.
+#[derive(Debug, Default)]
+struct Pulse {
+    table: Mutex<PulseTable>,
+    wake: Condvar,
+}
+
+impl Pulse {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PulseTable> {
+        self.table.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn start(&self, lease: u64, deadline_ms: u64) {
+        if self.lock().start(lease, deadline_ms, Instant::now()) {
+            self.wake.notify_one();
+        }
+    }
+
+    fn finish(&self, lease: u64) {
+        self.lock().leases.remove(&lease);
+    }
+
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.wake.notify_one();
+    }
+
+    /// The heartbeat thread: beat due leases on a connection of its own
+    /// (a slot's connection is busy with request/reply), sleeping until
+    /// the next beat falls due, until [`Pulse::stop`].
+    fn run(&self, addr: &str, wid: u64) {
+        let mut conn: Option<Client> = None;
+        let mut table = self.lock();
+        loop {
+            if table.stopped {
+                return;
+            }
+            let now = Instant::now();
+            let due = table.due(now);
+            if due.is_empty() {
+                table = match table.next_due() {
+                    Some(at) => self
+                        .wake
+                        .wait_timeout(table, at.saturating_duration_since(now))
+                        .map(|(g, _)| g)
+                        .unwrap_or_else(|p| p.into_inner().0),
+                    None => {
+                        table.idle = true;
+                        let mut table = self.wake.wait(table).unwrap_or_else(|p| p.into_inner());
+                        table.idle = false;
+                        table
+                    }
+                };
+                continue;
+            }
+            drop(table);
+            if conn.is_none() {
+                // A lost ack must not pin this thread past a stop.
+                conn = Client::connect(addr).ok().and_then(|mut c| {
+                    c.set_io_timeout(Duration::from_millis(2_000)).ok()?;
+                    Some(c)
+                });
+            }
+            if let Some(c) = &mut conn {
+                if c.request(&Request::Heartbeat { wid, leases: due }).is_err() {
+                    conn = None; // reconnect at the next due beat
+                }
+            }
+            table = self.lock();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn measurement(secs: u64) -> Measurement {
+        Measurement {
+            time: SimDuration::from_secs(secs),
+            pause_p99: None,
+            counters: None,
+            error: None,
+        }
+    }
+
+    #[test]
+    fn heartbeats_keep_a_lease_past_its_deadline() {
+        let registry = Arc::new(WorkerRegistry::new(
+            Duration::from_millis(200),
+            TelemetryBus::disabled(),
+        ));
+        let wid = registry.register("sim", 1);
+        let jid = registry
+            .submit(1, 0, "sim:test".into(), Vec::new(), 7, 9)
+            .expect("a worker serves the tag");
+        let LeaseGrant::Offer(offer) = registry.lease(wid, Duration::ZERO).unwrap() else {
+            panic!("the queued job is offered");
+        };
+        // The result waiter doubles as the reaper: it sweeps deadlines on
+        // every wake while the worker beats three times per deadline.
+        let waiter = {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || registry.await_result(jid))
+        };
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(600) {
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(registry.heartbeat(wid, &[offer.lease]), 1);
+        }
+        assert_eq!(registry.leases_expired(), 0);
+        registry.complete(wid, offer.lease, measurement(3));
+        let got = waiter.join().unwrap().expect("the complete is accepted");
+        assert_eq!(got.time, SimDuration::from_secs(3));
+        assert_eq!(registry.leases_completed(), 1);
+        assert_eq!(registry.leases_expired(), 0);
+    }
+
+    #[test]
+    fn only_long_leases_beat_and_the_older_one_first() {
+        let t0 = Instant::now();
+        let mut table = PulseTable::default();
+        // A short deadline never beats, however long it runs.
+        table.start(1, 1_999, t0);
+        assert!(table.due(t0 + Duration::from_secs(10)).is_empty());
+        assert_eq!(table.next_due(), None);
+
+        table.start(2, 10_000, t0);
+        table.start(3, 10_000, t0 + Duration::from_millis(200));
+        assert_eq!(table.next_due(), Some(t0 + Duration::from_millis(250)));
+        assert!(table.due(t0 + Duration::from_millis(100)).is_empty());
+        // At 250 ms only the older lease is due; a beat restarts its clock.
+        assert_eq!(table.due(t0 + Duration::from_millis(250)), vec![2]);
+        assert!(table.due(t0 + Duration::from_millis(300)).is_empty());
+        assert_eq!(table.due(t0 + Duration::from_millis(500)), vec![2, 3]);
+        // A 2.4 s deadline beats every 250 ms; a 600 ms one never does.
+        assert_eq!(beat_interval(2_400), Some(Duration::from_millis(250)));
+        assert_eq!(beat_interval(600), None);
+    }
+
+    #[test]
+    fn a_new_lease_wakes_an_idle_heartbeat_thread() {
+        let mut table = PulseTable::default();
+        assert!(!table.start(1, 10_000, Instant::now()));
+        table.idle = true;
+        assert!(
+            !table.start(2, 1_000, Instant::now()),
+            "short leases never beat"
+        );
+        assert!(table.start(3, 10_000, Instant::now()));
+    }
 }

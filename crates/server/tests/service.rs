@@ -112,6 +112,56 @@ fn concurrent_sessions_match_one_shot_traces_byte_for_byte() {
 }
 
 #[test]
+fn finished_sessions_keep_their_rows_and_release_their_executors() {
+    let state = temp_dir("finished");
+    let mut config = ServerConfig::new(state.join("state"));
+    config.spans = true;
+    let server = TuneServer::new(config).expect("server");
+
+    // One after another, so the repeat of the first spec is served
+    // entirely from the shared cache.
+    let specs = [
+        spec("compress", 20, 5),
+        spec("crypto.aes", 20, 6),
+        spec("compress", 20, 5),
+    ];
+    let mut finished = Vec::new();
+    for spec in &specs {
+        let sid = server.submit(spec.clone()).expect("submit");
+        let handle = server.session(sid).expect("handle");
+        let start = Instant::now();
+        while handle.state() != SessionState::Completed {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "session {sid} stuck"
+            );
+            std::thread::yield_now();
+        }
+        // Captured the moment the state flips, usually before the
+        // session's thread has frozen its row.
+        let (row, _) = server.stats(Some(sid)).expect("stats");
+        finished.push((sid, row, handle.shared_hits()));
+    }
+
+    for (sid, row, hits) in &finished {
+        assert_eq!(server.join_session(*sid), Some(SessionState::Completed));
+        let handle = server.session(*sid).expect("handle");
+        assert_eq!(&server.stats(Some(*sid)).expect("stats").0, row);
+        assert_eq!(handle.shared_hits(), *hits);
+        assert!(
+            handle.metrics().wall_histogram("trial_wall").is_some(),
+            "a finished session keeps its wall histograms"
+        );
+    }
+    assert!(finished[2].2 > 0, "the repeat was served from the memo");
+    // Each running session's executor stack holds a clone of the memo;
+    // finished sessions hold none.
+    assert_eq!(Arc::strong_count(server.memo()), 1);
+
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn drained_sessions_resume_on_restart_with_identical_traces() {
     let state = temp_dir("drain");
     let session_spec = spec("compress", 2000, 77);
@@ -596,8 +646,8 @@ fn chaotic_network_still_yields_byte_identical_traces() {
     config.net_faults = NetFaultPlan::chaotic(0.2, 0xC0FFEE);
     // Deadlines unwedge both sides when a frame is eaten...
     config.io_timeout_ms = 2_000;
-    // ...and short leases keep lost-lease reissue fast (and skip the
-    // heartbeat sidecars, which this test does not need).
+    // ...and short leases keep lost-lease reissue fast (and stay under
+    // the 2 s heartbeat threshold, so the workers never beat).
     config.lease_ms = 1_000;
     let server = TuneServer::new(config).expect("server");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -242,6 +242,18 @@ impl MetricsRegistry {
         self.lock().wall.get(name).cloned()
     }
 
+    /// A registry holding only this one's wall-clock histograms: what an
+    /// owner keeps once the rest has been rendered for good.
+    pub fn wall_only(&self) -> MetricsRegistry {
+        let wall = self.lock().wall.clone();
+        MetricsRegistry {
+            inner: Mutex::new(Inner {
+                wall,
+                ..Inner::default()
+            }),
+        }
+    }
+
     /// Names of all wall-clock histograms with at least one sample, in
     /// sorted order.
     pub fn wall_names(&self) -> Vec<String> {
