@@ -1,174 +1,151 @@
 //! # jtune-bench
 //!
-//! Benchmarks on a minimal self-contained harness (the container builds
-//! offline, so the benches avoid external harness crates). Two suites:
-//!
-//! - `benches/experiments.rs` — one benchmark group per paper experiment
-//!   (E1–E8), each timing a budget-scaled version of the corresponding
-//!   experiment pipeline. The full-budget tables themselves are
-//!   regenerated by the `jtune-experiments` binaries; these benches track
-//!   the *cost* of each pipeline so regressions in the simulator or tuner
-//!   show up in CI.
-//! - `benches/micro.rs` — micro-benchmarks of the hot paths: single
-//!   simulator runs per collector, JIT-model stepping, configuration
-//!   fingerprinting/mutation/canonicalisation, and parallel batch
-//!   evaluation scaling.
-//! - `benches/observability.rs` — the cost of watching a session:
-//!   trace-sink event writes, span emission, histogram recording, and
-//!   `jtune report` rendering. `--json PATH` snapshots the results
-//!   (the committed `BENCH_6.json` at the repo root).
-//! - `benches/wire.rs` — the per-frame cost of the daemon's typed wire
-//!   protocol: request/response encode, decode, and the full
-//!   worker-plane dispatch round trip (the committed `BENCH_7.json`).
-//!
-//! Shared helpers live here.
+//! The snapshot format and compare rule of `benches/counts.rs`. Each
+//! count is an exact integer total over an exact integer denominator, so
+//! the gate compares with `==`; wall time lives in `bench-e2e`.
 
 #![warn(missing_docs)]
 
-use autotuner_core::{Tuner, TunerOptions};
-use jtune_harness::SimExecutor;
-use jtune_jvmsim::Workload;
-use jtune_telemetry::TelemetryBus;
-use jtune_util::SimDuration;
+use std::fmt;
 
-/// A tuner configuration small enough to benchmark (half-minute virtual
-/// budget, fixed seed, single-threaded evaluation for stable timing).
-pub fn bench_tuner_options() -> TunerOptions {
-    TunerOptions::builder()
-        .budget(SimDuration::from_secs(30))
-        .seed(0xBEAC4)
-        .workers(1)
-        .batch(4)
-        .build()
-        .expect("bench options are valid")
+use jtune_util::json::{self, JsonObject, JsonValue};
+
+/// One exact count: `total` events over `per` units of work.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Count {
+    /// Stable name, e.g. `flagtree.enforce.allocs_per_call`.
+    pub name: String,
+    /// Events counted.
+    pub total: u64,
+    /// Units of work they were counted over (calls, evaluations, frames).
+    pub per: u64,
 }
 
-/// Run one scaled tuning session; returns the improvement so benches can
-/// `black_box` a real output.
-pub fn tune_once(workload: Workload) -> f64 {
-    let name = workload.name.clone();
-    let executor = SimExecutor::new(workload);
-    Tuner::new(bench_tuner_options())
-        .run(&executor, &name, &TelemetryBus::disabled())
-        .improvement_percent()
+impl fmt::Display for Count {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mean = self.total as f64 / self.per.max(1) as f64;
+        write!(f, "{}/{} (= {mean:.2})", self.total, self.per)
+    }
 }
 
-/// Minimal wall-clock benchmark harness: warm-up pass, then N timed
-/// passes, reporting min / mean per pass. Honours a substring filter from
-/// the command line (`cargo bench -- fingerprint`) and an optional
-/// `--json PATH` flag collecting every result into one JSON file (see
-/// [`BenchHarness::finish`]).
-pub struct BenchHarness {
-    filter: Option<String>,
-    json: Option<std::path::PathBuf>,
-    results: std::cell::RefCell<Vec<(String, usize, f64, f64)>>,
+/// A set of counts and the `rustc -V` they were taken with: allocation
+/// counts may move with the standard library.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Snapshot {
+    /// `rustc -V` output.
+    pub rustc: String,
+    /// The counts, in measurement order.
+    pub counts: Vec<Count>,
 }
 
-impl BenchHarness {
-    /// Build from `std::env::args`, taking the first non-flag argument as
-    /// a substring filter on benchmark names and `--json PATH` as the
-    /// result-file destination.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let json = args
+impl Snapshot {
+    /// An empty snapshot taken with `rustc`.
+    pub fn new(rustc: impl Into<String>) -> Snapshot {
+        Snapshot {
+            rustc: rustc.into(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Append a count of `total` over `per`.
+    pub fn push(&mut self, name: impl Into<String>, total: u64, per: u64) {
+        let name = name.into();
+        self.counts.push(Count { name, total, per });
+    }
+
+    /// Render as JSON, one count per line.
+    pub fn to_json(&self) -> String {
+        let mut rows = Vec::new();
+        for c in &self.counts {
+            let row = JsonObject::new().str("name", &c.name).u64("total", c.total);
+            rows.push(row.u64("per", c.per).finish());
+        }
+        let counts = format!("[\n  {}\n]", rows.join(",\n  "));
+        let head = JsonObject::new().str("rustc", &self.rustc);
+        head.raw("counts", &counts).finish() + "\n"
+    }
+
+    /// Parse a snapshot written by [`Snapshot::to_json`].
+    pub fn parse(text: &str) -> Result<Snapshot, String> {
+        let v = json::parse(text)?;
+        let rustc = v.get("rustc").and_then(JsonValue::as_str);
+        let rows = v.get("counts").and_then(JsonValue::as_array);
+        let (Some(rustc), Some(rows)) = (rustc, rows) else {
+            return Err("a snapshot needs a \"rustc\" string and a \"counts\" array".into());
+        };
+        let mut snapshot = Snapshot::new(rustc);
+        for row in rows {
+            let int = |key| row.get(key).and_then(JsonValue::as_u64);
+            let name = row.get("name").and_then(JsonValue::as_str);
+            match (name, int("total"), int("per")) {
+                (Some(name), Some(total), Some(per)) => snapshot.push(name, total, per),
+                _ => return Err(format!("malformed count row: {row:?}")),
+            }
+        }
+        Ok(snapshot)
+    }
+}
+
+/// Every count that differs between `old` and `new`, one line each,
+/// naming the count with its old and new value. A count present on only
+/// one side differs. Empty means the snapshots agree.
+pub fn compare(old: &Snapshot, new: &Snapshot) -> Vec<String> {
+    let find = |s: &Snapshot, name: &str| s.counts.iter().find(|c| c.name == name).cloned();
+    let mut diffs = Vec::new();
+    for o in &old.counts {
+        match find(new, &o.name) {
+            None => diffs.push(format!("{}: {o} -> missing", o.name)),
+            Some(n) if n != *o => diffs.push(format!("{}: {o} -> {n}", o.name)),
+            Some(_) => {}
+        }
+    }
+    for n in new.counts.iter().filter(|n| find(old, &n.name).is_none()) {
+        diffs.push(format!("{}: missing -> {n}", n.name));
+    }
+    diffs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const OLD: &[(&str, u64, u64)] = &[("enforce", 3174, 64), ("sim_run", 704, 64)];
+
+    fn snapshot(counts: &[(&str, u64, u64)]) -> Snapshot {
+        let mut s = Snapshot::new("rustc 1.0.0");
+        counts
             .iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1).cloned())
-            .map(std::path::PathBuf::from);
-        let mut filter = None;
-        let mut skip_value = false;
-        for a in &args {
-            if skip_value {
-                skip_value = false;
-                continue;
-            }
-            if a == "--json" {
-                skip_value = true;
-                continue;
-            }
-            if !a.starts_with('-') {
-                filter = Some(a.clone());
-                break;
-            }
-        }
-        BenchHarness {
-            filter,
-            json,
-            results: std::cell::RefCell::new(Vec::new()),
-        }
+            .for_each(|&(name, total, per)| s.push(name, total, per));
+        s
     }
 
-    /// Time `f` over `samples` passes (after one warm-up) and print a
-    /// one-line summary. Returns the mean pass time in seconds, or `None`
-    /// when the name is filtered out.
-    pub fn bench<R>(&self, name: &str, samples: usize, mut f: impl FnMut() -> R) -> Option<f64> {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return None;
-            }
-        }
-        let samples = samples.max(1);
-        std::hint::black_box(f());
-        let mut min = f64::INFINITY;
-        let mut sum = 0.0;
-        for _ in 0..samples {
-            let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            let dt = start.elapsed().as_secs_f64();
-            min = min.min(dt);
-            sum += dt;
-        }
-        let mean = sum / samples as f64;
-        println!(
-            "{name:<40} {samples:>3} samples   min {}   mean {}",
-            format_secs(min),
-            format_secs(mean)
-        );
-        self.results
-            .borrow_mut()
-            .push((name.to_string(), samples, min, mean));
-        Some(mean)
+    #[test]
+    fn equal_snapshots_pass_and_survive_a_round_trip() {
+        let s = snapshot(OLD);
+        let parsed = Snapshot::parse(&s.to_json()).expect("own output parses");
+        assert_eq!(parsed, s);
+        assert!(compare(&s, &parsed).is_empty());
     }
 
-    /// Write the accumulated results to the `--json PATH` file (one
-    /// object: suite name plus a row per benchmark with min/mean pass
-    /// seconds). No-op without `--json`. Call once at the end of a
-    /// bench binary's `main`.
-    pub fn finish(&self, suite: &str) {
-        let Some(path) = &self.json else { return };
-        let rows: Vec<String> = self
-            .results
-            .borrow()
-            .iter()
-            .map(|(name, samples, min, mean)| {
-                jtune_util::json::JsonObject::new()
-                    .str("name", name)
-                    .u64("samples", *samples as u64)
-                    .f64("min_secs", *min)
-                    .f64("mean_secs", *mean)
-                    .finish()
-            })
-            .collect();
-        let json = jtune_util::json::JsonObject::new()
-            .str("suite", suite)
-            .raw("results", &jtune_util::json::array_of(&rows))
-            .finish();
-        match std::fs::write(path, json + "\n") {
-            Ok(()) => println!("results written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+    #[test]
+    fn a_risen_count_fails_naming_it() {
+        let new = snapshot(&[("enforce", 3238, 64), ("sim_run", 704, 64)]);
+        let diffs = compare(&snapshot(OLD), &new);
+        assert_eq!(diffs, ["enforce: 3174/64 (= 49.59) -> 3238/64 (= 50.59)"]);
     }
-}
 
-/// Render a duration in seconds with an adaptive unit.
-fn format_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:>8.3} s ")
-    } else if s >= 1e-3 {
-        format!("{:>8.3} ms", s * 1e3)
-    } else if s >= 1e-6 {
-        format!("{:>8.3} µs", s * 1e6)
-    } else {
-        format!("{:>8.1} ns", s * 1e9)
+    #[test]
+    fn a_lowered_count_fails_naming_it() {
+        let new = snapshot(&[("enforce", 3174, 64), ("sim_run", 640, 64)]);
+        let diffs = compare(&snapshot(OLD), &new);
+        assert_eq!(diffs, ["sim_run: 704/64 (= 11.00) -> 640/64 (= 10.00)"]);
+    }
+
+    #[test]
+    fn a_count_missing_from_either_side_fails() {
+        let (both, one) = (snapshot(OLD), snapshot(&OLD[..1]));
+        let diffs = [compare(&both, &one), compare(&one, &both)];
+        assert_eq!(diffs[0], ["sim_run: 704/64 (= 11.00) -> missing"]);
+        assert_eq!(diffs[1], ["sim_run: missing -> 704/64 (= 11.00)"]);
     }
 }

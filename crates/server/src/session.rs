@@ -1,6 +1,6 @@
 //! Session specs, the lifecycle state machine, and progress probing.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use autotuner_core::{ModelPolicy, TunerOptions};
 use jtune_harness::ExecutorSpec;
@@ -216,15 +216,13 @@ impl SessionState {
 }
 
 /// A cheap observer that tracks a session's live progress for `status`
-/// replies: trials evaluated, budget spent, and whether the terminal
-/// event has been seen.
+/// replies: trials evaluated, budget spent, screens and refits.
 #[derive(Debug, Default)]
 pub struct ProgressProbe {
     trials: AtomicU64,
     spent_secs_bits: AtomicU64,
     screened: AtomicU64,
     model_fits: AtomicU64,
-    finished: AtomicBool,
 }
 
 impl ProgressProbe {
@@ -252,11 +250,6 @@ impl ProgressProbe {
     pub fn model_fits(&self) -> u64 {
         self.model_fits.load(Ordering::Relaxed)
     }
-
-    /// Has the session emitted its terminal event?
-    pub fn finished(&self) -> bool {
-        self.finished.load(Ordering::Relaxed)
-    }
 }
 
 impl TuningObserver for ProgressProbe {
@@ -276,9 +269,6 @@ impl TuningObserver for ProgressProbe {
             }
             TraceEvent::ModelFit { refit: true, .. } => {
                 self.model_fits.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::SessionFinished { .. } => {
-                self.finished.store(true, Ordering::Relaxed);
             }
             _ => {}
         }
@@ -354,7 +344,6 @@ mod tests {
         });
         assert_eq!(probe.trials(), 5);
         assert!((probe.spent_secs() - 12.5).abs() < 1e-12);
-        assert!(!probe.finished());
         probe.on_event(&TraceEvent::ModelFit {
             round: 1,
             samples: 16,
@@ -373,15 +362,5 @@ mod tests {
         });
         assert_eq!(probe.model_fits(), 1, "cached fits are not refits");
         assert_eq!(probe.screened(), 1);
-        probe.on_event(&TraceEvent::SessionFinished {
-            program: "p".into(),
-            default_secs: 2.0,
-            best_secs: 1.0,
-            improvement_percent: 50.0,
-            evaluations: 5,
-            spent_secs: 12.5,
-            best_delta: vec![],
-        });
-        assert!(probe.finished());
     }
 }

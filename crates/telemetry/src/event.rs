@@ -677,12 +677,12 @@ impl TraceEvent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn every_variant_renders_with_type_tag() {
-        let events = [
+    /// One sample of every [`TraceEvent`] variant.
+    pub(crate) fn every_variant() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::SessionStarted {
                 program: "p".into(),
                 executor: "sim:p".into(),
@@ -781,6 +781,22 @@ mod tests {
             TraceEvent::SessionResumed {
                 trials_replayed: 17,
             },
+            TraceEvent::WorkerRegistered {
+                wid: 3,
+                executor: "sim".into(),
+                slots: 2,
+            },
+            TraceEvent::TrialLeased {
+                lease: 9,
+                sid: 1,
+                wid: 3,
+                fingerprint: 0xFEED,
+            },
+            TraceEvent::LeaseExpired {
+                lease: 9,
+                wid: 3,
+                reason: "deadline".into(),
+            },
             TraceEvent::ConnectionRejected {
                 reason: "overloaded".into(),
                 retry_after_ms: 250,
@@ -820,7 +836,16 @@ mod tests {
                 spent_secs: 61.0,
                 best_delta: vec![],
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn every_variant_renders_with_type_tag() {
+        let events = every_variant();
+        let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 26, "one sample per variant");
         for e in &events {
             let j = e.to_json();
             assert!(
@@ -833,49 +858,26 @@ mod tests {
 
     #[test]
     fn only_live_only_events_are_ephemeral() {
-        assert!(TraceEvent::SessionResumed { trials_replayed: 2 }.is_ephemeral());
-        assert!(TraceEvent::PhaseStarted {
-            phase: "measure".into(),
-            round: 1
-        }
-        .is_ephemeral());
-        assert!(TraceEvent::PhaseEnded {
-            phase: "measure".into(),
-            round: 1,
-            elapsed_secs: 0.5
-        }
-        .is_ephemeral());
-        assert!(TraceEvent::ConnectionRejected {
-            reason: "conn-limit".into(),
-            retry_after_ms: 0
-        }
-        .is_ephemeral());
-        assert!(TraceEvent::FrameRejected {
-            code: "frame-too-large".into(),
-            bytes: 9
-        }
-        .is_ephemeral());
-        assert!(TraceEvent::ClientRetried {
-            attempt: 1,
-            delay_ms: 10
-        }
-        .is_ephemeral());
-        assert!(TraceEvent::WorkerReconnected {
-            wid: 1,
-            attempts: 1
-        }
-        .is_ephemeral());
-        assert!(!TraceEvent::CheckpointWritten {
-            trials: 2,
-            spent_secs: 1.0
-        }
-        .is_ephemeral());
-        assert!(!TraceEvent::Quarantined {
-            fingerprint: 1,
-            failures: 3,
-            error_kind: "oom".into()
-        }
-        .is_ephemeral());
+        let ephemeral: Vec<&str> = every_variant()
+            .iter()
+            .filter(|e| e.is_ephemeral())
+            .map(TraceEvent::kind)
+            .collect();
+        assert_eq!(
+            ephemeral,
+            [
+                "SessionResumed",
+                "WorkerRegistered",
+                "TrialLeased",
+                "LeaseExpired",
+                "ConnectionRejected",
+                "FrameRejected",
+                "ClientRetried",
+                "WorkerReconnected",
+                "PhaseStarted",
+                "PhaseEnded",
+            ]
+        );
     }
 
     #[test]

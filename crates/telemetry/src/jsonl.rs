@@ -45,9 +45,11 @@ impl JsonlSink {
 
 impl TuningObserver for JsonlSink {
     fn on_event(&self, event: &TraceEvent) {
-        // Ephemeral events (SessionResumed) describe this process, not
-        // the session: serialising them would fork a resumed trace from
-        // the uninterrupted one it must match byte for byte.
+        // Ephemeral events (resumes, spans, worker-plane and overload
+        // events; see `TraceEvent::is_ephemeral`) describe this process
+        // or deployment, not the session: serialising them would fork a
+        // resumed, distributed or spans-on trace from the plain one it
+        // must match byte for byte.
         if event.is_ephemeral() {
             return;
         }
@@ -104,7 +106,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("jtune-jsonl-eph-{}", std::process::id()));
         let path = dir.join("trace.jsonl");
         let sink = JsonlSink::create(&path).expect("create");
-        sink.on_event(&TraceEvent::SessionResumed { trials_replayed: 5 });
+        let ephemeral: Vec<TraceEvent> = crate::event::tests::every_variant()
+            .into_iter()
+            .filter(TraceEvent::is_ephemeral)
+            .collect();
+        for e in &ephemeral {
+            sink.on_event(e);
+        }
         sink.on_event(&TraceEvent::CheckpointWritten {
             trials: 5,
             spent_secs: 1.0,
@@ -113,7 +121,6 @@ mod tests {
         let content = std::fs::read_to_string(&path).expect("read back");
         assert_eq!(content.lines().count(), 1);
         assert!(content.contains("CheckpointWritten"));
-        assert!(!content.contains("SessionResumed"));
         drop(sink);
         let _ = std::fs::remove_dir_all(&dir);
     }
