@@ -519,12 +519,6 @@ impl Tuner {
         Tuner { opts }
     }
 
-    /// The paper's configuration: hierarchical manipulator, ensemble
-    /// search, 200-minute budget.
-    pub fn paper_default() -> Tuner {
-        Tuner::new(TunerOptions::default())
-    }
-
     /// Run one tuning session for `program` against `executor`, emitting
     /// every proposal, evaluation, budget charge and best-update on
     /// `bus` as a [`TraceEvent`]. Pass [`TelemetryBus::disabled`] to run

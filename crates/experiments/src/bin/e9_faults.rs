@@ -8,26 +8,24 @@
 //! not correctness. Override the rate with `JTUNE_FAULT_RATE` (and
 //! `JTUNE_FAULT_SEED` to reseed the plan).
 
-use jtune_experiments::{render_suite_table, Experiment, SuiteRow};
+use jtune_experiments::{
+    render_suite_table, suite_sessions, tune_program_with, Experiment, SuiteRow,
+};
 use jtune_harness::{FaultPlan, QuarantinePolicy, RetryPolicy};
 use jtune_jvmsim::Workload;
 
 /// Tune the whole suite under one fault plan (`None` = fault-free),
-/// deriving per-program seeds exactly as `tune_suite` does so the clean
-/// arm reproduces E1 at the same budget.
+/// seeding programs as `tune_suite` does so the clean arm reproduces E1
+/// at the same budget.
 fn tune_arm(
     exp: &Experiment,
     workloads: Vec<Workload>,
     fault: Option<FaultPlan>,
     label: &str,
 ) -> Vec<SuiteRow> {
-    workloads
-        .into_iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let seed = exp.seed() ^ ((i as u64 + 1) << 32);
-            let mut opts = exp.tuner_options(exp.budget_mins(), seed);
-            opts.seed ^= i as u64;
+    let base = exp.tuner_options(exp.budget_mins(), exp.seed());
+    suite_sessions(&base, workloads)
+        .map(|(w, mut opts)| {
             if fault.is_some() {
                 // The faulty arm always tunes with the safety net on;
                 // CLI/env knobs can still override its parameters.
@@ -35,7 +33,7 @@ fn tune_arm(
                 opts.quarantine.get_or_insert(QuarantinePolicy::default());
             }
             let bus = exp.telemetry.bus_for(&format!("{label}+{}", w.name));
-            exp.tune_with(w, opts, fault, &bus)
+            tune_program_with(w, opts, fault, &bus)
         })
         .collect()
 }

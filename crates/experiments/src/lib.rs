@@ -27,7 +27,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use autotuner_core::{Tuner, TunerOptions, TUNER_OPTIONS};
+use autotuner_core::{Tuner, TunerOptions, TuningResult, TUNER_OPTIONS};
 use jtune_harness::{ExecutorSpec, FaultPlan, EXECUTOR_OPTIONS};
 use jtune_jvmsim::Workload;
 use jtune_telemetry::{JsonlSink, MetricsRegistry, ProgressReporter, TelemetryBus};
@@ -65,7 +65,7 @@ pub struct SuiteRow {
     /// Best configuration delta.
     pub best_delta: Vec<String>,
     /// Full result (for convergence-style post-processing).
-    pub result: autotuner_core::TuningResult,
+    pub result: TuningResult,
 }
 
 /// Standard tuner options for an experiment session, with every
@@ -96,8 +96,6 @@ pub const EXPERIMENT_OPTIONS: &[Opt<Experiment>] = &[
         |e, _| { e.telemetry.progress = true; Ok(()) }),
     Opt::env("JTUNE_SPANS", "--spans", "off", "timing spans plus run-wide metrics in <dir>/metrics.txt",
         |e, _| { e.telemetry.spans = true; Ok(()) }),
-    Opt::env("JTUNE_OUT", "--out DIR", "off", "also write each session record as DIR/<program>.tsv",
-        |e, v| { e.out = Some(v.into()); Ok(()) }),
 ];
 
 /// Every table a driver parses; only rows naming a variable count.
@@ -112,8 +110,6 @@ pub struct Experiment {
     pub options: TunerOptions,
     /// Fault injection requested for the run; `None` injects nothing.
     pub fault: Option<FaultPlan>,
-    /// Directory for per-session TSV records, if any.
-    pub out: Option<PathBuf>,
     /// Where traces go and whether progress and spans are on.
     pub telemetry: ExperimentTelemetry,
 }
@@ -147,7 +143,6 @@ impl Experiment {
         let mut exp = Experiment {
             options: tuner_options(budget_mins, 7),
             fault: None,
-            out: None,
             telemetry: ExperimentTelemetry {
                 dir: Some(PathBuf::from("results/traces")),
                 ..ExperimentTelemetry::disabled()
@@ -188,43 +183,43 @@ impl Experiment {
 
     /// Tune one workload under the run's fault plan.
     pub fn tune(&self, workload: Workload, opts: TunerOptions, bus: &TelemetryBus) -> SuiteRow {
-        self.tune_with(workload, opts, self.fault, bus)
+        tune_program_with(workload, opts, self.fault, bus)
     }
 
-    /// Tune one workload under an explicit fault plan, recording the
-    /// session as TSV when the run asked for it.
-    pub fn tune_with(
-        &self,
-        workload: Workload,
-        opts: TunerOptions,
-        fault: Option<FaultPlan>,
-        bus: &TelemetryBus,
-    ) -> SuiteRow {
-        let row = tune_program_with(workload, opts, fault, bus);
-        if let Some(dir) = &self.out {
-            let _ = std::fs::create_dir_all(dir);
-            let path = dir.join(format!("{}.tsv", row.program));
-            let _ = std::fs::write(path, row.result.session.to_tsv());
-        }
-        row
-    }
-
-    /// Tune an entire suite, one trace per program. Each program's seed
-    /// is derived from the master seed so sessions are independent but
-    /// reproducible.
+    /// Tune an entire suite, one trace per program, each program seeded
+    /// by [`suite_sessions`].
     pub fn tune_suite(&self, workloads: Vec<Workload>) -> Vec<SuiteRow> {
-        workloads
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let seed = self.seed() ^ ((i as u64 + 1) << 32);
-                let mut opts = self.tuner_options(self.budget_mins(), seed);
-                opts.seed ^= i as u64;
+        let base = self.tuner_options(self.budget_mins(), self.seed());
+        suite_sessions(&base, workloads)
+            .map(|(w, opts)| {
                 let bus = self.telemetry.bus_for(&w.name);
                 self.tune(w, opts, &bus)
             })
             .collect()
     }
+}
+
+/// The suite loop: each workload in order, paired with `base` reseeded
+/// for its position. Program `i` of a run with master seed `s` is tuned
+/// under `s ^ ((i + 1) << 32) ^ i`: distinct per program, so sessions
+/// are independent, and a pure function of the two, so every suite run
+/// is reproducible. `jtune suite`, the experiment drivers and the
+/// `tune_suite` example all loop here, so one seed gives one table
+/// everywhere.
+pub fn suite_sessions(
+    base: &TunerOptions,
+    workloads: Vec<Workload>,
+) -> impl Iterator<Item = (Workload, TunerOptions)> + '_ {
+    workloads.into_iter().enumerate().map(|(i, w)| {
+        let seed = base.seed ^ ((i as u64 + 1) << 32) ^ i as u64;
+        (
+            w,
+            TunerOptions {
+                seed,
+                ..base.clone()
+            },
+        )
+    })
 }
 
 /// Per-experiment telemetry configuration: where (and whether) each
@@ -324,22 +319,28 @@ pub fn tune_program_with(
     let executor = ExecutorSpec::sim(workload)
         .with_fault(fault.filter(FaultPlan::is_active))
         .build();
-    let result = Tuner::new(opts).run(executor.as_ref(), &name, bus);
-    SuiteRow {
-        program: name,
-        default_secs: result.session.default_secs,
-        tuned_secs: result.session.best_secs,
-        improvement: result.improvement_percent(),
-        evaluations: result.session.evaluations,
-        distinct: result.session.distinct,
-        cache_hits: result.session.cache_hits,
-        aborted: result.session.aborted,
-        retried: result.session.retried,
-        quarantined: result.session.quarantined,
-        screened: result.session.screened,
-        model_fits: result.session.model_fits,
-        best_delta: result.session.best_delta.clone(),
-        result,
+    SuiteRow::from(Tuner::new(opts).run(executor.as_ref(), &name, bus))
+}
+
+impl From<TuningResult> for SuiteRow {
+    fn from(result: TuningResult) -> SuiteRow {
+        let s = &result.session;
+        SuiteRow {
+            program: s.program.clone(),
+            default_secs: s.default_secs,
+            tuned_secs: s.best_secs,
+            improvement: result.improvement_percent(),
+            evaluations: s.evaluations,
+            distinct: s.distinct,
+            cache_hits: s.cache_hits,
+            aborted: s.aborted,
+            retried: s.retried,
+            quarantined: s.quarantined,
+            screened: s.screened,
+            model_fits: s.model_fits,
+            best_delta: s.best_delta.clone(),
+            result,
+        }
     }
 }
 
@@ -477,7 +478,7 @@ mod tests {
         let plain = tuner_options(200, 7);
         assert_eq!(exp.options.signature(), plain.signature());
         assert_eq!((exp.budget_mins(), exp.seed()), (200, 7));
-        assert!(exp.fault.is_none() && exp.out.is_none());
+        assert!(exp.fault.is_none());
         assert_eq!(exp.telemetry.dir, Some(PathBuf::from("results/traces/e0")));
     }
 
@@ -505,7 +506,6 @@ mod tests {
             ("JTUNE_FAULT_RATE", "0.05"),
             ("JTUNE_SCREEN_RATIO", "2"),
             ("JTUNE_TRACE_DIR", "/tmp/t"),
-            ("JTUNE_OUT", "/tmp/o"),
         ];
         let exp = parse("--budget 30 --no-trace", &vars).unwrap();
         assert_eq!((exp.budget_mins(), exp.seed()), (30, 3), "argv wins");
@@ -515,7 +515,6 @@ mod tests {
         );
         assert_eq!(exp.options.model.map(|m| m.screen_ratio), Some(2.0));
         assert_eq!(exp.telemetry.dir, None, "--no-trace beats the trace dir");
-        assert_eq!(exp.out, Some(PathBuf::from("/tmp/o")));
         let opts = exp.tuner_options(5, 9);
         assert_eq!((opts.budget, opts.seed), (SimDuration::from_mins(5), 9));
         assert_eq!(opts.signature(), exp.options.signature());
@@ -550,6 +549,26 @@ mod tests {
             let err = parse(line, vars).err().unwrap_or_default();
             assert!(err.contains(want), "{line} {vars:?}: {err}");
         }
+    }
+
+    #[test]
+    fn suite_sessions_reseed_each_program_by_position() {
+        let base = tuner_options(200, 7);
+        let seeds: Vec<u64> = suite_sessions(&base, jtune_workloads::specjvm2008_startup())
+            .map(|(_, opts)| opts.seed)
+            .collect();
+        assert_eq!(seeds.len(), 16);
+        assert_eq!(seeds[0], 7 ^ (1 << 32));
+        assert_eq!(seeds[2], 7 ^ (3 << 32) ^ 2);
+        let (w, opts) = suite_sessions(&base, jtune_workloads::dacapo())
+            .nth(1)
+            .unwrap();
+        assert_eq!(w.name, jtune_workloads::dacapo()[1].name);
+        assert_eq!(
+            (opts.budget, opts.signature()),
+            (base.budget, base.signature()),
+            "only the seed changes"
+        );
     }
 
     #[test]

@@ -35,22 +35,6 @@ impl FlagValue {
         }
     }
 
-    /// The floating payload, if this is a `Double`.
-    pub fn as_double(self) -> Option<f64> {
-        match self {
-            FlagValue::Double(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// The enum index, if this is an `Enum`.
-    pub fn as_enum(self) -> Option<u16> {
-        match self {
-            FlagValue::Enum(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// A total, deterministic hash key for deduplicating configurations.
     /// (`f64` is keyed by bit pattern; NaN never appears in valid configs.)
     pub fn hash_key(self) -> u64 {
@@ -211,8 +195,6 @@ mod tests {
         assert_eq!(FlagValue::Bool(true).as_bool(), Some(true));
         assert_eq!(FlagValue::Bool(true).as_int(), None);
         assert_eq!(FlagValue::Int(7).as_int(), Some(7));
-        assert_eq!(FlagValue::Double(1.5).as_double(), Some(1.5));
-        assert_eq!(FlagValue::Enum(3).as_enum(), Some(3));
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Budget {
         }
     }
 
-    /// The paper's 200-minute budget.
-    pub fn paper_default() -> Budget {
-        Budget::new(SimDuration::from_mins(200))
-    }
-
     /// Total allocation.
     pub fn total(&self) -> SimDuration {
         SimDuration::from_nanos(self.total_nanos)
@@ -148,10 +143,5 @@ mod tests {
             }
         });
         assert_eq!(b.spent(), SimDuration::from_secs(8));
-    }
-
-    #[test]
-    fn paper_default_is_200_minutes() {
-        assert_eq!(Budget::paper_default().total(), SimDuration::from_mins(200));
     }
 }

@@ -39,8 +39,7 @@
 //! - [`pool`] — parallel candidate evaluation on scoped threads with
 //!   deterministic seed derivation (results do not depend on thread
 //!   interleaving), including order-preserving telemetry emission.
-//! - [`results`] — serialisable records of tuning sessions for the
-//!   experiment drivers (TSV + JSON).
+//! - [`results`] — the finished-session record and its JSON form.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

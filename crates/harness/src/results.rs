@@ -1,9 +1,10 @@
 //! Serialisable tuning-session records.
 //!
-//! Experiment drivers persist one [`SessionRecord`] per tuned program so
-//! tables can be regenerated without re-running the search. Two formats:
-//! a simple line-oriented TSV (round-trippable, the archival format) and
-//! JSON via [`jtune_util::json`] (the `jtune --json` surface).
+//! A finished session is one [`SessionRecord`]: the headline numbers,
+//! the pipeline counters and the full trial log. It has one text form,
+//! JSON via [`SessionRecord::to_json`], which `jtune tune --json`,
+//! `jtune suite --json` and the daemon's `result.json` carry. The trial
+//! stream itself is archived as a JSONL trace (`jtune-telemetry`).
 
 use jtune_util::json::JsonObject;
 
@@ -70,45 +71,6 @@ impl SessionRecord {
     /// Improvement percentage as the paper reports it (speedup − 1).
     pub fn improvement_percent(&self) -> f64 {
         jtune_util::stats::improvement_percent(self.default_secs, self.best_secs)
-    }
-
-    /// Write a compact TSV representation (one line per trial plus a
-    /// header line for the session).
-    pub fn to_tsv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "#session\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.program,
-            self.executor,
-            self.budget_mins,
-            self.default_secs,
-            self.best_secs,
-            self.evaluations,
-            self.distinct,
-            self.cache_hits,
-            self.aborted,
-            self.retried,
-            self.quarantined,
-            self.suppressed,
-            self.saved_secs,
-            self.screened,
-            self.model_fits,
-            self.best_delta.join(" "),
-        );
-        for t in &self.trials {
-            let _ = writeln!(
-                out,
-                "{}\t{}\t{}\t{}\t{}",
-                t.index,
-                t.at_secs,
-                t.score_secs.map_or("FAIL".to_string(), |s| s.to_string()),
-                t.technique,
-                t.delta.join(" "),
-            );
-        }
-        out
     }
 
     /// Per-technique usage summary derived from the trial log: for each
@@ -194,126 +156,6 @@ impl SessionRecord {
             .raw("trials", &jtune_util::json::array_of(&trials))
             .finish()
     }
-
-    /// Parse the TSV produced by [`SessionRecord::to_tsv`].
-    pub fn from_tsv(s: &str) -> Option<SessionRecord> {
-        let mut lines = s.lines();
-        let header = lines.next()?;
-        let mut h = header.split('\t');
-        if h.next()? != "#session" {
-            return None;
-        }
-        let program = h.next()?.to_string();
-        let executor = h.next()?.to_string();
-        let budget_mins = h.next()?.parse().ok()?;
-        let default_secs = h.next()?.parse().ok()?;
-        let best_secs = h.next()?.parse().ok()?;
-        let evaluations: u64 = h.next()?.parse().ok()?;
-        // Legacy headers (pre-pipeline) go straight from `evaluations`
-        // to the delta field; pipeline-era ones carry three counters in
-        // between, fault-tolerant ones add retried + quarantined, and
-        // model-era ones add suppressed, saved budget and screening.
-        let rest: Vec<&str> = h.collect();
-        #[allow(clippy::type_complexity)]
-        let (
-            distinct,
-            cache_hits,
-            aborted,
-            retried,
-            quarantined,
-            suppressed,
-            saved_secs,
-            screened,
-            model_fits,
-            delta_field,
-        ): (u64, u64, u64, u64, u64, u64, f64, u64, u64, &str) = match rest.as_slice() {
-            [d, c, a, r, q, sup, sav, scr, mf, delta] => (
-                d.parse().ok()?,
-                c.parse().ok()?,
-                a.parse().ok()?,
-                r.parse().ok()?,
-                q.parse().ok()?,
-                sup.parse().ok()?,
-                sav.parse().ok()?,
-                scr.parse().ok()?,
-                mf.parse().ok()?,
-                *delta,
-            ),
-            [d, c, a, r, q, delta] => (
-                d.parse().ok()?,
-                c.parse().ok()?,
-                a.parse().ok()?,
-                r.parse().ok()?,
-                q.parse().ok()?,
-                0,
-                0.0,
-                0,
-                0,
-                *delta,
-            ),
-            [d, c, a, delta] => (
-                d.parse().ok()?,
-                c.parse().ok()?,
-                a.parse().ok()?,
-                0,
-                0,
-                0,
-                0.0,
-                0,
-                0,
-                *delta,
-            ),
-            [delta] => (evaluations, 0, 0, 0, 0, 0, 0.0, 0, 0, *delta),
-            _ => return None,
-        };
-        let best_delta: Vec<String> = delta_field.split_whitespace().map(str::to_string).collect();
-        let mut trials = Vec::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut f = line.split('\t');
-            let index = f.next()?.parse().ok()?;
-            let at_secs = f.next()?.parse().ok()?;
-            let score_raw = f.next()?;
-            let score_secs = if score_raw == "FAIL" {
-                None
-            } else {
-                Some(score_raw.parse().ok()?)
-            };
-            let technique = f.next()?.to_string();
-            let delta = f
-                .next()
-                .map(|d| d.split_whitespace().map(str::to_string).collect())
-                .unwrap_or_default();
-            trials.push(TrialRecord {
-                index,
-                at_secs,
-                score_secs,
-                technique,
-                delta,
-            });
-        }
-        Some(SessionRecord {
-            program,
-            executor,
-            budget_mins,
-            default_secs,
-            best_secs,
-            best_delta,
-            evaluations,
-            distinct,
-            cache_hits,
-            aborted,
-            retried,
-            quarantined,
-            suppressed,
-            saved_secs,
-            screened,
-            model_fits,
-            trials,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -391,26 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn tsv_round_trips() {
-        let s = sample();
-        let tsv = s.to_tsv();
-        let back = SessionRecord::from_tsv(&tsv).expect("parse");
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn legacy_tsv_without_pipeline_counters_parses() {
-        let legacy = "#session\th2\tsim:h2\t200\t42.5\t30\t2\t-XX:+UseConcMarkSweepGC\n\
-                      0\t130\t42.5\tdefault\t\n";
-        let s = SessionRecord::from_tsv(legacy).expect("legacy parse");
-        assert_eq!(s.evaluations, 2);
-        assert_eq!(s.distinct, 2, "legacy sessions measured every trial");
-        assert_eq!(s.cache_hits, 0);
-        assert_eq!(s.aborted, 0);
-        assert_eq!(s.best_delta, vec!["-XX:+UseConcMarkSweepGC".to_string()]);
-    }
-
-    #[test]
     fn pipeline_counters_round_trip() {
         let mut s = sample();
         s.distinct = 1;
@@ -422,35 +244,20 @@ mod tests {
         s.saved_secs = 12.5;
         s.screened = 9;
         s.model_fits = 4;
-        let back = SessionRecord::from_tsv(&s.to_tsv()).expect("parse");
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn fault_era_tsv_without_model_counters_parses() {
-        let tsv = "#session\th2\tsim:h2\t200\t42.5\t30\t4\t3\t1\t0\t2\t1\t-XX:MaxHeapSize=4g\n";
-        let s = SessionRecord::from_tsv(tsv).expect("fault-era parse");
-        assert_eq!(s.retried, 2);
-        assert_eq!(s.quarantined, 1);
-        assert_eq!(s.suppressed, 0, "pre-model sessions carry no screening");
-        assert_eq!(s.screened, 0);
-        assert_eq!(s.model_fits, 0);
-    }
-
-    #[test]
-    fn pipeline_era_tsv_without_fault_counters_parses() {
-        let tsv = "#session\th2\tsim:h2\t200\t42.5\t30\t4\t3\t1\t0\t-XX:MaxHeapSize=4g\n";
-        let s = SessionRecord::from_tsv(tsv).expect("pipeline-era parse");
-        assert_eq!(s.distinct, 3);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.retried, 0, "pre-fault-tolerance sessions never retried");
-        assert_eq!(s.quarantined, 0);
-    }
-
-    #[test]
-    fn malformed_tsv_rejected() {
-        assert!(SessionRecord::from_tsv("").is_none());
-        assert!(SessionRecord::from_tsv("#nonsense\tx").is_none());
-        assert!(SessionRecord::from_tsv("#session\tonly-two-fields").is_none());
+        let v = jtune_util::json::parse(&s.to_json()).expect("parse");
+        let u = |key: &str| v.get(key).and_then(|x| x.as_u64());
+        assert_eq!(u("evaluations"), Some(2));
+        assert_eq!(u("distinct"), Some(1));
+        assert_eq!(u("cache_hits"), Some(1));
+        assert_eq!(u("aborted"), Some(0));
+        assert_eq!(u("retried"), Some(3));
+        assert_eq!(u("quarantined"), Some(1));
+        assert_eq!(u("suppressed"), Some(2));
+        assert_eq!(u("screened"), Some(9));
+        assert_eq!(u("model_fits"), Some(4));
+        assert_eq!(v.get("saved_secs").and_then(|x| x.as_f64()), Some(12.5));
+        let trials = v.get("trials").and_then(|x| x.as_array()).expect("trials");
+        assert_eq!(trials.len(), 2);
+        assert!(trials[1].get("score_secs").is_some_and(|x| x.is_null()));
     }
 }

@@ -128,11 +128,6 @@ impl Workload {
         Ok(())
     }
 
-    /// Total bytes this workload will allocate over its lifetime.
-    pub fn total_allocation(&self) -> f64 {
-        self.total_work * self.alloc_rate
-    }
-
     // ---- builder-style adjusters (each returns the modified workload,
     // so profiles can be derived fluently from the built-in ones) ----
 
@@ -204,12 +199,6 @@ mod tests {
         let mut w = Workload::baseline("bad");
         w.hot_methods = 0;
         assert!(w.validate().is_err());
-    }
-
-    #[test]
-    fn total_allocation_is_product() {
-        let w = Workload::baseline("x");
-        assert_eq!(w.total_allocation(), w.total_work * w.alloc_rate);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! # jtune-report
 //!
-//! Post-hoc session analytics: replay what a tuning session left on
-//! disk — a JSONL trace, an archival TSV record, a server session's
-//! state directory, a whole server state directory, or an experiment's
-//! trace directory — into a structured [`SessionSummary`] and render it
-//! as Markdown, self-contained HTML, or JSON.
+//! Post-hoc session analytics: replay the JSONL traces a tuning session
+//! left on disk — one trace file, a server session's state directory, a
+//! whole server state directory, or an experiment's trace directory —
+//! into a structured [`SessionSummary`] and render it as Markdown,
+//! self-contained HTML, or JSON.
 //!
 //! Three layers:
 //!
 //! - [`summary`] — the model: convergence curve, per-technique
 //!   proposal/win/reward statistics, pipeline counters, and a per-flag
-//!   impact table, derived by a streaming replay of the trace events
-//!   (or equivalently from a [`SessionRecord`](jtune_harness::SessionRecord)).
+//!   impact table, derived by a streaming replay of the trace events.
 //! - [`mod@load`] — input discovery: a path becomes an ordered [`Report`]
 //!   (directory entries sorted by name, server sessions by ID).
 //! - [`mod@render`] — deterministic renderers. Same input bytes, same

@@ -1,6 +1,7 @@
-//! Input discovery: turn a path — trace file, TSV record, session
-//! directory, experiment trace directory, or server state directory —
-//! into an ordered list of [`SessionSummary`]s.
+//! Input discovery: turn a path — trace file, session directory,
+//! experiment trace directory, or server state directory — into an
+//! ordered list of [`SessionSummary`]s. Every shape holds JSONL traces;
+//! the report reads nothing else.
 //!
 //! Discovery is deterministic: directory entries are sorted by name
 //! (server sessions numerically by ID), so the same directory always
@@ -8,7 +9,6 @@
 
 use std::path::Path;
 
-use jtune_harness::SessionRecord;
 use jtune_util::json::{self, JsonValue};
 
 use crate::summary::SessionSummary;
@@ -99,14 +99,6 @@ fn load_trace_file(path: &Path) -> Result<SessionSummary, String> {
     SessionSummary::from_trace(&label_of(path), &text)
 }
 
-fn load_tsv_file(path: &Path) -> Result<SessionSummary, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let record = SessionRecord::from_tsv(&text)
-        .ok_or_else(|| format!("{}: not a session TSV record", path.display()))?;
-    Ok(SessionSummary::from_record(&label_of(path), &record))
-}
-
 /// Sorted entries of `dir` whose file name passes `keep`.
 fn entries(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<std::path::PathBuf>, String> {
     let mut out: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
@@ -122,28 +114,25 @@ fn entries(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<std::path::Pat
     Ok(out)
 }
 
+/// The input shapes [`load`] accepts, as its errors list them.
+const SHAPES: &str = "a .jsonl trace file, a directory holding trace.jsonl, \
+                      a server state directory of numbered session directories, \
+                      or a directory of *.jsonl traces";
+
 /// Load a report from `path`. Accepted shapes:
 ///
 /// - a `.jsonl` trace file (one session);
-/// - a `.tsv` session record (one session);
 /// - a session directory holding `trace.jsonl` (one session, e.g. a
 ///   server session's state subdirectory);
 /// - a server state directory: numeric subdirectories each holding
 ///   `trace.jsonl`, ordered by session ID;
 /// - an experiment trace directory: `*.jsonl` files, ordered by name
-///   (e.g. `results/traces/e1_specjvm/`);
-/// - a directory of `*.tsv` records (a `JTUNE_OUT` directory), ordered
-///   by name.
+///   (e.g. `results/traces/e1_specjvm/`).
 pub fn load(path: &Path) -> Result<Report, String> {
     if path.is_file() {
-        let name = title_of(path);
-        let session = if name.ends_with(".tsv") {
-            load_tsv_file(path)?
-        } else {
-            load_trace_file(path)?
-        };
+        let session = load_trace_file(path).map_err(|e| format!("{e}; expected {SHAPES}"))?;
         return Ok(Report {
-            title: name,
+            title: title_of(path),
             sessions: vec![session],
             daemon: None,
         });
@@ -192,7 +181,7 @@ pub fn load(path: &Path) -> Result<Report, String> {
         });
     }
 
-    // An experiment trace directory (*.jsonl) or record directory (*.tsv).
+    // An experiment trace directory (*.jsonl).
     let traces = entries(path, |n| n.ends_with(".jsonl"))?;
     if !traces.is_empty() {
         let sessions = traces
@@ -205,20 +194,8 @@ pub fn load(path: &Path) -> Result<Report, String> {
             daemon: None,
         });
     }
-    let records = entries(path, |n| n.ends_with(".tsv"))?;
-    if !records.is_empty() {
-        let sessions = records
-            .iter()
-            .map(|p| load_tsv_file(p))
-            .collect::<Result<Vec<_>, _>>()?;
-        return Ok(Report {
-            title,
-            sessions,
-            daemon: None,
-        });
-    }
     Err(format!(
-        "{}: no trace.jsonl, session subdirectories, *.jsonl or *.tsv files found",
+        "{}: no traces found; expected {SHAPES}",
         path.display()
     ))
 }
@@ -325,6 +302,21 @@ mod tests {
         let dir = temp_dir("empty");
         assert!(load(&dir).is_err());
         assert!(load(&dir.join("nope")).is_err());
+        // Session records are not a report input: neither a bare one
+        // nor a directory of them.
+        let records = dir.join("records");
+        std::fs::create_dir_all(&records).unwrap();
+        let record = records.join("compress.tsv");
+        std::fs::write(
+            &record,
+            "#session\tcompress\tsim:compress\t200\t2.5\t2.2\t4\t\n",
+        )
+        .unwrap();
+        assert!(!SHAPES.contains("tsv"), "{SHAPES}");
+        for input in [&records, &record] {
+            let err = load(input).expect_err("a .tsv input must not load");
+            assert!(err.ends_with(&format!("expected {SHAPES}")), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

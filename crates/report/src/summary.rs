@@ -1,7 +1,6 @@
 //! The analytics model: one [`SessionSummary`] per tuning session,
-//! built by replaying a serialised trace ([`SessionSummary::from_trace`])
-//! or by re-deriving the same statistics from an archival
-//! [`SessionRecord`] ([`SessionSummary::from_record`]).
+//! built by replaying a serialised JSONL trace
+//! ([`SessionSummary::from_trace`]).
 //!
 //! Every derivation here is a pure function of the input bytes —
 //! grouping uses `BTreeMap`, floats are carried as parsed — so the same
@@ -10,7 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use jtune_harness::SessionRecord;
 use jtune_util::json::{self, JsonValue};
 
 /// One point of a session's convergence curve: the best score known
@@ -134,9 +132,7 @@ pub fn flag_name(arg: &str) -> Option<&str> {
     (!name.is_empty()).then_some(name)
 }
 
-/// Streaming accumulator shared by the trace and record paths; the two
-/// sources describe the same trials, so deriving the statistics in one
-/// place keeps their reports consistent.
+/// Streaming accumulator the trace replay folds trials into.
 #[derive(Default)]
 struct Accumulator {
     convergence: Vec<ConvergencePoint>,
@@ -388,50 +384,11 @@ impl SessionSummary {
             flags,
         })
     }
-
-    /// Derive a summary from an archival [`SessionRecord`] (the TSV /
-    /// `--json` surface). The record's trial log carries less than the
-    /// trace (no screening or retry events), so the counters come from
-    /// the record's own fields.
-    pub fn from_record(label: &str, record: &SessionRecord) -> SessionSummary {
-        let mut acc = Accumulator::default();
-        for t in &record.trials {
-            acc.trial(t.index, t.at_secs, t.score_secs, &t.technique, &t.delta);
-        }
-        let (convergence, techniques, flags, mut counters) = acc.finish(&record.best_delta);
-        counters.evaluations = record.evaluations;
-        counters.cache_hits = record.cache_hits;
-        counters.suppressed = record.suppressed;
-        counters.aborted = record.aborted;
-        counters.retried = record.retried;
-        counters.quarantined = record.quarantined;
-        counters.screened = record.screened;
-        counters.model_fits = record.model_fits;
-        counters.saved_secs = record.saved_secs;
-        let spent_secs = record.trials.last().map_or(0.0, |t| t.at_secs);
-        SessionSummary {
-            label: label.to_string(),
-            program: record.program.clone(),
-            technique: String::new(),
-            budget_secs: record.budget_mins * 60.0,
-            seed: None,
-            default_secs: record.default_secs,
-            best_secs: record.best_secs,
-            improvement_percent: record.improvement_percent(),
-            spent_secs,
-            best_delta: record.best_delta.clone(),
-            convergence,
-            techniques,
-            counters,
-            flags,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jtune_harness::TrialRecord;
 
     fn lines(events: &[&str]) -> String {
         let mut s = events.join("\n");
@@ -519,59 +476,5 @@ mod tests {
         )
         .is_err());
         assert!(SessionSummary::from_trace("t", "not json\n").is_err());
-    }
-
-    #[test]
-    fn record_and_trace_paths_agree_on_shared_statistics() {
-        let record = SessionRecord {
-            program: "compress".into(),
-            executor: "sim:compress".into(),
-            budget_mins: 10.0,
-            default_secs: 10.0,
-            best_secs: 8.0,
-            best_delta: vec!["-XX:+UseG1GC".into()],
-            evaluations: 3,
-            distinct: 3,
-            cache_hits: 1,
-            aborted: 0,
-            retried: 2,
-            quarantined: 0,
-            suppressed: 0,
-            saved_secs: 4.5,
-            screened: 6,
-            model_fits: 2,
-            trials: vec![
-                TrialRecord {
-                    index: 0,
-                    at_secs: 10.0,
-                    score_secs: Some(10.0),
-                    technique: "default".into(),
-                    delta: vec![],
-                },
-                TrialRecord {
-                    index: 1,
-                    at_secs: 19.0,
-                    score_secs: None,
-                    technique: "random".into(),
-                    delta: vec!["-XX:MaxHeapSize=16m".into()],
-                },
-                TrialRecord {
-                    index: 2,
-                    at_secs: 27.0,
-                    score_secs: Some(8.0),
-                    technique: "random".into(),
-                    delta: vec!["-XX:+UseG1GC".into()],
-                },
-            ],
-        };
-        let s = SessionSummary::from_record("r", &record);
-        assert_eq!(s.counters.cache_hits, 1);
-        assert_eq!(s.counters.retried, 2);
-        assert_eq!(s.counters.screened, 6);
-        assert_eq!(s.improvement_percent, record.improvement_percent());
-        let bests: Vec<f64> = s.convergence.iter().map(|p| p.best_secs).collect();
-        assert_eq!(bests, vec![10.0, 8.0]);
-        assert_eq!(s.flags[1].flag, "UseG1GC");
-        assert_eq!(s.flags[1].in_best, 1);
     }
 }

@@ -81,11 +81,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (+∞ when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -94,15 +89,6 @@ impl Summary {
     /// Largest observation (−∞ when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
     }
 
     /// Merge another summary into this one (parallel reduction).

@@ -4,9 +4,15 @@
 //! ```sh
 //! cargo run --release --example tune_suite [spec|dacapo] [budget-minutes]
 //! ```
+//!
+//! Programs are seeded as E1 and E2 seed them (master seed 7), so a
+//! 200-minute budget reproduces `results/e1_specjvm.txt` or
+//! `results/e2_dacapo.txt` row for row.
 
+use hotspot_autotuner::experiments::{
+    render_suite_table, suite_sessions, tune_program_with, tuner_options,
+};
 use hotspot_autotuner::prelude::*;
-use hotspot_autotuner::util::stats::Summary;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -22,33 +28,10 @@ fn main() {
         }
     };
 
-    println!("suite: {suite}, budget {budget_mins} min/program (paper: 200)\n");
-    println!(
-        "{:<22} {:>10} {:>10} {:>12}",
-        "program", "default(s)", "tuned(s)", "improvement"
-    );
-    let mut improvements = Vec::new();
-    for (i, workload) in workloads.into_iter().enumerate() {
-        let name = workload.name.clone();
-        let executor = SimExecutor::new(workload);
-        let opts = TunerOptions::builder()
-            .budget(SimDuration::from_mins(budget_mins))
-            .seed(0xBEEF ^ ((i as u64) << 16))
-            .build()
-            .expect("valid options");
-        let result = Tuner::new(opts).run(&executor, &name, &TelemetryBus::disabled());
-        let imp = result.improvement_percent();
-        improvements.push(imp);
-        println!(
-            "{:<22} {:>10.2} {:>10.2} {:>11.1}%",
-            name, result.session.default_secs, result.session.best_secs, imp
-        );
-    }
-    let summary = Summary::from_slice(&improvements);
-    println!(
-        "\naverage improvement {:.1}%  (min {:.1}%, max {:.1}%)",
-        summary.mean(),
-        summary.min(),
-        summary.max()
-    );
+    let base = tuner_options(budget_mins, 7);
+    let rows: Vec<_> = suite_sessions(&base, workloads)
+        .map(|(w, opts)| tune_program_with(w, opts, None, &TelemetryBus::disabled()))
+        .collect();
+    let title = format!("suite {suite}, {budget_mins}-minute budget per program (paper: 200)");
+    print!("{}", render_suite_table(&title, &rows));
 }

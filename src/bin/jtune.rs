@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use hotspot_autotuner::experiments::{render_suite_table, suite_sessions, SuiteRow};
 use hotspot_autotuner::flagtree::SpaceStats;
 use hotspot_autotuner::harness::{BackoffPolicy, BACKOFF_OPTIONS, EXECUTOR_OPTIONS};
 use hotspot_autotuner::prelude::*;
@@ -19,7 +20,6 @@ use hotspot_autotuner::tuner::analysis::{flag_impact, ImpactOptions};
 use hotspot_autotuner::tuner::TUNER_OPTIONS;
 use hotspot_autotuner::util::cli::{self, Args, Opt, Table};
 use hotspot_autotuner::util::json;
-use hotspot_autotuner::util::stats::Summary;
 
 /// What the command line sets besides the library's option structs.
 #[derive(Default)]
@@ -254,60 +254,33 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
 
 fn cmd_suite(rest: &[String]) -> Result<i32, String> {
     let (args, base, local) = parse_tune("suite", rest)?;
-    let workloads = match args.positional(0) {
-        Some("spec") => specjvm2008_startup(),
-        Some("dacapo") => dacapo(),
+    let (suite, workloads) = match args.positional(0) {
+        Some("spec") => ("SPECjvm2008 startup", specjvm2008_startup()),
+        Some("dacapo") => ("DaCapo", dacapo()),
         Some(other) => return Err(format!("unknown suite {other:?}")),
         None => return Err("suite: expected `spec` or `dacapo`".to_string()),
     };
-    let specs = workloads
-        .into_iter()
-        .map(|w| Ok((w.name.clone(), executor_spec(&args, w)?)))
-        .collect::<Result<Vec<_>, String>>()?;
     let bus = telemetry_from(&local);
-    let mut improvements = Vec::new();
-    let mut records = Vec::new();
-    if !local.json {
-        println!(
-            "{:<22} {:>10} {:>10} {:>12}",
-            "program", "default(s)", "tuned(s)", "improvement"
-        );
-    }
-    for (i, (name, spec)) in specs.into_iter().enumerate() {
-        let mut opts = base.clone();
-        opts.seed ^= (i as u64 + 1) << 32;
-        let executor = spec.build();
-        let result = match Tuner::new(opts).try_run(executor.as_ref(), &name, &bus) {
-            Ok(result) => result,
+    let mut rows = Vec::new();
+    for (w, opts) in suite_sessions(&base, workloads) {
+        let name = w.name.clone();
+        let executor = executor_spec(&args, w)?.build();
+        match Tuner::new(opts).try_run(executor.as_ref(), &name, &bus) {
+            Ok(result) => rows.push(SuiteRow::from(result)),
             Err(e) => {
                 eprintln!("suite: {e}");
                 return Ok(1);
             }
-        };
-        improvements.push(result.improvement_percent());
-        if local.json {
-            records.push(result.session.to_json());
-            continue;
         }
-        println!(
-            "{:<22} {:>10.2} {:>10.2} {:>11.1}%",
-            name,
-            result.session.default_secs,
-            result.session.best_secs,
-            result.improvement_percent()
-        );
     }
     if local.json {
+        let records: Vec<String> = rows.iter().map(|r| r.result.session.to_json()).collect();
         println!("{}", json::array_of(&records));
-        return Ok(0);
+    } else {
+        let budget = base.budget.as_mins_f64();
+        let title = format!("{suite}, {budget}-minute budget per program");
+        print!("{}", render_suite_table(&title, &rows));
     }
-    let s = Summary::from_slice(&improvements);
-    println!(
-        "\naverage {:+.1}%  (min {:+.1}%, max {:+.1}%)",
-        s.mean(),
-        s.min(),
-        s.max()
-    );
     Ok(0)
 }
 

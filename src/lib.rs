@@ -42,9 +42,13 @@
 //!   trial leasing to `jtune worker` processes, and graceful
 //!   drain/resume — with every session byte-identical to its one-shot
 //!   equivalent.
-//! - [`report`] — post-hoc analytics: replay traces, TSV records and
-//!   server state directories into deterministic Markdown / HTML / JSON
-//!   reports (`jtune report`).
+//! - [`report`] — post-hoc analytics: replay traces and server state
+//!   directories into deterministic Markdown / HTML / JSON reports
+//!   (`jtune report`).
+//! - [`experiments`] — the suite loop behind the paper's tables, with
+//!   its one per-program seed rule ([`experiments::suite_sessions`]),
+//!   and the paper-style table ([`experiments::render_suite_table`]),
+//!   shared by `jtune suite`, the experiment drivers and the examples.
 //!
 //! ## Quickstart
 //!
@@ -75,6 +79,7 @@
 #![deny(unsafe_code)]
 
 pub use autotuner_core as tuner;
+pub use jtune_experiments as experiments;
 pub use jtune_flags as flags;
 pub use jtune_flagtree as flagtree;
 pub use jtune_harness as harness;

@@ -6,6 +6,10 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use hotspot_autotuner::experiments::suite_sessions;
+use hotspot_autotuner::prelude::*;
+use hotspot_autotuner::util::json;
+
 fn jtune(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_jtune"))
         .args(args)
@@ -269,6 +273,31 @@ fn argv_maps_to_the_pinned_session_signature() {
         assert_eq!(text.lines().next(), Some(header.as_str()), "{line}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `jtune suite` seeds program `i` by the one suite rule, so its records
+/// are the sessions the experiment drivers run under the same seed.
+#[test]
+fn suite_seeds_programs_through_the_shared_rule() {
+    let out = jtune(&["suite", "dacapo", "--seed", "7", "--budget", "1", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let base = TunerOptions {
+        budget: SimDuration::from_mins(1),
+        seed: 7,
+        ..TunerOptions::default()
+    };
+    let records: Vec<String> = suite_sessions(&base, dacapo())
+        .map(|(w, opts)| {
+            let name = w.name.clone();
+            let executor = SimExecutor::new(w);
+            let result = Tuner::new(opts).run(&executor, &name, &TelemetryBus::disabled());
+            result.session.to_json()
+        })
+        .collect();
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{}\n", json::array_of(&records))
+    );
 }
 
 /// The README's flag reference is the one `jtune --help` renders from

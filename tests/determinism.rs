@@ -1,7 +1,6 @@
 //! Determinism guarantees across the stack: every experiment table in the
 //! reproduction must be regenerable bit-for-bit.
 
-use hotspot_autotuner::harness::SessionRecord;
 use hotspot_autotuner::prelude::*;
 
 fn opts(seed: u64, workers: usize) -> TunerOptions {
@@ -23,7 +22,7 @@ fn identical_seeds_give_identical_sessions() {
     );
     let b = Tuner::new(opts(42, 4)).run(&SimExecutor::new(w), "rsa", &TelemetryBus::disabled());
     // The entire trial log must match, not just the headline.
-    assert_eq!(a.session.to_tsv(), b.session.to_tsv());
+    assert_eq!(a.session.to_json(), b.session.to_json());
 }
 
 #[test]
@@ -36,7 +35,7 @@ fn worker_count_does_not_change_results() {
     );
     let parallel =
         Tuner::new(opts(7, 8)).run(&SimExecutor::new(w), "aes", &TelemetryBus::disabled());
-    assert_eq!(serial.session.to_tsv(), parallel.session.to_tsv());
+    assert_eq!(serial.session.to_json(), parallel.session.to_json());
 }
 
 #[test]
@@ -48,16 +47,7 @@ fn different_seeds_explore_differently() {
         &TelemetryBus::disabled(),
     );
     let b = Tuner::new(opts(2, 4)).run(&SimExecutor::new(w), "rsa", &TelemetryBus::disabled());
-    assert_ne!(a.session.to_tsv(), b.session.to_tsv());
-}
-
-#[test]
-fn session_records_round_trip_through_tsv() {
-    let w = workload_by_name("scimark.fft").unwrap();
-    let result = Tuner::new(opts(9, 4)).run(&SimExecutor::new(w), "fft", &TelemetryBus::disabled());
-    let tsv = result.session.to_tsv();
-    let back = SessionRecord::from_tsv(&tsv).expect("parse back");
-    assert_eq!(back, result.session);
+    assert_ne!(a.session.to_json(), b.session.to_json());
 }
 
 #[test]

@@ -65,7 +65,7 @@ fn model_on_changes_the_stream_and_stays_deterministic_across_workers() {
         trace_1, trace_8,
         "screening decisions must not depend on thread interleaving"
     );
-    assert_eq!(result_1.session.to_tsv(), result_8.session.to_tsv());
+    assert_eq!(result_1.session.to_json(), result_8.session.to_json());
 
     // And the model genuinely alters the search: the screened stream
     // differs from the plain one with the same seed.
@@ -126,5 +126,5 @@ fn portfolio_stream_is_deterministic_and_registered() {
     let (b, result_b) = traced(opts);
     assert_eq!(a, b);
     assert!(result_a.session.best_secs <= result_a.session.default_secs);
-    assert_eq!(result_a.session.to_tsv(), result_b.session.to_tsv());
+    assert_eq!(result_a.session.to_json(), result_b.session.to_json());
 }

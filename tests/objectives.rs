@@ -83,7 +83,7 @@ fn weighted_objective_lands_between_the_extremes() {
 fn objective_is_recorded_and_deterministic() {
     let a = tune_with(Objective::PausePercentile(99.0), 17);
     let b = tune_with(Objective::PausePercentile(99.0), 17);
-    assert_eq!(a.session.to_tsv(), b.session.to_tsv());
+    assert_eq!(a.session.to_json(), b.session.to_json());
     // Session scores carry the objective's unit — milliseconds of p99
     // pause here, not run-time seconds. The best found must improve on the
     // default's pause profile, and both sit at millisecond scale (this

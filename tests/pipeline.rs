@@ -144,8 +144,8 @@ fn pipeline_events_are_byte_identical_across_worker_counts() {
     let (serial, serial_result) = session(1);
     let (parallel, parallel_result) = session(8);
     assert_eq!(
-        serial_result.session.to_tsv(),
-        parallel_result.session.to_tsv()
+        serial_result.session.to_json(),
+        parallel_result.session.to_json()
     );
     assert_eq!(
         serial, parallel,

@@ -32,8 +32,8 @@ fn event_stream_is_byte_identical_across_worker_counts() {
     let (serial, _, serial_result) = observed_session(1, 42);
     let (parallel, _, parallel_result) = observed_session(8, 42);
     assert_eq!(
-        serial_result.session.to_tsv(),
-        parallel_result.session.to_tsv()
+        serial_result.session.to_json(),
+        parallel_result.session.to_json()
     );
     assert_eq!(
         serial, parallel,
