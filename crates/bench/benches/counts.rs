@@ -64,8 +64,9 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// Per-call counts over seeded hierarchical candidates: `enforce` and
-/// `mutate` on the first 64, `JvmSim::run` on all 200, and
-/// `Surrogate::fit` on the first 50 and on all 200 simulated results.
+/// `mutate` on the first 64, `JvmSim::run` on all 200,
+/// `Surrogate::fit` on the first 50 and on all 200 simulated results, and
+/// `Surrogate::predict` of the 200-result fit on the first 32.
 fn per_call(s: &mut Snapshot) {
     let (registry, tree) = (hotspot_registry(), hotspot_tree());
     let manipulator = HierarchicalManipulator::new();
@@ -93,14 +94,27 @@ fn per_call(s: &mut Snapshot) {
     });
     s.push("jvmsim.run.allocs_per_call", run, secs.len() as u64);
     let encoder = FeatureEncoder::new(registry, tree);
-    for n in [50, 200] {
+    let [_, surrogate] = [50, 200].map(|n| {
         let mut surrogate = Surrogate::new(n as u64);
         for (c, &y) in candidates.iter().zip(&secs).take(n) {
             surrogate.observe(encoder.encode(c), y);
         }
         let (fit, _) = allocations(|| surrogate.fit());
         s.push(format!("model.fit_{n}.allocs_per_call"), fit, 1);
-    }
+        surrogate
+    });
+    // One screening round scores 32 candidates.
+    let probes: Vec<Vec<f64>> = candidates[..32].iter().map(|c| encoder.encode(c)).collect();
+    let (predict, ()) = allocations(|| {
+        for p in &probes {
+            black_box(surrogate.predict(p));
+        }
+    });
+    s.push(
+        "model.predict.allocs_per_call",
+        predict,
+        probes.len() as u64,
+    );
 }
 
 /// One fixed-seed `serial` session per manipulator, traced and
