@@ -141,6 +141,13 @@ pub fn mutate_value(domain: &Domain, value: FlagValue, rng: &mut dyn RngDyn) -> 
 /// Tree-aware moves: selectors switch whole structural alternatives, flag
 /// mutations are restricted to the active set, and canonicalisation resets
 /// dead flags so the search space is exactly the pruned hierarchy.
+///
+/// A move writes its selector choices with [`FlagTree::assign_selector`]
+/// and canonicalises once, at its end. Activation never reads a dead
+/// flag, so the active set between the writes is the one a
+/// canonicalisation after every write would give, and the move's result
+/// is the same for any input whose dead flags hold their defaults (every
+/// canonical configuration, and the default configuration).
 pub struct HierarchicalManipulator {
     registry: &'static Registry,
     tree: &'static FlagTree,
@@ -181,8 +188,7 @@ impl ConfigManipulator for HierarchicalManipulator {
         // Choose structure first.
         for sid in self.tree.selector_ids() {
             let n = self.tree.selector(sid).options.len();
-            self.tree
-                .set_selector(self.registry, &mut c, sid, below(rng, n));
+            self.tree.assign_selector(&mut c, sid, below(rng, n));
         }
         // Then randomise a sample of active flags (full-random over 400+
         // flags is almost always an invalid-by-performance config; the
@@ -201,11 +207,14 @@ impl ConfigManipulator for HierarchicalManipulator {
     fn mutate(&self, config: &JvmConfig, rng: &mut dyn RngDyn, strength: f64) -> JvmConfig {
         let mut c = config.clone();
         if chance(rng, self.selector_p * strength.max(0.2)) {
-            let sels: Vec<_> = self.tree.selector_ids().collect();
-            let sid = sels[below(rng, sels.len())];
+            let sels = self.tree.selectors().len();
+            let sid = self
+                .tree
+                .selector_ids()
+                .nth(below(rng, sels))
+                .expect("index below the selector count");
             let n = self.tree.selector(sid).options.len();
-            self.tree
-                .set_selector(self.registry, &mut c, sid, below(rng, n));
+            self.tree.assign_selector(&mut c, sid, below(rng, n));
         }
         let active = self.tree.active_flags(&c);
         // Touch on average `strength × 4` active flags, at least one.
@@ -226,7 +235,7 @@ impl ConfigManipulator for HierarchicalManipulator {
         for sid in self.tree.selector_ids() {
             let donor = if chance(rng, 0.5) { a } else { b };
             let opt = self.tree.selector_state(sid, donor);
-            self.tree.set_selector(self.registry, &mut c, sid, opt);
+            self.tree.assign_selector(&mut c, sid, opt);
         }
         for id in self.tree.active_flags(&c) {
             let donor = if chance(rng, 0.5) { a } else { b };
@@ -276,9 +285,9 @@ impl ConfigManipulator for HierarchicalManipulator {
         loop {
             let mut c = default.clone();
             for (i, &sid) in sels.iter().enumerate() {
-                self.tree
-                    .set_selector(self.registry, &mut c, sid, choice[i]);
+                self.tree.assign_selector(&mut c, sid, choice[i]);
             }
+            self.canonicalize(&mut c);
             out.push(c);
             let mut i = 0;
             loop {
@@ -390,7 +399,8 @@ impl ConfigManipulator for FlatManipulator {
 /// Prior work tunes a hand-picked subset — typically GC algorithm + heap
 /// sizing. This manipulator restricts every move to those categories; the
 /// rest of the JVM stays at defaults. Experiment E5 quantifies what that
-/// leaves on the table.
+/// leaves on the table. Like [`HierarchicalManipulator`], a move writes
+/// its collector choice and canonicalises once, at its end.
 pub struct SubsetManipulator {
     registry: &'static Registry,
     tree: &'static FlagTree,
@@ -439,8 +449,7 @@ impl ConfigManipulator for SubsetManipulator {
         let mut c = JvmConfig::default_for(self.registry);
         let sid = self.gc_selector();
         let n = self.tree.selector(sid).options.len();
-        self.tree
-            .set_selector(self.registry, &mut c, sid, below(rng, n));
+        self.tree.assign_selector(&mut c, sid, below(rng, n));
         for &id in &self.subset {
             if chance(rng, 0.3) {
                 c.set(id, random_value(&self.registry.spec(id).domain, rng));
@@ -455,8 +464,7 @@ impl ConfigManipulator for SubsetManipulator {
         if chance(rng, 0.15) {
             let sid = self.gc_selector();
             let n = self.tree.selector(sid).options.len();
-            self.tree
-                .set_selector(self.registry, &mut c, sid, below(rng, n));
+            self.tree.assign_selector(&mut c, sid, below(rng, n));
         }
         let touches = ((strength * 4.0).round() as usize).max(1);
         for _ in 0..touches {
@@ -672,5 +680,206 @@ mod tests {
             let v = mutate_value(&d, FlagValue::Int(5), &mut r);
             assert!(d.contains(v));
         }
+    }
+
+    /// The hierarchical and subset moves as they were when every selector
+    /// write canonicalised (`set_selector`), kept as the reference for the
+    /// one-canonicalisation-per-move versions.
+    mod reference {
+        use super::super::*;
+
+        pub fn random(m: &HierarchicalManipulator, rng: &mut dyn RngDyn) -> JvmConfig {
+            let mut c = JvmConfig::default_for(m.registry);
+            for sid in m.tree.selector_ids() {
+                let n = m.tree.selector(sid).options.len();
+                m.tree.set_selector(m.registry, &mut c, sid, below(rng, n));
+            }
+            let active = m.tree.active_flags(&c);
+            for id in active {
+                if chance(rng, 0.25) {
+                    let spec = m.registry.spec(id);
+                    c.set(id, random_value(&spec.domain, rng));
+                }
+            }
+            m.canonicalize(&mut c);
+            c
+        }
+
+        pub fn mutate(
+            m: &HierarchicalManipulator,
+            config: &JvmConfig,
+            rng: &mut dyn RngDyn,
+            strength: f64,
+        ) -> JvmConfig {
+            let mut c = config.clone();
+            if chance(rng, m.selector_p * strength.max(0.2)) {
+                let sels: Vec<_> = m.tree.selector_ids().collect();
+                let sid = sels[below(rng, sels.len())];
+                let n = m.tree.selector(sid).options.len();
+                m.tree.set_selector(m.registry, &mut c, sid, below(rng, n));
+            }
+            let active = m.tree.active_flags(&c);
+            let touches = ((strength * 4.0).round() as usize).max(1);
+            for _ in 0..touches {
+                let id = active[below(rng, active.len())];
+                let spec = m.registry.spec(id);
+                c.set(id, mutate_value(&spec.domain, c.get(id), rng));
+            }
+            m.canonicalize(&mut c);
+            c
+        }
+
+        pub fn crossover(
+            m: &HierarchicalManipulator,
+            a: &JvmConfig,
+            b: &JvmConfig,
+            rng: &mut dyn RngDyn,
+        ) -> JvmConfig {
+            let mut c = a.clone();
+            for sid in m.tree.selector_ids() {
+                let donor = if chance(rng, 0.5) { a } else { b };
+                let opt = m.tree.selector_state(sid, donor);
+                m.tree.set_selector(m.registry, &mut c, sid, opt);
+            }
+            for id in m.tree.active_flags(&c) {
+                let donor = if chance(rng, 0.5) { a } else { b };
+                let v = donor.get(id);
+                if m.registry.spec(id).domain.contains(v) {
+                    c.set(id, v);
+                }
+            }
+            m.canonicalize(&mut c);
+            c
+        }
+
+        pub fn primers(m: &HierarchicalManipulator) -> Vec<JvmConfig> {
+            let mut out = Vec::new();
+            let default = JvmConfig::default_for(m.registry);
+            let sels: Vec<_> = m.tree.selector_ids().collect();
+            let counts: Vec<usize> = sels
+                .iter()
+                .map(|s| m.tree.selector(*s).options.len())
+                .collect();
+            let mut choice = vec![0usize; sels.len()];
+            loop {
+                let mut c = default.clone();
+                for (i, &sid) in sels.iter().enumerate() {
+                    m.tree.set_selector(m.registry, &mut c, sid, choice[i]);
+                }
+                out.push(c);
+                let mut i = 0;
+                loop {
+                    if i == choice.len() {
+                        return out;
+                    }
+                    choice[i] += 1;
+                    if choice[i] < counts[i] {
+                        break;
+                    }
+                    choice[i] = 0;
+                    i += 1;
+                }
+            }
+        }
+
+        pub fn subset_random(m: &SubsetManipulator, rng: &mut dyn RngDyn) -> JvmConfig {
+            let mut c = JvmConfig::default_for(m.registry);
+            let sid = m.gc_selector();
+            let n = m.tree.selector(sid).options.len();
+            m.tree.set_selector(m.registry, &mut c, sid, below(rng, n));
+            for &id in &m.subset {
+                if chance(rng, 0.3) {
+                    c.set(id, random_value(&m.registry.spec(id).domain, rng));
+                }
+            }
+            m.canonicalize(&mut c);
+            c
+        }
+
+        pub fn subset_mutate(
+            m: &SubsetManipulator,
+            config: &JvmConfig,
+            rng: &mut dyn RngDyn,
+            strength: f64,
+        ) -> JvmConfig {
+            let mut c = config.clone();
+            if chance(rng, 0.15) {
+                let sid = m.gc_selector();
+                let n = m.tree.selector(sid).options.len();
+                m.tree.set_selector(m.registry, &mut c, sid, below(rng, n));
+            }
+            let touches = ((strength * 4.0).round() as usize).max(1);
+            for _ in 0..touches {
+                let id = m.subset[below(rng, m.subset.len())];
+                let spec = m.registry.spec(id);
+                c.set(id, mutate_value(&spec.domain, c.get(id), rng));
+            }
+            m.canonicalize(&mut c);
+            c
+        }
+    }
+
+    #[test]
+    fn hierarchical_moves_match_per_selector_canonicalisation() {
+        let m = HierarchicalManipulator::new();
+        let (mut new, mut old) = (rng(), rng());
+        // Inputs as the techniques pass them: the raw default (the anchor
+        // before any result) and the manipulator's own canonical points.
+        let mut pool = vec![JvmConfig::default_for(m.registry())];
+        let mut switches = 0;
+        for i in 0..400 {
+            let strength = [0.1, 0.3, 0.6, 1.0][i % 4];
+            let point = m.random(&mut new);
+            assert_eq!(point, reference::random(&m, &mut old), "random {i}");
+            let base = &pool[i % pool.len()];
+            let moved = m.mutate(base, &mut new, strength);
+            assert_eq!(
+                moved,
+                reference::mutate(&m, base, &mut old, strength),
+                "mutate {i}"
+            );
+            let other = &pool[(i * 7 + 3) % pool.len()];
+            let child = m.crossover(&moved, other, &mut new);
+            assert_eq!(
+                child,
+                reference::crossover(&m, &moved, other, &mut old),
+                "crossover {i}"
+            );
+            switches += m
+                .tree()
+                .selector_ids()
+                .filter(|&s| {
+                    m.tree().selector_state(s, &child) != m.tree().selector_state(s, &moved)
+                })
+                .count();
+            pool.extend([point, moved, child]);
+        }
+        assert!(
+            switches > 100,
+            "crossover switched only {switches} selectors"
+        );
+        assert_eq!(new.next_u64(), old.next_u64(), "RNG streams diverged");
+        assert_eq!(m.primers(), reference::primers(&m));
+    }
+
+    #[test]
+    fn subset_moves_match_per_selector_canonicalisation() {
+        let m = SubsetManipulator::gc_and_heap();
+        let (mut new, mut old) = (rng(), rng());
+        let mut pool = vec![JvmConfig::default_for(m.registry())];
+        for i in 0..400 {
+            let strength = [0.1, 0.5, 1.0][i % 3];
+            let point = m.random(&mut new);
+            assert_eq!(point, reference::subset_random(&m, &mut old), "random {i}");
+            let base = &pool[i % pool.len()];
+            let moved = m.mutate(base, &mut new, strength);
+            assert_eq!(
+                moved,
+                reference::subset_mutate(&m, base, &mut old, strength),
+                "mutate {i}"
+            );
+            pool.extend([point, moved]);
+        }
+        assert_eq!(new.next_u64(), old.next_u64(), "RNG streams diverged");
     }
 }

@@ -24,8 +24,9 @@
 //!
 //! Plain **leaves** are tunable flags, active whenever every ancestor is.
 //!
-//! [`FlagTree::enforce`] canonicalises a configuration: selector assignments
-//! are applied and every *inactive* flag is reset to its default. Canonical
+//! [`FlagTree::enforce`] canonicalises a configuration in one walk: each
+//! live selector's chosen assignments are applied and every *inactive*
+//! flag is reset to its default. Canonical
 //! configs make deduplication exact (two configs differing only in dead
 //! flags are the same point) — this is where the measured search-space
 //! reduction of experiment E3 comes from.

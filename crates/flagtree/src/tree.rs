@@ -1,7 +1,5 @@
 //! The tree structure, activation resolution, and canonicalisation.
 
-use std::collections::HashSet;
-
 use jtune_flags::{FlagId, FlagValue, JvmConfig, Registry};
 
 /// Index of a node within a [`FlagTree`] arena.
@@ -96,9 +94,9 @@ pub struct FlagTree {
     selectors: Vec<Selector>,
     root: NodeId,
     registry_len: usize,
-    /// Flags appearing in any selector assignment: structurally determined,
-    /// never independently tuned.
-    assigned: HashSet<FlagId>,
+    /// Indexed by [`FlagId`]: does the flag appear in any selector
+    /// assignment (structurally determined, never independently tuned)?
+    assigned: Vec<bool>,
 }
 
 impl FlagTree {
@@ -140,7 +138,7 @@ impl FlagTree {
     /// Is `flag` structurally determined by some selector (and therefore
     /// not independently tunable)?
     pub fn is_assigned(&self, flag: FlagId) -> bool {
-        self.assigned.contains(&flag)
+        self.assigned[flag.index()]
     }
 
     /// The flags *active* under `config`: every leaf and gate flag whose
@@ -186,72 +184,71 @@ impl FlagTree {
         }
     }
 
-    /// Every flag mentioned anywhere in the tree (active or not), including
-    /// gate flags but excluding selector-assigned flags.
-    pub fn all_tree_flags(&self) -> Vec<FlagId> {
-        let mut out = Vec::new();
-        for node in &self.nodes {
-            match &node.data {
-                NodeData::Leaf { flag } | NodeData::Gate { flag, .. } => out.push(*flag),
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Canonicalise `config` in place:
+    /// Canonicalise `config` in place, in one walk from the root that
+    /// neither allocates nor visits a node twice:
     ///
-    /// 1. For each selector, detect the chosen option and apply **all** its
-    ///    assignments (restoring mutual exclusion after arbitrary
-    ///    mutations).
-    /// 2. Reset every flag that is *not* active (dead subtrees of selectors
-    ///    and closed gates) to its registry default.
+    /// - a live selector detects its chosen option and writes **all** of
+    ///   that option's assignments (restoring mutual exclusion after
+    ///   arbitrary mutations); only the chosen option's subtree stays
+    ///   live;
+    /// - a live gate keeps its children live only while its flag equals
+    ///   `active_when`;
+    /// - every leaf and gate flag in a dead subtree (a selector's other
+    ///   options, a closed gate's children) is reset to its registry
+    ///   default.
     ///
     /// After `enforce`, two configurations that differ only in dead flags
     /// compare equal — the search space the tuner sees is exactly the
     /// pruned space of the paper's hierarchy.
+    ///
+    /// Deciding liveness during the same walk that writes assignments is
+    /// exact because [`TreeBuilder::build`] guarantees that every tree flag
+    /// is placed once, that no tree flag is selector-assigned, that no flag
+    /// is assigned by two selectors or twice by one option, and that no
+    /// option's assignments give an earlier option's marker its marker
+    /// value. A reset therefore never moves a selector or a gate visited
+    /// later, and a selector detects the same option after its own and
+    /// every other selector's writes as before them.
     pub fn enforce(&self, registry: &Registry, config: &mut JvmConfig) {
         debug_assert_eq!(config.len(), registry.len());
-        // Pass 1: selector assignments.
-        self.apply_selector_assignments(self.root, config);
-        // Pass 2: reset inactive flags. Collect active set first.
-        let mut active: HashSet<FlagId> = HashSet::with_capacity(256);
-        self.for_each_active(config, &mut |flag| {
-            active.insert(flag);
-        });
-        for flag in self.all_tree_flags() {
-            if !active.contains(&flag) {
-                config.set(flag, registry.spec(flag).default);
-            }
-        }
+        self.canon(registry, self.root, true, config);
     }
 
-    fn apply_selector_assignments(&self, id: NodeId, config: &mut JvmConfig) {
-        let node = self.node(id).clone();
+    fn canon(&self, registry: &Registry, id: NodeId, alive: bool, config: &mut JvmConfig) {
+        let node = self.node(id);
         match node.data {
             NodeData::Group { .. } => {
-                for c in node.children {
-                    self.apply_selector_assignments(c, config);
+                for &c in &node.children {
+                    self.canon(registry, c, alive, config);
                 }
             }
             NodeData::SelectorNode(sid) => {
-                let sel = self.selector(sid).clone();
-                let chosen = sel.detect(config);
-                for &(flag, value) in &sel.options[chosen].assignments {
-                    config.set(flag, value);
-                }
-                for c in &sel.options[chosen].children {
-                    self.apply_selector_assignments(*c, config);
-                }
-            }
-            NodeData::Gate { flag, active_when } => {
-                if config.get(flag) == FlagValue::Bool(active_when) {
-                    for c in node.children {
-                        self.apply_selector_assignments(c, config);
+                let sel = self.selector(sid);
+                let chosen = alive.then(|| {
+                    let chosen = sel.detect(config);
+                    self.assign_selector(config, sid, chosen);
+                    chosen
+                });
+                for (i, opt) in sel.options.iter().enumerate() {
+                    for &c in &opt.children {
+                        self.canon(registry, c, chosen == Some(i), config);
                     }
                 }
             }
-            NodeData::Leaf { .. } => {}
+            NodeData::Gate { flag, active_when } => {
+                let open = alive && config.get(flag) == FlagValue::Bool(active_when);
+                if !alive {
+                    config.set(flag, registry.spec(flag).default);
+                }
+                for &c in &node.children {
+                    self.canon(registry, c, open, config);
+                }
+            }
+            NodeData::Leaf { flag } => {
+                if !alive {
+                    config.set(flag, registry.spec(flag).default);
+                }
+            }
         }
     }
 
@@ -272,17 +269,28 @@ impl FlagTree {
         id: SelectorId,
         option: usize,
     ) {
+        self.assign_selector(config, id, option);
+        self.enforce(registry, config);
+    }
+
+    /// Write option `option`'s assignments of selector `id` without
+    /// canonicalising. A move that picks several selectors writes each
+    /// choice with this and canonicalises once at the end; in between,
+    /// [`FlagTree::active_flags`] already reflects every choice, since
+    /// activation never reads a dead flag.
+    ///
+    /// # Panics
+    /// Panics if `option` is out of range for the selector.
+    pub fn assign_selector(&self, config: &mut JvmConfig, id: SelectorId, option: usize) {
         let sel = self.selector(id);
         assert!(
             option < sel.options.len(),
             "selector {} has no option {option}",
             sel.name
         );
-        let assignments = sel.options[option].assignments.clone();
-        for (flag, value) in assignments {
+        for &(flag, value) in &sel.options[option].assignments {
             config.set(flag, value);
         }
-        self.enforce(registry, config);
     }
 
     /// Pretty-print the tree skeleton (groups, selectors, gates, and leaf
@@ -486,21 +494,75 @@ impl<'r> TreeBuilder<'r> {
     }
 
     /// Freeze into a [`FlagTree`].
+    ///
+    /// # Panics
+    /// Panics, naming the flag or option, on a tree that breaks an
+    /// invariant [`FlagTree::enforce`]'s single walk relies on: a flag
+    /// placed twice; a leaf or gate flag that a selector also assigns; a
+    /// flag assigned by two selectors or twice by one option; an option
+    /// whose assignments give an earlier option's marker its marker value.
     pub fn build(self) -> FlagTree {
-        let mut assigned = HashSet::new();
-        for sel in &self.selectors {
-            for opt in &sel.options {
-                for &(flag, _) in &opt.assignments {
-                    assigned.insert(flag);
+        let name = |flag: FlagId| self.registry.spec(flag).name;
+        // The selector assigning each flag, indexed by `FlagId`.
+        let mut assigner: Vec<Option<usize>> = vec![None; self.registry.len()];
+        for (s, sel) in self.selectors.iter().enumerate() {
+            for (i, opt) in sel.options.iter().enumerate() {
+                for (k, &(flag, value)) in opt.assignments.iter().enumerate() {
+                    assert!(
+                        opt.assignments[..k].iter().all(|&(f, _)| f != flag),
+                        "option {} of selector {} assigns {} twice",
+                        opt.label,
+                        sel.name,
+                        name(flag)
+                    );
+                    if let Some(other) = assigner[flag.index()].replace(s) {
+                        assert!(
+                            other == s,
+                            "flag {} is assigned by selectors {} and {}",
+                            name(flag),
+                            self.selectors[other].name,
+                            sel.name
+                        );
+                    }
+                    if let Some(earlier) = sel.options[..i]
+                        .iter()
+                        .find(|e| e.assignments[0] == (flag, value))
+                    {
+                        panic!(
+                            "option {} of selector {} sets {} to the marker value of \
+                             earlier option {}",
+                            opt.label,
+                            sel.name,
+                            name(flag),
+                            earlier.label
+                        );
+                    }
+                }
+            }
+        }
+        let mut placed = vec![false; self.registry.len()];
+        for node in &self.nodes {
+            if let NodeData::Leaf { flag } | NodeData::Gate { flag, .. } = node.data {
+                assert!(
+                    !std::mem::replace(&mut placed[flag.index()], true),
+                    "flag {} placed twice in the tree",
+                    name(flag)
+                );
+                if let Some(s) = assigner[flag.index()] {
+                    panic!(
+                        "tree flag {} is also assigned by selector {}",
+                        name(flag),
+                        self.selectors[s].name
+                    );
                 }
             }
         }
         FlagTree {
+            assigned: assigner.iter().map(Option::is_some).collect(),
             nodes: self.nodes,
             selectors: self.selectors,
             root: self.root,
             registry_len: self.registry.len(),
-            assigned,
         }
     }
 }
@@ -511,10 +573,77 @@ pub struct SelectorDraft {
     _node: NodeId,
 }
 
+/// The two-pass canonicalisation [`FlagTree::enforce`] replaced, kept as
+/// the reference the single walk is tested against: pass 1 applies the
+/// chosen options' assignments, pass 2 collects the active set and resets
+/// every other tree flag.
+#[cfg(test)]
+impl FlagTree {
+    /// Every flag mentioned anywhere in the tree (active or not), including
+    /// gate flags but excluding selector-assigned flags.
+    pub(crate) fn all_tree_flags(&self) -> Vec<FlagId> {
+        let mut out = Vec::new();
+        for node in &self.nodes {
+            match &node.data {
+                NodeData::Leaf { flag } | NodeData::Gate { flag, .. } => out.push(*flag),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    pub(crate) fn reference_enforce(&self, registry: &Registry, config: &mut JvmConfig) {
+        debug_assert_eq!(config.len(), registry.len());
+        // Pass 1: selector assignments.
+        self.apply_selector_assignments(self.root, config);
+        // Pass 2: reset inactive flags. Collect active set first.
+        let mut active: std::collections::HashSet<FlagId> =
+            std::collections::HashSet::with_capacity(256);
+        self.for_each_active(config, &mut |flag| {
+            active.insert(flag);
+        });
+        for flag in self.all_tree_flags() {
+            if !active.contains(&flag) {
+                config.set(flag, registry.spec(flag).default);
+            }
+        }
+    }
+
+    fn apply_selector_assignments(&self, id: NodeId, config: &mut JvmConfig) {
+        let node = self.node(id).clone();
+        match node.data {
+            NodeData::Group { .. } => {
+                for c in node.children {
+                    self.apply_selector_assignments(c, config);
+                }
+            }
+            NodeData::SelectorNode(sid) => {
+                let sel = self.selector(sid).clone();
+                let chosen = sel.detect(config);
+                for &(flag, value) in &sel.options[chosen].assignments {
+                    config.set(flag, value);
+                }
+                for c in &sel.options[chosen].children {
+                    self.apply_selector_assignments(*c, config);
+                }
+            }
+            NodeData::Gate { flag, active_when } => {
+                if config.get(flag) == FlagValue::Bool(active_when) {
+                    for c in node.children {
+                        self.apply_selector_assignments(c, config);
+                    }
+                }
+            }
+            NodeData::Leaf { .. } => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jtune_flags::hotspot_registry;
+    use jtune_flags::{hotspot_registry, Domain};
+    use jtune_util::{Rng, Xoshiro256pp};
 
     fn tiny_tree() -> (&'static Registry, FlagTree) {
         let r = hotspot_registry();
@@ -534,6 +663,8 @@ mod tests {
             ],
         );
         b.leaf(par, "ParallelGCThreads");
+        let asp = b.gate(par, "UseAdaptiveSizePolicy", true);
+        b.leaf(asp, "PausePadding");
         let ser = b.option(
             &sel,
             "serial",
@@ -685,5 +816,156 @@ mod tests {
         let mut b = TreeBuilder::new(r);
         let root = b.root();
         b.leaf(root, "NotARealFlag");
+    }
+
+    /// A configuration no tuner move would produce: every flag is
+    /// rewritten with probability `p` to a random in-domain value, so
+    /// several collectors are on at once, gates open and close anywhere,
+    /// and dead subtrees hold scribbled values.
+    fn scribbled(r: &Registry, rng: &mut Xoshiro256pp, p: f64) -> JvmConfig {
+        let mut c = JvmConfig::default_for(r);
+        for (id, spec) in r.iter() {
+            if !rng.next_bool(p) {
+                continue;
+            }
+            let value = match spec.domain {
+                Domain::Bool => FlagValue::Bool(rng.next_bool(0.5)),
+                Domain::IntRange { lo, hi, .. } => FlagValue::Int(rng.next_range_i64(lo, hi)),
+                Domain::DoubleRange { lo, hi } => FlagValue::Double(rng.next_range_f64(lo, hi)),
+                Domain::Enum { variants } => {
+                    FlagValue::Enum(rng.next_below(variants.len() as u64) as u16)
+                }
+            };
+            c.set(id, value);
+        }
+        c
+    }
+
+    fn assert_walk_matches_reference(r: &Registry, tree: &FlagTree, seed: u64, n: usize) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut dead_resets = 0;
+        for i in 0..n {
+            let input = scribbled(r, &mut rng, [0.05, 0.3, 0.9][i % 3]);
+            let mut want = input.clone();
+            tree.reference_enforce(r, &mut want);
+            let mut got = input.clone();
+            tree.enforce(r, &mut got);
+            assert_eq!(got, want, "config {i}: walk differs from the reference");
+            assert_eq!(got.fingerprint(), want.fingerprint());
+            let mut again = got.clone();
+            tree.enforce(r, &mut again);
+            assert_eq!(again, got, "config {i}: enforce is not idempotent");
+            let live = tree.active_flags(&got);
+            dead_resets += tree
+                .all_tree_flags()
+                .into_iter()
+                .filter(|f| !live.contains(f) && input.get(*f) != got.get(*f))
+                .count();
+        }
+        // The generator does reach the reset path.
+        assert!(dead_resets > n / 4, "only {dead_resets} dead flags reset");
+    }
+
+    #[test]
+    fn single_walk_equals_two_pass_reference_on_tiny_tree() {
+        let (r, tree) = tiny_tree();
+        assert_walk_matches_reference(r, &tree, 19, 600);
+    }
+
+    #[test]
+    fn single_walk_equals_two_pass_reference_on_hotspot_tree() {
+        let r = hotspot_registry();
+        assert_walk_matches_reference(r, crate::hotspot_tree(), 1900, 1500);
+    }
+
+    #[test]
+    fn set_selector_then_enforce_matches_reference() {
+        let (r, tree) = tiny_tree();
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        for _ in 0..200 {
+            let mut got = scribbled(r, &mut rng, 0.5);
+            let option = rng.next_below(2) as usize;
+            let mut want = got.clone();
+            tree.assign_selector(&mut want, SelectorId(0), option);
+            tree.reference_enforce(r, &mut want);
+            tree.set_selector(r, &mut got, SelectorId(0), option);
+            assert_eq!(got, want);
+            assert_eq!(tree.selector_state(SelectorId(0), &got), option);
+        }
+    }
+
+    /// A builder over `tiny_tree`'s collector flags, for the invariant
+    /// checks below.
+    fn collector_builder() -> (TreeBuilder<'static>, SelectorDraft) {
+        let mut b = TreeBuilder::new(hotspot_registry());
+        let root = b.root();
+        let sel = b.selector(root, "gc.collector");
+        (b, sel)
+    }
+
+    #[test]
+    #[should_panic(expected = "flag TLABSize placed twice in the tree")]
+    fn build_rejects_a_flag_placed_twice() {
+        let (r, _) = tiny_tree();
+        let mut b = TreeBuilder::new(r);
+        let root = b.root();
+        let tlab = b.gate(root, "UseTLAB", true);
+        b.leaf(tlab, "TLABSize");
+        b.leaf(root, "TLABSize");
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "tree flag UseSerialGC is also assigned by selector gc.collector")]
+    fn build_rejects_a_tree_flag_that_a_selector_assigns() {
+        let (mut b, sel) = collector_builder();
+        b.option(&sel, "serial", &[("UseSerialGC", FlagValue::Bool(true))]);
+        let root = b.root();
+        b.leaf(root, "UseSerialGC");
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "option both of selector gc.collector sets UseSerialGC")]
+    fn build_rejects_an_option_that_sets_an_earlier_marker() {
+        let (mut b, sel) = collector_builder();
+        b.option(&sel, "serial", &[("UseSerialGC", FlagValue::Bool(true))]);
+        b.option(
+            &sel,
+            "both",
+            &[
+                ("UseParallelGC", FlagValue::Bool(true)),
+                ("UseSerialGC", FlagValue::Bool(true)),
+            ],
+        );
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "flag UseSerialGC is assigned by selectors gc.collector and gc.other"
+    )]
+    fn build_rejects_a_flag_assigned_by_two_selectors() {
+        let (mut b, sel) = collector_builder();
+        b.option(&sel, "serial", &[("UseSerialGC", FlagValue::Bool(true))]);
+        let root = b.root();
+        let other = b.selector(root, "gc.other");
+        b.option(&other, "off", &[("UseSerialGC", FlagValue::Bool(false))]);
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "option flip of selector gc.collector assigns UseSerialGC twice")]
+    fn build_rejects_an_option_assigning_a_flag_twice() {
+        let (mut b, sel) = collector_builder();
+        b.option(
+            &sel,
+            "flip",
+            &[
+                ("UseSerialGC", FlagValue::Bool(true)),
+                ("UseSerialGC", FlagValue::Bool(false)),
+            ],
+        );
+        b.build();
     }
 }
