@@ -101,26 +101,6 @@ pub fn split_hitchhikers(
         .partition(|i| i.impact_percent.abs() >= threshold)
 }
 
-/// A minimal configuration: the tuned config with every hitchhiker
-/// reverted to its default — what a user should actually deploy.
-pub fn minimized_config(
-    executor: &dyn Executor,
-    config: &JvmConfig,
-    opts: ImpactOptions,
-) -> JvmConfig {
-    let registry = executor.registry();
-    let impacts = flag_impact(executor, config, opts);
-    let mut minimal = config.clone();
-    for impact in impacts {
-        if impact.impact_percent.abs() < opts.hitchhiker_threshold {
-            if let Some(id) = registry.id(impact.name) {
-                minimal.set(id, impact.default);
-            }
-        }
-    }
-    minimal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,32 +159,6 @@ mod tests {
         let (load, hitch) = split_hitchhikers(impacts, 1.5);
         assert_eq!(load.len(), 1);
         assert_eq!(hitch.len(), 1);
-    }
-
-    #[test]
-    fn minimized_config_drops_only_hitchhikers() {
-        let ex = executor();
-        let r = ex.registry();
-        let config = tuned_config(&ex);
-        let opts = ImpactOptions {
-            hitchhiker_threshold: 1.5,
-            ..ImpactOptions::default()
-        };
-        let minimal = minimized_config(&ex, &config, opts);
-        assert_eq!(
-            minimal.get_by_name(r, "TieredCompilation"),
-            Some(FlagValue::Bool(true)),
-            "load-bearing flag was dropped"
-        );
-        assert_eq!(
-            minimal.get_by_name(r, "PrintGCDetails"),
-            Some(FlagValue::Bool(false)),
-            "hitchhiker survived"
-        );
-        // Minimal config performs as well as the tuned one.
-        let full = median_score(&ex, &config, &opts);
-        let min = median_score(&ex, &minimal, &opts);
-        assert!((min / full - 1.0).abs() < 0.03, "full {full} min {min}");
     }
 
     #[test]

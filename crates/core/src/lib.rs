@@ -52,7 +52,7 @@ pub mod manipulator;
 pub mod techniques;
 pub mod tuner;
 
-pub use analysis::{flag_impact, minimized_config, FlagImpact, ImpactOptions};
+pub use analysis::{flag_impact, FlagImpact, ImpactOptions};
 pub use jtune_model::ModelPolicy;
 pub use manipulator::{
     ConfigManipulator, FlatManipulator, HierarchicalManipulator, SubsetManipulator,

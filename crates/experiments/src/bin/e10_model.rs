@@ -5,9 +5,8 @@
 //! least as good and the plain run's final quality is reached with
 //! strictly fewer measurements.
 
-use autotuner_core::{ModelPolicy, Tuner, TuningResult};
+use autotuner_core::{ModelPolicy, TuningResult};
 use jtune_experiments::Experiment;
-use jtune_harness::SimExecutor;
 use jtune_util::table::{fpct, Align, Table};
 
 /// Real measurements (budget-charged trials) before the session's
@@ -53,9 +52,8 @@ fn main() {
             if let Some(t) = technique {
                 opts.technique = t.to_string();
             }
-            let ex = SimExecutor::new(w);
             let bus = exp.telemetry.bus_for(&format!("{label}+{p}"));
-            row.push(Tuner::new(opts).run(&ex, p, &bus));
+            row.push(exp.tune(w, opts, &bus).result);
         }
         results.push(row);
     }

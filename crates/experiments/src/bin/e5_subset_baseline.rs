@@ -4,9 +4,7 @@
 //! only a subset of the tunable flags are tuned").
 
 use autotuner_core::tuner::ManipulatorKind;
-use autotuner_core::Tuner;
 use jtune_experiments::Experiment;
-use jtune_harness::SimExecutor;
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
@@ -40,18 +38,18 @@ fn main() {
         for (i, (_, kind)) in kinds.iter().enumerate() {
             let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE5 ^ (i as u64));
             opts.manipulator = *kind;
-            let ex = SimExecutor::new(w.clone());
             let bus = exp.telemetry.bus_for(&format!("{p}+{}", kind.label()));
-            let result = Tuner::new(opts).run(&ex, p, &bus);
-            let imp = result.improvement_percent();
+            let row = exp.tune(w.clone(), opts, &bus);
+            let imp = row.improvement;
             sums[i] += imp;
-            failed[i] += result
+            failed[i] += row
+                .result
                 .session
                 .trials
                 .iter()
                 .filter(|t| t.score_secs.is_none())
                 .count() as u64;
-            total[i] += result.session.evaluations;
+            total[i] += row.evaluations;
             cells.push(fpct(imp));
         }
         t.row(cells);

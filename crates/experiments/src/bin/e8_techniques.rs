@@ -1,9 +1,7 @@
 //! E8 — search-technique ablation: each technique solo vs. the AUC-bandit
 //! ensemble, at a fixed budget (why the tuner is an ensemble).
 
-use autotuner_core::Tuner;
 use jtune_experiments::Experiment;
-use jtune_harness::SimExecutor;
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
@@ -29,9 +27,8 @@ fn main() {
             let w = jtune_workloads::workload_by_name(p).expect("known program");
             let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE8 ^ ((i as u64) << 16));
             opts.technique = tech.to_string();
-            let ex = SimExecutor::new(w);
             let bus = exp.telemetry.bus_for(&format!("{tech}+{p}"));
-            let imp = Tuner::new(opts).run(&ex, p, &bus).improvement_percent();
+            let imp = exp.tune(w, opts, &bus).improvement;
             sum += imp;
             cells.push(fpct(imp));
         }

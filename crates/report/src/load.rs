@@ -26,59 +26,42 @@ pub struct Report {
     pub daemon: Option<DaemonCounters>,
 }
 
-/// The daemon counters a report can explain a chaos run with: how much
+/// The daemon counters a report can explain a chaos run with — how much
 /// load was shed, how often peers misbehaved, and how hard the retry
-/// and reconnect machinery worked.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DaemonCounters {
-    /// Submits shed with `overloaded` plus connections shed at the
-    /// connection limit.
-    pub connections_rejected: u64,
-    /// Frames rejected at the wire (oversized, non-UTF-8, undecodable).
-    pub frames_rejected: u64,
-    /// Requests that arrived carrying a client retry tag.
-    pub clients_retried: u64,
-    /// Workers that re-registered as successors of a lost identity.
-    pub workers_reconnected: u64,
-    /// Worker registrations accepted.
-    pub workers_registered: u64,
-    /// Trials leased to remote workers.
-    pub trials_leased: u64,
-    /// Leases reissued after a deadline, worker death, or `fail`.
-    pub leases_expired: u64,
-}
+/// and reconnect machinery worked — as `(key in server-metrics.json,
+/// label in the rendered tables)`, in display order.
+pub const DAEMON_COUNTERS: [(&str, &str); 7] = [
+    // Submits shed with `overloaded` plus connections shed at the
+    // connection limit.
+    ("connections_rejected", "connections rejected"),
+    // Frames rejected at the wire (oversized, non-UTF-8, undecodable).
+    ("frames_rejected", "frames rejected"),
+    // Requests that arrived carrying a client retry tag.
+    ("clients_retried", "client retries seen"),
+    // Workers that re-registered as successors of a lost identity.
+    ("workers_reconnected", "worker reconnects"),
+    // Worker registrations accepted.
+    ("workers_registered", "workers registered"),
+    // Trials leased to remote workers.
+    ("trials_leased", "trials leased"),
+    // Leases reissued after a deadline, worker death, or `fail`.
+    ("leases_expired", "leases expired"),
+];
 
-impl DaemonCounters {
-    /// The rows a renderer shows, in display order.
-    pub fn rows(&self) -> [(&'static str, u64); 7] {
-        [
-            ("connections rejected", self.connections_rejected),
-            ("frames rejected", self.frames_rejected),
-            ("client retries seen", self.clients_retried),
-            ("worker reconnects", self.workers_reconnected),
-            ("workers registered", self.workers_registered),
-            ("trials leased", self.trials_leased),
-            ("leases expired", self.leases_expired),
-        ]
-    }
-}
+/// Values of [`DAEMON_COUNTERS`], index for index.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DaemonCounters(pub [u64; 7]);
 
 /// The `server-metrics.json` snapshot a draining daemon writes into its
-/// state directory, if present and parseable.
+/// state directory, if present and parseable. Counters the daemon never
+/// bumped read as zero.
 fn load_daemon_counters(state_dir: &Path) -> Option<DaemonCounters> {
     let text = std::fs::read_to_string(state_dir.join("server-metrics.json")).ok()?;
     let v = json::parse(&text).ok()?;
     let counters = v.get("counters")?;
-    let c = |name: &str| counters.get(name).and_then(JsonValue::as_u64).unwrap_or(0);
-    Some(DaemonCounters {
-        connections_rejected: c("connections_rejected"),
-        frames_rejected: c("frames_rejected"),
-        clients_retried: c("clients_retried"),
-        workers_reconnected: c("workers_reconnected"),
-        workers_registered: c("workers_registered"),
-        trials_leased: c("trials_leased"),
-        leases_expired: c("leases_expired"),
-    })
+    Some(DaemonCounters(DAEMON_COUNTERS.map(|(key, _)| {
+        counters.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
+    })))
 }
 
 fn label_of(path: &Path) -> String {
@@ -129,29 +112,30 @@ const SHAPES: &str = "a .jsonl trace file, a directory holding trace.jsonl, \
 /// - an experiment trace directory: `*.jsonl` files, ordered by name
 ///   (e.g. `results/traces/e1_specjvm/`).
 pub fn load(path: &Path) -> Result<Report, String> {
+    let (sessions, daemon) = discover(path)?;
+    Ok(Report {
+        title: title_of(path),
+        sessions,
+        daemon,
+    })
+}
+
+/// The sessions [`load`] finds at `path`, with the daemon counters of a
+/// server state directory.
+fn discover(path: &Path) -> Result<(Vec<SessionSummary>, Option<DaemonCounters>), String> {
     if path.is_file() {
         let session = load_trace_file(path).map_err(|e| format!("{e}; expected {SHAPES}"))?;
-        return Ok(Report {
-            title: title_of(path),
-            sessions: vec![session],
-            daemon: None,
-        });
+        return Ok((vec![session], None));
     }
     if !path.is_dir() {
         return Err(format!("{}: no such file or directory", path.display()));
     }
-    let title = title_of(path);
 
     // A session directory: its own trace.jsonl.
     if path.join("trace.jsonl").is_file() {
-        return Ok(Report {
-            title,
-            sessions: vec![load_trace_file(&path.join("trace.jsonl")).map(|mut s| {
-                s.label = label_of(path);
-                s
-            })?],
-            daemon: None,
-        });
+        let mut session = load_trace_file(&path.join("trace.jsonl"))?;
+        session.label = label_of(path);
+        return Ok((vec![session], None));
     }
 
     // A server state directory: numeric session subdirectories.
@@ -174,11 +158,7 @@ pub fn load(path: &Path) -> Result<Report, String> {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        return Ok(Report {
-            title,
-            sessions,
-            daemon: load_daemon_counters(path),
-        });
+        return Ok((sessions, load_daemon_counters(path)));
     }
 
     // An experiment trace directory (*.jsonl).
@@ -188,11 +168,7 @@ pub fn load(path: &Path) -> Result<Report, String> {
             .iter()
             .map(|p| load_trace_file(p))
             .collect::<Result<Vec<_>, _>>()?;
-        return Ok(Report {
-            title,
-            sessions,
-            daemon: None,
-        });
+        return Ok((sessions, None));
     }
     Err(format!(
         "{}: no traces found; expected {SHAPES}",
@@ -276,14 +252,9 @@ mod tests {
         .unwrap();
         let r = load(&dir).expect("load");
         let d = r.daemon.expect("daemon counters");
-        assert_eq!(d.connections_rejected, 3);
-        assert_eq!(d.frames_rejected, 2);
-        assert_eq!(d.clients_retried, 5);
-        assert_eq!(d.workers_reconnected, 1);
-        assert_eq!(d.trials_leased, 9);
-        // Counters the daemon never bumped default to zero.
-        assert_eq!(d.workers_registered, 0);
-        assert_eq!(d.leases_expired, 0);
+        // In DAEMON_COUNTERS order; counters the daemon never bumped
+        // (workers_registered, leases_expired) default to zero.
+        assert_eq!(d, DaemonCounters([3, 2, 5, 1, 0, 9, 0]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

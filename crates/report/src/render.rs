@@ -1,5 +1,9 @@
 //! Deterministic renderers: Markdown, self-contained HTML, and JSON.
 //!
+//! Markdown and HTML are one walk over the report through a two-syntax
+//! block writer, so both show the same headings, paragraphs and tables;
+//! HTML adds an inline SVG chart above each convergence table.
+//!
 //! All three are pure functions of the [`Report`] value. Floats are
 //! printed with fixed precision (`{:.3}` seconds, `{:.1}` percent,
 //! `{:.2}` SVG coordinates), so a given input directory always renders
@@ -9,8 +13,8 @@ use std::fmt::Write as _;
 
 use jtune_util::json::{self, JsonObject};
 
-use crate::load::Report;
-use crate::summary::{SessionSummary, TechniqueStats};
+use crate::load::{Report, DAEMON_COUNTERS};
+use crate::summary::{SessionCounters, SessionSummary, TechniqueStats};
 
 /// Flag-impact rows shown per session (the table is sorted by trial
 /// count, so the cut keeps the most-explored flags).
@@ -35,176 +39,281 @@ fn flag_rows(s: &SessionSummary) -> Vec<&crate::summary::FlagImpact> {
     rows
 }
 
-/// Render the report as Markdown.
-pub fn to_markdown(report: &Report) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# jtune report");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "Input: `{}` — {} session(s)",
-        report.title,
-        report.sessions.len()
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(out, "## Overview");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "| session | program | technique | default (s) | best (s) | improvement | evals | spent (s) |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
-    for s in &report.sessions {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} |",
-            s.label,
-            s.program,
-            if s.technique.is_empty() {
-                "—"
-            } else {
-                &s.technique
-            },
-            secs(s.default_secs),
-            secs(s.best_secs),
-            pct(s.improvement_percent),
-            s.counters.evaluations,
-            secs(s.spent_secs),
-        );
-    }
-    if let Some(d) = &report.daemon {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## Daemon");
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| counter | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (name, v) in d.rows() {
-            let _ = writeln!(out, "| {name} | {v} |");
+/// The markup a [`page`] is written in.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Syntax {
+    Markdown,
+    Html,
+}
+
+/// A run of paragraph text: plain, or inline code.
+enum Span<'a> {
+    Text(&'a str),
+    Code(&'a str),
+}
+
+/// Append `s` with the characters HTML gives meaning to escaped.
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            c => out.push(c),
         }
     }
-    for s in &report.sessions {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## {}", s.label);
-        let _ = writeln!(out);
-        let seed = s.seed.map_or_else(|| "—".to_string(), |v| v.to_string());
-        let _ = writeln!(
-            out,
-            "Program `{}`, seed {}, budget {} s; best delta: {}",
-            s.program,
-            seed,
-            secs(s.budget_secs),
-            if s.best_delta.is_empty() {
-                "(default configuration)".to_string()
-            } else {
-                format!("`{}`", s.best_delta.join(" "))
+}
+
+/// Block writer for one [`Syntax`]. Markdown separates blocks with one
+/// blank line and writes pipe tables; HTML escapes all text and writes
+/// `<table>` rows.
+struct Writer {
+    syntax: Syntax,
+    out: String,
+}
+
+impl Writer {
+    /// Append the markup of the writer's syntax: `md` or `html`.
+    fn markup(&mut self, md: &str, html: &str) {
+        self.out.push_str(match self.syntax {
+            Syntax::Markdown => md,
+            Syntax::Html => html,
+        });
+    }
+
+    /// Start a block with its opening markup.
+    fn open(&mut self, md: &str, html: &str) {
+        if self.syntax == Syntax::Markdown && !self.out.is_empty() {
+            self.out.push('\n');
+        }
+        self.markup(md, html);
+    }
+
+    fn text(&mut self, s: &str) {
+        match self.syntax {
+            Syntax::Markdown => self.out.push_str(s),
+            Syntax::Html => escape_into(&mut self.out, s),
+        }
+    }
+
+    fn heading(&mut self, level: usize, title: &str) {
+        self.open(&format!("{} ", "#".repeat(level)), &format!("<h{level}>"));
+        self.text(title);
+        self.markup("\n", &format!("</h{level}>\n"));
+    }
+
+    fn paragraph(&mut self, spans: &[Span]) {
+        self.open("", "<p>");
+        for span in spans {
+            match span {
+                Span::Text(s) => self.text(s),
+                Span::Code(s) => {
+                    self.markup("`", "<code>");
+                    self.text(s);
+                    self.markup("`", "</code>");
+                }
             }
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(out, "### Convergence");
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| eval | spent (s) | best (s) |");
-        let _ = writeln!(out, "|---|---|---|");
-        for p in &s.convergence {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} |",
-                p.index,
-                secs(p.spent_secs),
-                secs(p.best_secs)
-            );
         }
-        let _ = writeln!(out);
-        let _ = writeln!(out, "### Techniques");
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "| technique | proposals | failures | wins | reward (s) | best (s) |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|---|");
-        for t in &s.techniques {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} | {} |",
-                t.name,
-                t.proposals,
-                t.failures,
-                t.wins,
-                secs(t.reward_secs),
-                opt_secs(t.best_secs),
-            );
+        self.markup("\n", "</p>\n");
+    }
+
+    fn table<const N: usize>(
+        &mut self,
+        header: [&str; N],
+        rows: impl Iterator<Item = [String; N]>,
+    ) {
+        self.open("", "<table>");
+        self.row(&header, ["<th>", "</th>"]);
+        self.markup(&format!("{}|\n", "|---".repeat(N)), "");
+        for row in rows {
+            self.row(&row, ["<td>", "</td>"]);
         }
-        let _ = writeln!(out);
-        let _ = writeln!(out, "### Counters");
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| counter | value |");
-        let _ = writeln!(out, "|---|---|");
+        self.markup("", "</table>\n");
+    }
+
+    /// One table row; `tags` opens and closes each HTML cell.
+    fn row(&mut self, cells: &[impl AsRef<str>], [open, close]: [&str; 2]) {
+        self.markup("|", "<tr>");
+        for cell in cells {
+            self.markup(" ", open);
+            self.text(cell.as_ref());
+            self.markup(" |", close);
+        }
+        self.markup("\n", "</tr>\n");
+    }
+}
+
+/// A session's whole-number counters as `(JSON key, label, value)`, in
+/// display order.
+fn session_counters(c: &SessionCounters) -> [(&'static str, &'static str, u64); 10] {
+    [
+        ("evaluations", "evaluations", c.evaluations),
+        ("failures", "failures", c.failures),
+        ("cache_hits", "cache hits", c.cache_hits),
+        ("suppressed", "duplicates suppressed", c.suppressed),
+        ("aborted", "racing aborts", c.aborted),
+        ("retried", "retries", c.retried),
+        ("quarantined", "quarantined", c.quarantined),
+        ("screened", "screened", c.screened),
+        ("model_fits", "model fits", c.model_fits),
+        ("checkpoints", "checkpoints", c.checkpoints),
+    ]
+}
+
+/// Header of the daemon and per-session counter tables.
+const COUNTER_HEADER: [&str; 2] = ["counter", "value"];
+
+/// The report as one page in `syntax`: the whole of [`to_markdown`] and
+/// the body of [`to_html`].
+fn page(report: &Report, syntax: Syntax) -> String {
+    let mut w = Writer {
+        syntax,
+        out: String::new(),
+    };
+    w.heading(1, "jtune report");
+    let count = format!(" — {} session(s)", report.sessions.len());
+    w.paragraph(&[
+        Span::Text("Input: "),
+        Span::Code(&report.title),
+        Span::Text(&count),
+    ]);
+    w.heading(2, "Overview");
+    w.table(
+        [
+            "session",
+            "program",
+            "technique",
+            "default (s)",
+            "best (s)",
+            "improvement",
+            "evals",
+            "spent (s)",
+        ],
+        report.sessions.iter().map(|s| {
+            [
+                s.label.clone(),
+                s.program.clone(),
+                if s.technique.is_empty() {
+                    "—"
+                } else {
+                    &s.technique
+                }
+                .to_string(),
+                secs(s.default_secs),
+                secs(s.best_secs),
+                pct(s.improvement_percent),
+                s.counters.evaluations.to_string(),
+                secs(s.spent_secs),
+            ]
+        }),
+    );
+    if let Some(d) = &report.daemon {
+        w.heading(2, "Daemon");
+        let rows = DAEMON_COUNTERS.iter().zip(d.0);
+        w.table(
+            COUNTER_HEADER,
+            rows.map(|((_, label), v)| [label.to_string(), v.to_string()]),
+        );
+    }
+    for s in &report.sessions {
+        w.heading(2, &s.label);
+        let seed = s.seed.map_or_else(|| "—".to_string(), |v| v.to_string());
+        let budget = secs(s.budget_secs);
+        let intro = format!(", seed {seed}, budget {budget} s; best delta: ");
+        let delta = s.best_delta.join(" ");
+        w.paragraph(&[
+            Span::Text("Program "),
+            Span::Code(&s.program),
+            Span::Text(&intro),
+            if delta.is_empty() {
+                Span::Text("(default configuration)")
+            } else {
+                Span::Code(&delta)
+            },
+        ]);
+        w.heading(3, "Convergence");
+        if syntax == Syntax::Html && s.convergence.len() > 1 {
+            w.out.push_str(&convergence_svg(s));
+            w.out.push('\n');
+        }
+        w.table(
+            ["eval", "spent (s)", "best (s)"],
+            s.convergence
+                .iter()
+                .map(|p| [p.index.to_string(), secs(p.spent_secs), secs(p.best_secs)]),
+        );
+        w.heading(3, "Techniques");
+        w.table(
+            [
+                "technique",
+                "proposals",
+                "failures",
+                "wins",
+                "reward (s)",
+                "best (s)",
+            ],
+            s.techniques.iter().map(|t| {
+                [
+                    t.name.clone(),
+                    t.proposals.to_string(),
+                    t.failures.to_string(),
+                    t.wins.to_string(),
+                    secs(t.reward_secs),
+                    opt_secs(t.best_secs),
+                ]
+            }),
+        );
+        w.heading(3, "Counters");
         let c = &s.counters;
-        for (name, v) in [
-            ("evaluations", c.evaluations),
-            ("failures", c.failures),
-            ("cache hits", c.cache_hits),
-            ("duplicates suppressed", c.suppressed),
-            ("racing aborts", c.aborted),
-            ("retries", c.retried),
-            ("quarantined", c.quarantined),
-            ("screened", c.screened),
-            ("model fits", c.model_fits),
-            ("checkpoints", c.checkpoints),
-        ] {
-            let _ = writeln!(out, "| {name} | {v} |");
-        }
-        let _ = writeln!(out, "| budget saved (s) | {} |", secs(c.saved_secs));
-        let _ = writeln!(out);
-        let _ = writeln!(out, "### Flag impact");
-        let _ = writeln!(out);
+        let counts = session_counters(c).map(|(_, label, v)| [label.to_string(), v.to_string()]);
+        let saved = ["budget saved (s)".to_string(), secs(c.saved_secs)];
+        w.table(COUNTER_HEADER, counts.into_iter().chain([saved]));
+        w.heading(3, "Flag impact");
         let rows = flag_rows(s);
         if rows.is_empty() {
-            let _ = writeln!(out, "No `-XX:` flags appeared in any trial delta.");
-        } else {
-            let _ = writeln!(
-                out,
-                "| flag | trials | ok | best (s) | mean (s) | in best |"
-            );
-            let _ = writeln!(out, "|---|---|---|---|---|---|");
-            for f in rows.iter().take(FLAG_ROWS) {
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} | {} | {} | {} |",
-                    f.flag,
-                    f.trials,
-                    f.successes,
+            w.paragraph(&[
+                Span::Text("No "),
+                Span::Code("-XX:"),
+                Span::Text(" flags appeared in any trial delta."),
+            ]);
+            continue;
+        }
+        w.table(
+            ["flag", "trials", "ok", "best (s)", "mean (s)", "in best"],
+            rows.iter().take(FLAG_ROWS).map(|f| {
+                [
+                    f.flag.clone(),
+                    f.trials.to_string(),
+                    f.successes.to_string(),
                     opt_secs(f.best_secs),
                     opt_secs(f.mean_secs),
-                    if f.in_best > 0 { "yes" } else { "" },
-                );
-            }
-            if rows.len() > FLAG_ROWS {
-                let _ = writeln!(
-                    out,
-                    "\n({} more flags omitted; use `--format json` for the full table)",
-                    rows.len() - FLAG_ROWS
-                );
-            }
+                    if f.in_best > 0 { "yes" } else { "" }.to_string(),
+                ]
+            }),
+        );
+        if rows.len() > FLAG_ROWS {
+            let omitted = format!("({} more flags omitted; use ", rows.len() - FLAG_ROWS);
+            w.paragraph(&[
+                Span::Text(&omitted),
+                Span::Code("--format json"),
+                Span::Text(" for the full table)"),
+            ]);
         }
     }
-    out
+    w.out
 }
 
-fn html_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
+/// Render the report as Markdown.
+pub fn to_markdown(report: &Report) -> String {
+    page(report, Syntax::Markdown)
 }
 
-/// Inline SVG of a session's convergence curve (step-after polyline).
-/// Returns an empty string when there are fewer than two points.
+/// Inline SVG of a session's convergence curve (step-after polyline);
+/// the session must have at least two points.
 fn convergence_svg(s: &SessionSummary) -> String {
     const W: f64 = 640.0;
     const H: f64 = 180.0;
     const PAD: f64 = 8.0;
-    if s.convergence.len() < 2 {
-        return String::new();
-    }
     let x_max = s
         .convergence
         .last()
@@ -251,19 +360,14 @@ fn convergence_svg(s: &SessionSummary) -> String {
 }
 
 /// Render the report as one self-contained HTML page: inline CSS,
-/// inline SVG, no external assets.
+/// inline SVG, no external assets. The body holds the Markdown
+/// report's tables plus each session's convergence chart.
 pub fn to_html(report: &Report) -> String {
-    // The Markdown tables carry exactly the data the page needs; rather
-    // than duplicating every table twice, render them into <pre> blocks
-    // and add the SVG convergence charts HTML can express and Markdown
-    // cannot.
     let mut out = String::new();
     out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    let _ = writeln!(
-        out,
-        "<title>jtune report — {}</title>",
-        html_escape(&report.title)
-    );
+    out.push_str("<title>jtune report — ");
+    escape_into(&mut out, &report.title);
+    out.push_str("</title>\n");
     out.push_str(
         "<style>\n\
 body{font:14px/1.45 system-ui,sans-serif;max-width:60rem;margin:2rem auto;padding:0 1rem;color:#123}\n\
@@ -276,112 +380,7 @@ svg .axis{font:10px system-ui,sans-serif;fill:#567}\n\
 code{background:#f0f2f5;padding:0 .2rem}\n\
 </style>\n</head>\n<body>\n",
     );
-    let _ = writeln!(out, "<h1>jtune report</h1>");
-    let _ = writeln!(
-        out,
-        "<p>Input: <code>{}</code> — {} session(s)</p>",
-        html_escape(&report.title),
-        report.sessions.len()
-    );
-    let _ = writeln!(out, "<h2>Overview</h2>");
-    out.push_str("<table><tr><th>session</th><th>program</th><th>default (s)</th><th>best (s)</th><th>improvement</th><th>evals</th></tr>\n");
-    for s in &report.sessions {
-        let _ = writeln!(
-            out,
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            html_escape(&s.label),
-            html_escape(&s.program),
-            secs(s.default_secs),
-            secs(s.best_secs),
-            pct(s.improvement_percent),
-            s.counters.evaluations,
-        );
-    }
-    out.push_str("</table>\n");
-    if let Some(d) = &report.daemon {
-        let _ = writeln!(out, "<h2>Daemon</h2>");
-        out.push_str("<table><tr><th>counter</th><th>value</th></tr>\n");
-        for (name, v) in d.rows() {
-            let _ = writeln!(out, "<tr><td>{name}</td><td>{v}</td></tr>");
-        }
-        out.push_str("</table>\n");
-    }
-    for s in &report.sessions {
-        let _ = writeln!(out, "<h2>{}</h2>", html_escape(&s.label));
-        let _ = writeln!(
-            out,
-            "<p>Program <code>{}</code>, best delta: <code>{}</code></p>",
-            html_escape(&s.program),
-            if s.best_delta.is_empty() {
-                "(default configuration)".to_string()
-            } else {
-                html_escape(&s.best_delta.join(" "))
-            }
-        );
-        let svg = convergence_svg(s);
-        if !svg.is_empty() {
-            let _ = writeln!(out, "<h3>Convergence</h3>");
-            let _ = writeln!(out, "{svg}");
-        }
-        let _ = writeln!(out, "<h3>Techniques</h3>");
-        out.push_str("<table><tr><th>technique</th><th>proposals</th><th>failures</th><th>wins</th><th>reward (s)</th><th>best (s)</th></tr>\n");
-        for t in &s.techniques {
-            let _ = writeln!(
-                out,
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                html_escape(&t.name),
-                t.proposals,
-                t.failures,
-                t.wins,
-                secs(t.reward_secs),
-                opt_secs(t.best_secs),
-            );
-        }
-        out.push_str("</table>\n");
-        let _ = writeln!(out, "<h3>Counters</h3>");
-        let c = &s.counters;
-        out.push_str("<table><tr><th>counter</th><th>value</th></tr>\n");
-        for (name, v) in [
-            ("evaluations", c.evaluations),
-            ("failures", c.failures),
-            ("cache hits", c.cache_hits),
-            ("duplicates suppressed", c.suppressed),
-            ("racing aborts", c.aborted),
-            ("retries", c.retried),
-            ("quarantined", c.quarantined),
-            ("screened", c.screened),
-            ("model fits", c.model_fits),
-            ("checkpoints", c.checkpoints),
-        ] {
-            let _ = writeln!(out, "<tr><td>{name}</td><td>{v}</td></tr>");
-        }
-        let _ = writeln!(
-            out,
-            "<tr><td>budget saved (s)</td><td>{}</td></tr>",
-            secs(c.saved_secs)
-        );
-        out.push_str("</table>\n");
-        let _ = writeln!(out, "<h3>Flag impact</h3>");
-        let rows = flag_rows(s);
-        if rows.is_empty() {
-            out.push_str("<p>No <code>-XX:</code> flags appeared in any trial delta.</p>\n");
-        } else {
-            out.push_str("<table><tr><th>flag</th><th>trials</th><th>ok</th><th>best (s)</th><th>mean (s)</th><th>in best</th></tr>\n");
-            for f in rows.iter().take(FLAG_ROWS) {
-                let _ = writeln!(
-                    out,
-                    "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                    html_escape(&f.flag),
-                    f.trials,
-                    f.successes,
-                    opt_secs(f.best_secs),
-                    opt_secs(f.mean_secs),
-                    if f.in_best > 0 { "yes" } else { "" },
-                );
-            }
-            out.push_str("</table>\n");
-        }
-    }
+    out.push_str(&page(report, Syntax::Html));
     out.push_str("</body>\n</html>\n");
     out
 }
@@ -424,19 +423,10 @@ fn session_json(s: &SessionSummary) -> String {
                 .finish()
         })
         .collect();
-    let c = &s.counters;
-    let counters = JsonObject::new()
-        .u64("evaluations", c.evaluations)
-        .u64("failures", c.failures)
-        .u64("cache_hits", c.cache_hits)
-        .u64("suppressed", c.suppressed)
-        .u64("aborted", c.aborted)
-        .u64("retried", c.retried)
-        .u64("quarantined", c.quarantined)
-        .u64("screened", c.screened)
-        .u64("model_fits", c.model_fits)
-        .u64("checkpoints", c.checkpoints)
-        .f64("saved_secs", c.saved_secs)
+    let counters = session_counters(&s.counters)
+        .iter()
+        .fold(JsonObject::new(), |o, (key, _, v)| o.u64(key, *v))
+        .f64("saved_secs", s.counters.saved_secs)
         .finish();
     let mut o = JsonObject::new()
         .str("label", &s.label)
@@ -466,14 +456,10 @@ pub fn to_json(report: &Report) -> String {
     let daemon = report.daemon.as_ref().map_or_else(
         || "null".to_string(),
         |d| {
-            JsonObject::new()
-                .u64("connections_rejected", d.connections_rejected)
-                .u64("frames_rejected", d.frames_rejected)
-                .u64("clients_retried", d.clients_retried)
-                .u64("workers_reconnected", d.workers_reconnected)
-                .u64("workers_registered", d.workers_registered)
-                .u64("trials_leased", d.trials_leased)
-                .u64("leases_expired", d.leases_expired)
+            DAEMON_COUNTERS
+                .iter()
+                .zip(d.0)
+                .fold(JsonObject::new(), |o, ((key, _), v)| o.u64(key, v))
                 .finish()
         },
     );
@@ -487,7 +473,7 @@ pub fn to_json(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::{ConvergencePoint, FlagImpact, SessionCounters};
+    use crate::summary::{ConvergencePoint, FlagImpact};
 
     fn sample() -> Report {
         Report {
@@ -541,18 +527,58 @@ mod tests {
         }
     }
 
-    fn sample_with_daemon() -> Report {
+    /// [`sample`] with daemon counters and 21 flags, so every block of
+    /// the page renders, the omitted-flags note included.
+    fn full_sample() -> Report {
         let mut r = sample();
-        r.daemon = Some(crate::load::DaemonCounters {
-            connections_rejected: 3,
-            frames_rejected: 2,
-            clients_retried: 5,
-            workers_reconnected: 1,
-            workers_registered: 4,
-            trials_leased: 40,
-            leases_expired: 2,
-        });
+        r.daemon = Some(crate::load::DaemonCounters([3, 2, 5, 1, 4, 40, 2]));
+        r.sessions[0].flags.extend((1..=20u64).map(|i| FlagImpact {
+            flag: format!("Flag{i:02}"),
+            trials: i % 4,
+            successes: i % 4 / 2,
+            best_secs: (i % 5 > 0).then(|| 8.0 + i as f64 / 8.0),
+            mean_secs: (i % 5 > 0).then(|| 9.0 + i as f64 / 3.0),
+            in_best: i % 2,
+        }));
         r
+    }
+
+    #[test]
+    fn markdown_matches_golden_bytes() {
+        // Written by the Markdown renderer that preceded the shared walk.
+        let golden = include_str!("../testdata/full_sample.md");
+        assert_eq!(to_markdown(&full_sample()), golden);
+    }
+
+    #[test]
+    fn html_shows_every_markdown_table_row_in_order() {
+        let r = full_sample();
+        let html = to_html(&r);
+        let md = to_markdown(&r);
+        let lines: Vec<&str> = md.lines().collect();
+        let (mut at, mut rows) = (0, 0);
+        for (i, line) in lines.iter().enumerate() {
+            if !line.starts_with("| ") {
+                continue;
+            }
+            let header = lines.get(i + 1).is_some_and(|l| l.starts_with("|---"));
+            let tag = if header { "th" } else { "td" };
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let mut tr = String::from("<tr>");
+            for cell in &cells[1..cells.len() - 1] {
+                let _ = write!(tr, "<{tag}>");
+                escape_into(&mut tr, cell);
+                let _ = write!(tr, "</{tag}>");
+            }
+            tr.push_str("</tr>");
+            let found = html[at..]
+                .find(&tr)
+                .unwrap_or_else(|| panic!("missing or out of order: {tr}\n{html}"));
+            at += found + tr.len();
+            rows += 1;
+        }
+        // Six tables: their header rows plus 1 + 7 + 2 + 1 + 11 + 20 rows.
+        assert_eq!(rows, 6 + 42);
     }
 
     #[test]
@@ -617,7 +643,7 @@ mod tests {
 
     #[test]
     fn daemon_counters_render_in_every_format() {
-        let r = sample_with_daemon();
+        let r = full_sample();
         let md = to_markdown(&r);
         assert!(md.contains("## Daemon"), "{md}");
         assert!(md.contains("| connections rejected | 3 |"), "{md}");

@@ -9,9 +9,9 @@
 //!   same table on every run, and parallel candidate evaluation must not
 //!   depend on thread scheduling.
 //! - [`stats`] — the statistics the measurement protocol needs: mean /
-//!   median / variance, confidence intervals, bootstrap resampling, and the
-//!   Mann-Whitney U test used to decide whether a tuned configuration is
-//!   *significantly* better than the default.
+//!   median / variance, percentiles, and the Mann-Whitney U test used to
+//!   decide whether a tuned configuration is *significantly* better than
+//!   the default.
 //! - [`simtime`] — a nanosecond-resolution simulated-time type (`SimTime`,
 //!   `SimDuration`) used by the JVM simulator's virtual clock and by the
 //!   tuner's budget accounting.

@@ -9,11 +9,6 @@
 //!   repeat-and-take-median protocol.
 //! - [`mann_whitney_u`]: non-parametric two-sample test — run times are
 //!   log-normal-ish, so a rank test is the right significance check.
-//! - [`bootstrap_mean_ci`]: percentile-bootstrap confidence interval for
-//!   reporting suite averages.
-//! - [`geometric_mean`]: SPEC-style suite aggregation.
-
-use crate::rng::Rng;
 
 /// One-pass descriptive statistics using Welford's online algorithm
 /// (numerically stable; see the Rust Performance Book's advice on avoiding
@@ -139,15 +134,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Geometric mean. Non-positive inputs are rejected with `None`.
-pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
-    Some((log_sum / xs.len() as f64).exp())
-}
-
 /// Result of a two-sample Mann-Whitney U test.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MannWhitney {
@@ -240,25 +226,6 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Percentile-bootstrap 95 % confidence interval for the mean.
-///
-/// Deterministic given the RNG; the experiments use a fixed seed so tables
-/// are reproducible.
-pub fn bootstrap_mean_ci<R: Rng>(xs: &[f64], resamples: usize, rng: &mut R) -> Option<(f64, f64)> {
-    if xs.is_empty() || resamples == 0 {
-        return None;
-    }
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..xs.len() {
-            sum += xs[rng.next_below(xs.len() as u64) as usize];
-        }
-        means.push(sum / xs.len() as f64);
-    }
-    Some((percentile(&means, 2.5), percentile(&means, 97.5)))
-}
-
 /// Relative improvement of `tuned` over `default` as the paper reports it:
 /// `(default − tuned) / tuned × 100` — "program X was improved by N %"
 /// meaning the tuned run is N % *faster* (speedup − 1).
@@ -275,7 +242,6 @@ pub fn improvement_percent(default_time: f64, tuned_time: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256pp;
 
     #[test]
     fn summary_matches_hand_computation() {
@@ -328,13 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[1.0, -1.0]), None);
-        assert_eq!(geometric_mean(&[]), None);
-    }
-
-    #[test]
     fn mann_whitney_detects_clear_separation() {
         let fast = [1.0, 1.1, 0.9, 1.05, 0.95, 1.02];
         let slow = [2.0, 2.1, 1.9, 2.05, 1.95, 2.02];
@@ -362,16 +321,6 @@ mod tests {
         assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((std_normal_cdf(1.96) - 0.975).abs() < 1e-3);
         assert!((std_normal_cdf(-1.96) - 0.025).abs() < 1e-3);
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_mean_for_tight_data() {
-        let xs: Vec<f64> = (0..50).map(|i| 100.0 + (i % 5) as f64).collect();
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let (lo, hi) = bootstrap_mean_ci(&xs, 500, &mut rng).unwrap();
-        let mean = Summary::from_slice(&xs).mean();
-        assert!(lo <= mean && mean <= hi, "[{lo}, {hi}] vs {mean}");
-        assert!(hi - lo < 2.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use hotspot_autotuner::server::{
     with_retries, Request, WorkerOptions, NET_FAULT_OPTIONS, SERVER_OPTIONS, SESSION_OPTIONS,
     WORKER_OPTIONS,
 };
-use hotspot_autotuner::tuner::analysis::{flag_impact, ImpactOptions};
+use hotspot_autotuner::tuner::analysis::{flag_impact, split_hitchhikers, ImpactOptions};
 use hotspot_autotuner::tuner::TUNER_OPTIONS;
 use hotspot_autotuner::util::cli::{self, Args, Opt, Table};
 use hotspot_autotuner::util::json;
@@ -225,24 +225,18 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
     if local.minimize {
         println!("\nmeasuring marginal flag impacts (reverting one at a time)...");
         let impact_executor = spec.with_fault(None).build();
-        let impacts = flag_impact(
-            impact_executor.as_ref(),
-            &result.best_config,
-            ImpactOptions::default(),
-        );
+        let opts = ImpactOptions::default();
+        let impacts = flag_impact(impact_executor.as_ref(), &result.best_config, opts);
+        let (load_bearing, hitchhikers) = split_hitchhikers(impacts, opts.hitchhiker_threshold);
         println!("{:<44} {:>10}", "flag", "impact");
-        for i in impacts.iter().filter(|i| i.impact_percent.abs() >= 0.75) {
+        for i in &load_bearing {
             println!(
                 "{:<44} {:>9.1}%",
                 format!("{}={}", i.name, i.value),
                 i.impact_percent
             );
         }
-        let hitch = impacts
-            .iter()
-            .filter(|i| i.impact_percent.abs() < 0.75)
-            .count();
-        println!("(+ {hitch} inert hitchhiker flags omitted)");
+        println!("(+ {} inert hitchhiker flags omitted)", hitchhikers.len());
     } else {
         println!("\nrecommended flags:");
         for f in &result.session.best_delta {

@@ -8,6 +8,7 @@ use std::process::{Command, Output};
 
 use hotspot_autotuner::experiments::suite_sessions;
 use hotspot_autotuner::prelude::*;
+use hotspot_autotuner::tuner::analysis::ImpactOptions;
 use hotspot_autotuner::util::json;
 
 fn jtune(args: &[&str]) -> Output {
@@ -277,6 +278,43 @@ fn argv_maps_to_the_pinned_session_signature() {
 
 /// `jtune suite` seeds program `i` by the one suite rule, so its records
 /// are the sessions the experiment drivers run under the same seed.
+#[test]
+fn minimize_lists_only_impacts_above_the_hitchhiker_threshold() {
+    let out = jtune(&[
+        "tune",
+        "serial",
+        "--budget",
+        "2",
+        "--seed",
+        "7",
+        "--minimize",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let table = stdout
+        .split_once("impact\n")
+        .map(|(_, rest)| rest)
+        .expect("impact table header");
+    let (rows, hitchhikers) = table
+        .split_once("(+ ")
+        .expect("hitchhiker line after the table");
+    assert!(
+        hitchhikers.ends_with(" inert hitchhiker flags omitted)\n"),
+        "{stdout}"
+    );
+    let threshold = ImpactOptions::default().hitchhiker_threshold;
+    assert!(!rows.is_empty(), "{stdout}");
+    for row in rows.lines() {
+        let impact: f64 = row
+            .split_whitespace()
+            .last()
+            .and_then(|v| v.strip_suffix('%'))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no impact in {row:?}"));
+        assert!(impact.abs() >= threshold, "{row:?} is a hitchhiker");
+    }
+}
+
 #[test]
 fn suite_seeds_programs_through_the_shared_rule() {
     let out = jtune(&["suite", "dacapo", "--seed", "7", "--budget", "1", "--json"]);
