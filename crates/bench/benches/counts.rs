@@ -16,7 +16,6 @@ use jtune_bench::{compare, Snapshot};
 use jtune_flags::{hotspot_registry, JvmConfig};
 use jtune_flagtree::hotspot_tree;
 use jtune_harness::SimExecutor;
-use jtune_jvmsim::JvmSim;
 use jtune_model::{FeatureEncoder, Surrogate};
 use jtune_server::wire::{parse_request, parse_response, render_request, render_response};
 use jtune_server::{read_frame, LeaseOffer, Request, Response, TrialOutcome};
@@ -64,7 +63,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// Per-call counts over seeded hierarchical candidates: `enforce` and
-/// `mutate` on the first 64, `JvmSim::run` on all 200,
+/// `mutate` on the first 64, a prepared `JvmSim` run on all 200,
 /// `Surrogate::fit` on the first 50 and on all 200 simulated results, and
 /// `Surrogate::predict` of the 200-result fit on the first 32.
 fn per_call(s: &mut Snapshot) {
@@ -85,11 +84,12 @@ fn per_call(s: &mut Snapshot) {
         }
     });
     s.push("core.mutate.allocs_per_call", mutate, 64);
-    let (sim, workload) = (JvmSim::new(), workload_by_name("serial").expect("built-in"));
+    // Runs prepared once, as every `SimExecutor` measures them.
+    let executor = SimExecutor::new(workload_by_name("serial").expect("built-in"));
     let mut secs = Vec::with_capacity(candidates.len());
     let (run, ()) = allocations(|| {
         for (seed, c) in (0..).zip(&candidates) {
-            secs.push(sim.run(registry, c, &workload, seed).total.as_secs_f64());
+            secs.push(executor.run_full(c, seed).total.as_secs_f64());
         }
     });
     s.push("jvmsim.run.allocs_per_call", run, secs.len() as u64);

@@ -49,7 +49,9 @@ impl Default for ImpactOptions {
     }
 }
 
-fn median_score(executor: &dyn Executor, config: &JvmConfig, opts: &ImpactOptions) -> f64 {
+/// Median run time of `config` over `opts.repeats` seeded runs, counting
+/// a failed run as infinitely slow.
+pub fn median_score(executor: &dyn Executor, config: &JvmConfig, opts: &ImpactOptions) -> f64 {
     let times: Vec<f64> = (0..opts.repeats.max(1))
         .map(|i| {
             let m = executor.measure(config, opts.seed.wrapping_add(i as u64));

@@ -6,9 +6,9 @@
 //! flag's marginal impact. Flags whose reversion changes nothing are the
 //! "hitchhikers" random search drags along — reported as a count.
 
+use autotuner_core::analysis::{flag_impact, median_score, ImpactOptions};
 use jtune_experiments::Experiment;
-use jtune_harness::{Executor, SimExecutor};
-use jtune_util::stats;
+use jtune_harness::SimExecutor;
 use jtune_util::table::{fpct, Align, Table};
 
 fn main() {
@@ -24,31 +24,20 @@ fn main() {
             &bus,
         );
         let ex = SimExecutor::new(w);
-        let registry = ex.registry();
         let best = &row.result.best_config;
-        // Median-of-5 scoring for stable ablation numbers.
-        let score = |c: &jtune_flags::JvmConfig| -> f64 {
-            let times: Vec<f64> = (0..5)
-                .map(|i| ex.measure(c, 0xABBA + i).time.as_secs_f64())
-                .collect();
-            stats::median(&times)
+        // Median-of-5 scoring for stable ablation numbers; a reversion
+        // that fails scores as infinitely slow.
+        let opts = ImpactOptions {
+            repeats: 5,
+            seed: 0xABBA,
+            hitchhiker_threshold: 0.25,
         };
-        let best_secs = score(best);
-        let delta = best.delta(registry);
-        let mut impacts: Vec<(String, f64)> = delta
+        let best_secs = median_score(&ex, best, &opts);
+        let impacts = flag_impact(&ex, best, opts);
+        let hitchhikers = impacts
             .iter()
-            .map(|d| {
-                let mut reverted = best.clone();
-                reverted.set(d.id, d.default);
-                let secs = score(&reverted);
-                (
-                    format!("{}={}", d.name, d.value),
-                    stats::improvement_percent(secs, best_secs),
-                )
-            })
-            .collect();
-        impacts.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let hitchhikers = impacts.iter().filter(|(_, i)| i.abs() < 0.25).count();
+            .filter(|i| i.impact_percent.abs() < opts.hitchhiker_threshold)
+            .count();
 
         println!(
             "== E6: {p} (default {:.2}s, tuned {:.2}s, {}) ==",
@@ -60,8 +49,11 @@ fn main() {
             &["flag setting", "marginal impact"],
             &[Align::Left, Align::Right],
         );
-        for (flag, impact) in impacts.iter().take(8) {
-            t.row(vec![flag.clone(), fpct(*impact)]);
+        for i in impacts.iter().take(8) {
+            t.row(vec![
+                format!("{}={}", i.name, i.value),
+                fpct(i.impact_percent),
+            ]);
         }
         print!("{}", t.render());
         println!(

@@ -5,7 +5,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use jtune_flags::{JvmConfig, Registry};
-use jtune_jvmsim::{JvmSim, Machine, RunFailure, Workload};
+use jtune_jvmsim::{JvmSim, Machine, PreparedRun, RunFailure, Workload};
 use jtune_util::cli::{self, Opt};
 use jtune_util::SimDuration;
 
@@ -79,11 +79,11 @@ pub trait Executor: Send + Sync {
     fn describe(&self) -> String;
 }
 
-/// Simulator-backed executor: one workload on one simulated machine.
+/// Simulator-backed executor: one workload on one simulated machine,
+/// prepared once ([`JvmSim::prepare`]) for every run it measures.
 #[derive(Clone, Debug)]
 pub struct SimExecutor {
-    sim: JvmSim,
-    workload: Workload,
+    run: PreparedRun,
     registry: &'static Registry,
     deadline: Option<SimDuration>,
 }
@@ -92,20 +92,15 @@ impl SimExecutor {
     /// Executor for `workload` on the default machine and built-in
     /// registry.
     pub fn new(workload: Workload) -> SimExecutor {
-        SimExecutor {
-            sim: JvmSim::new(),
-            workload,
-            registry: jtune_flags::hotspot_registry(),
-            deadline: None,
-        }
+        SimExecutor::on_machine(workload, Machine::default())
     }
 
     /// Executor on a specific machine.
     pub fn on_machine(workload: Workload, machine: Machine) -> SimExecutor {
+        let registry = jtune_flags::hotspot_registry();
         SimExecutor {
-            sim: JvmSim::on(machine),
-            workload,
-            registry: jtune_flags::hotspot_registry(),
+            run: JvmSim::on(machine).prepare(registry, workload),
+            registry,
             deadline: None,
         }
     }
@@ -122,18 +117,18 @@ impl SimExecutor {
 
     /// The workload being measured.
     pub fn workload(&self) -> &Workload {
-        &self.workload
+        self.run.workload()
     }
 
     /// Full outcome access (experiments report GC/JIT detail).
     pub fn run_full(&self, config: &JvmConfig, seed: u64) -> jtune_jvmsim::RunOutcome {
-        self.sim.run(self.registry, config, &self.workload, seed)
+        self.run.run(config, seed)
     }
 }
 
 impl Executor for SimExecutor {
     fn measure(&self, config: &JvmConfig, seed: u64) -> Measurement {
-        let outcome = self.sim.run(self.registry, config, &self.workload, seed);
+        let outcome = self.run.run(config, seed);
         if let Some(deadline) = self.deadline {
             if outcome.total > deadline {
                 return Measurement {
@@ -176,7 +171,7 @@ impl Executor for SimExecutor {
     }
 
     fn describe(&self) -> String {
-        format!("sim:{}", self.workload.name)
+        format!("sim:{}", self.run.workload().name)
     }
 }
 

@@ -9,6 +9,12 @@
 //! identity — so a run is bit-identical whether evaluated on 1 worker or
 //! 16.
 //!
+//! The calling thread is one of the workers: it takes slots off the same
+//! queue as the `workers - 1` helpers it spawns for the batch, so a
+//! one-worker batch spawns no thread and runs the very loop a wide one
+//! does. The helpers are joined by hand, and a panic in any slot, the
+//! caller's included, reaches the caller once the batch has drained.
+//!
 //! Telemetry obeys the same contract: workers never publish events
 //! directly. Per-candidate events are buffered in the result slots and
 //! flushed to the [`TelemetryBus`] in candidate order once the batch
@@ -38,8 +44,9 @@ pub(crate) fn seed_for(base_seed: u64, slot: usize) -> u64 {
 /// candidate order.
 ///
 /// Returns evaluations in candidate order. `workers == 0` or `1` runs
-/// inline (handy for debugging and deterministic profiling). Pass
-/// [`TelemetryBus::disabled`] to run unobserved.
+/// every candidate on the calling thread (handy for debugging and
+/// deterministic profiling). Pass [`TelemetryBus::disabled`] to run
+/// unobserved.
 ///
 /// Workers buffer their results in per-slot cells; the event flush
 /// happens here, after the batch joins, so the stream on `bus` does not
@@ -116,48 +123,29 @@ pub(crate) fn run_selected(
     workers: usize,
     baseline: Option<&[f64]>,
 ) -> Vec<(Evaluation, f64)> {
-    if workers <= 1 || selected.len() <= 1 {
-        return selected
-            .iter()
-            .map(|&i| {
-                let start = Instant::now();
-                let ev = protocol.evaluate_raced(
-                    executor,
-                    &candidates[i],
-                    seed_for(base_seed, i),
-                    baseline,
-                );
-                (ev, start.elapsed().as_secs_f64())
-            })
-            .collect();
-    }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<(Evaluation, f64)>>> =
         selected.iter().map(|_| Mutex::new(None)).collect();
-    let workers = workers.min(selected.len());
+    let work = || loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        if k >= selected.len() {
+            break;
+        }
+        let i = selected[k];
+        let start = Instant::now();
+        let ev =
+            protocol.evaluate_raced(executor, &candidates[i], seed_for(base_seed, i), baseline);
+        let wall = start.elapsed().as_secs_f64();
+        // A panicking sibling poisons the mutex but not the data:
+        // recover rather than cascading the panic into the daemon.
+        *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((ev, wall));
+    };
+    // The caller works the queue too, so it spawns one helper fewer than
+    // `workers`, and none for a single worker or a single slot.
+    let helpers = workers.min(selected.len()).saturating_sub(1);
     std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= selected.len() {
-                        break;
-                    }
-                    let i = selected[k];
-                    let start = Instant::now();
-                    let ev = protocol.evaluate_raced(
-                        executor,
-                        &candidates[i],
-                        seed_for(base_seed, i),
-                        baseline,
-                    );
-                    let wall = start.elapsed().as_secs_f64();
-                    // A panicking sibling poisons the mutex but not the data:
-                    // recover rather than cascading the panic into the daemon.
-                    *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((ev, wall));
-                })
-            })
-            .collect();
+        let threads: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        work();
         // Joined by hand: the scope's own join returns once the closures
         // finish, while the threads may still be exiting and holding
         // their malloc arenas, so the next batch's threads would take
@@ -184,6 +172,8 @@ mod tests {
     use crate::executor::SimExecutor;
     use jtune_flags::{FlagValue, JvmConfig};
     use jtune_jvmsim::Workload;
+    use jtune_telemetry::MemoryRecorder;
+    use std::sync::Arc;
 
     fn executor() -> SimExecutor {
         let mut w = Workload::baseline("pool-test");
@@ -282,6 +272,71 @@ mod tests {
                 partial[k].0.samples, full[i].0.samples,
                 "slot {i} seed drifted"
             );
+        }
+    }
+
+    /// Evaluations and the event bytes a traced caller would flush, for
+    /// `selected` at `workers`.
+    fn traced(ex: &SimExecutor, cs: &[JvmConfig], selected: &[usize], workers: usize) -> String {
+        let recorder = Arc::new(MemoryRecorder::new());
+        let bus = TelemetryBus::new().with(recorder.clone());
+        let timed = run_selected(ex, Protocol::default(), cs, selected, 17, workers, None);
+        let mut evals = String::new();
+        for (&slot, (ev, _)) in selected.iter().zip(&timed) {
+            emit_measured(&bus, slot, ev);
+            evals += &format!("{slot}: {ev:?}\n");
+        }
+        evals + &recorder.to_jsonl()
+    }
+
+    #[test]
+    fn every_width_gives_identical_evaluations_and_events() {
+        let ex = executor();
+        let cs = candidates(&ex, 12);
+        let full: Vec<usize> = (0..cs.len()).collect();
+        for selected in [&full[..], &[1, 4, 6], &[0, 2, 3, 5, 7, 9, 11], &[10]] {
+            let one = traced(&ex, &cs, selected, 1);
+            for workers in [2, 3, 8] {
+                let wide = traced(&ex, &cs, selected, workers);
+                assert_eq!(wide, one, "{workers} workers over {selected:?}");
+            }
+        }
+        let recorder = Arc::new(MemoryRecorder::new());
+        let bus = TelemetryBus::new().with(recorder.clone());
+        evaluate_batch(&ex, Protocol::default(), &cs, 17, 3, &bus);
+        assert!(traced(&ex, &cs, &full, 1).ends_with(&recorder.to_jsonl()));
+    }
+
+    /// Panics measuring the configuration with `CompileThreshold = 2000`,
+    /// slot 2 of [`candidates`].
+    struct PanicsOnSlotTwo(SimExecutor);
+
+    impl Executor for PanicsOnSlotTwo {
+        fn measure(&self, config: &JvmConfig, seed: u64) -> crate::Measurement {
+            let threshold = config.get_by_name(self.registry(), "CompileThreshold");
+            assert_ne!(threshold, Some(FlagValue::Int(2000)), "slot 2 panics");
+            self.0.measure(config, seed)
+        }
+
+        fn registry(&self) -> &jtune_flags::Registry {
+            self.0.registry()
+        }
+
+        fn describe(&self) -> String {
+            "panics-on-slot-two".into()
+        }
+    }
+
+    #[test]
+    fn a_panic_in_any_slot_reaches_the_caller() {
+        let ex = PanicsOnSlotTwo(executor());
+        let cs = candidates(&ex.0, 6);
+        let all: Vec<usize> = (0..cs.len()).collect();
+        // One worker: the caller runs slot 2 itself. Three: any thread may.
+        for workers in [1, 3] {
+            let run = || run_selected(&ex, Protocol::default(), &cs, &all, 5, workers, None);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            assert!(caught.is_err(), "{workers} workers swallowed the panic");
         }
     }
 

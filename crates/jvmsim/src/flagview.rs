@@ -2,15 +2,65 @@
 //!
 //! [`FlagView::resolve`] reads a [`JvmConfig`] once per run and produces a
 //! plain struct the simulation loop consumes — no name lookups or enum
-//! matching in hot paths. Resolution also performs HotSpot's *ergonomics*:
+//! matching in hot paths. It reads through a table of [`FlagId`]s that a
+//! prepared run looks up once per registry, so resolving hashes no names.
+//! Resolution also performs HotSpot's *ergonomics*:
 //! `ParallelGCThreads = 0` becomes the machine-derived default,
 //! `CMSInitiatingOccupancyFraction = -1` becomes the classic
 //! `(100 - MinHeapFreeRatio) + …` formula, `-Xms > -Xmx` is corrected with
 //! a warning, and so on.
 
-use jtune_flags::{JvmConfig, Registry};
+use jtune_flags::{FlagId, JvmConfig, Registry};
 
 use crate::machine::Machine;
+
+/// Declares [`FlagIds`] with one field per flag name.
+macro_rules! flag_ids {
+    ($($name:ident)*) => {
+        /// The [`FlagId`] of every flag [`FlagView`] reads, looked up by
+        /// name once per registry: resolving a configuration then hashes
+        /// no names.
+        #[allow(non_snake_case)]
+        #[derive(Clone, Debug)]
+        pub(crate) struct FlagIds {
+            $($name: FlagId,)*
+        }
+
+        impl FlagIds {
+            /// Look every flag up in `registry`, which must define them all.
+            pub(crate) fn new(registry: &Registry) -> FlagIds {
+                FlagIds {
+                    $($name: registry
+                        .id(stringify!($name))
+                        .unwrap_or_else(|| panic!("flag {} missing", stringify!($name))),)*
+                }
+            }
+        }
+    };
+}
+
+flag_ids! {
+    UseSerialGC UseConcMarkSweepGC UseG1GC UseParallelGC UseParNewGC MaxHeapSize
+    InitialHeapSize NewRatio NewSize MaxNewSize SurvivorRatio MaxTenuringThreshold
+    ParallelGCThreads ConcGCThreads CMSInitiatingOccupancyFraction MinHeapFreeRatio
+    CMSTriggerRatio G1HeapRegionSize UseCompressedOops AllocatePrefetchDistance
+    TieredCompilation TargetSurvivorRatio NeverTenure AlwaysTenure AlwaysPreTouch
+    UseAdaptiveSizePolicy MaxGCPauseMillis GCTimeRatio ParallelRefProcEnabled DisableExplicitGC
+    UseCMSInitiatingOccupancyOnly CMSIncrementalMode CMSIncrementalDutyCycle
+    CMSScavengeBeforeRemark CMSParallelRemarkEnabled UseCMSCompactAtFullCollection
+    G1ReservePercent InitiatingHeapOccupancyPercent G1NewSizePercent G1MaxNewSizePercent
+    G1HeapWastePercent G1MixedGCCountTarget G1EagerReclaimHumongousObjects UseCompiler
+    TieredStopAtLevel CompileThreshold Tier3CompileThreshold Tier4CompileThreshold
+    CICompilerCount BackgroundCompilation UseOnStackReplacement ProfileInterpreter
+    DontCompileHugeMethods Inline MaxInlineSize FreqInlineSize InlineSmallCode MaxInlineLevel
+    InlineAccessors InlineMathNatives ReservedCodeCacheSize UseCodeCacheFlushing
+    DoEscapeAnalysis EliminateAllocations EliminateLocks UseSuperWord LoopUnrollLimit
+    AggressiveOpts UseBiasedLocking BiasedLockingStartupDelay UseSpinning PreBlockSpin
+    UseHeavyMonitors UseTLAB ResizeTLAB TLABSize TLABWasteTargetPercent ZeroTLAB
+    ObjectAlignmentInBytes UseLargePages UseNUMA AllocatePrefetchStyle AllocatePrefetchLines
+    GuaranteedSafepointInterval UseMembar UseSharedSpaces BytecodeVerificationRemote
+    BytecodeVerificationLocal UseFastAccessorMethods StackTraceInThrowable
+}
 
 /// Which collector the configuration selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -237,6 +287,251 @@ impl FlagView {
         config: &JvmConfig,
         machine: &Machine,
     ) -> Result<(FlagView, Vec<String>), String> {
+        FlagView::resolve_ids(&FlagIds::new(registry), config, machine)
+    }
+
+    /// [`FlagView::resolve`] through ids looked up beforehand: a prepared
+    /// run resolves every configuration with one table.
+    pub(crate) fn resolve_ids(
+        ids: &FlagIds,
+        config: &JvmConfig,
+        machine: &Machine,
+    ) -> Result<(FlagView, Vec<String>), String> {
+        let mut warnings = Vec::new();
+        let b = |id: FlagId| -> bool {
+            config
+                .get(id)
+                .as_bool()
+                .unwrap_or_else(|| panic!("flag {id:?} is not bool"))
+        };
+        let int = |id: FlagId| -> f64 {
+            config
+                .get(id)
+                .as_int()
+                .unwrap_or_else(|| panic!("flag {id:?} is not int")) as f64
+        };
+
+        // Collector selection. Like real HotSpot, *conflicting collector
+        // combinations are fatal*: enabling more than one of the exclusive
+        // selection flags refuses to start ("Conflicting collector
+        // combinations in option list"). This is exactly the dependency
+        // problem the paper's flag hierarchy exists to resolve — a
+        // structure-blind tuner pays for it in crashed evaluations.
+        let exclusive = [
+            b(ids.UseSerialGC),
+            b(ids.UseConcMarkSweepGC),
+            b(ids.UseG1GC),
+        ];
+        let enabled = exclusive.iter().filter(|&&x| x).count()
+            + (b(ids.UseParallelGC) && (exclusive[0] || exclusive[1] || exclusive[2])) as usize;
+        if enabled > 1 {
+            return Err("Conflicting collector combinations in option list".into());
+        }
+        if b(ids.UseParNewGC) && !b(ids.UseConcMarkSweepGC) {
+            return Err("UseParNewGC is only valid with UseConcMarkSweepGC".into());
+        }
+        let collector = if b(ids.UseG1GC) {
+            CollectorKind::G1
+        } else if b(ids.UseConcMarkSweepGC) {
+            CollectorKind::Cms
+        } else if b(ids.UseSerialGC) {
+            CollectorKind::Serial
+        } else {
+            CollectorKind::Parallel
+        };
+
+        // Heap sizing.
+        let xmx = int(ids.MaxHeapSize);
+        if xmx <= 0.0 {
+            return Err("MaxHeapSize must be positive".into());
+        }
+        let mut xms = int(ids.InitialHeapSize);
+        if xms > xmx {
+            warnings.push(format!(
+                "InitialHeapSize ({xms}) larger than MaxHeapSize ({xmx}); using MaxHeapSize"
+            ));
+            xms = xmx;
+        }
+
+        // Young generation: explicit NewSize/MaxNewSize beat NewRatio.
+        let new_ratio = int(ids.NewRatio).max(1.0);
+        let by_ratio = xmx / (new_ratio + 1.0);
+        let new_size = int(ids.NewSize);
+        let max_new = int(ids.MaxNewSize);
+        let mut young = if max_new < xmx {
+            // User constrained the young gen explicitly.
+            max_new.min(by_ratio.max(new_size))
+        } else {
+            by_ratio
+        };
+        young = young.clamp(1e6, 0.95 * xmx);
+
+        let survivor_ratio = int(ids.SurvivorRatio).max(1.0);
+        let max_tenuring = int(ids.MaxTenuringThreshold).clamp(0.0, 15.0) as u32;
+
+        // GC threads.
+        let pgct = int(ids.ParallelGCThreads) as u32;
+        let parallel_gc_threads = if pgct == 0 {
+            machine.default_parallel_gc_threads()
+        } else {
+            pgct
+        }
+        .max(1);
+        let cgct = int(ids.ConcGCThreads) as u32;
+        let conc_gc_threads = if cgct == 0 {
+            parallel_gc_threads.div_ceil(4)
+        } else {
+            cgct
+        }
+        .max(1);
+
+        // CMS trigger: -1 resolves to the classic ergonomic formula.
+        let cms_raw = int(ids.CMSInitiatingOccupancyFraction);
+        let cms_initiating = if cms_raw < 0.0 {
+            let min_free = int(ids.MinHeapFreeRatio);
+            ((100.0 - min_free) + (int(ids.CMSTriggerRatio) / 100.0) * min_free).clamp(0.0, 100.0)
+        } else {
+            cms_raw
+        };
+
+        // G1 region size: 0 resolves ergonomically to heap/2048 clamped to
+        // [1 MB, 32 MB], rounded to a power of two.
+        let g1_raw = int(ids.G1HeapRegionSize);
+        let g1_region_size = if g1_raw <= 0.0 {
+            let target = (xmx / 2048.0).clamp(1e6, 32.0 * 1024.0 * 1024.0);
+            2f64.powf(target.log2().round())
+                .clamp(1048576.0, 33554432.0)
+        } else {
+            g1_raw.max(1048576.0)
+        };
+
+        // Compressed oops are unusable above ~32 GB.
+        let mut compressed_oops = b(ids.UseCompressedOops);
+        if compressed_oops && xmx > 32.0 * (1u64 << 30) as f64 {
+            warnings.push("UseCompressedOops disabled: heap exceeds 32 GB".into());
+            compressed_oops = false;
+        }
+
+        let prefetch_distance_raw = int(ids.AllocatePrefetchDistance);
+        let prefetch_distance = if prefetch_distance_raw < 0.0 {
+            192.0
+        } else {
+            prefetch_distance_raw
+        };
+
+        let tiered = b(ids.TieredCompilation);
+        let view = FlagView {
+            xms,
+            xmx,
+            young_size: young,
+            survivor_ratio,
+            target_survivor: int(ids.TargetSurvivorRatio),
+            max_tenuring,
+            never_tenure: b(ids.NeverTenure),
+            always_tenure: b(ids.AlwaysTenure),
+            always_pretouch: b(ids.AlwaysPreTouch),
+            collector,
+            parallel_gc_threads,
+            conc_gc_threads,
+            use_adaptive_size: b(ids.UseAdaptiveSizePolicy),
+            max_gc_pause_ms: int(ids.MaxGCPauseMillis),
+            gc_time_ratio: int(ids.GCTimeRatio).max(1.0),
+            parallel_ref_proc: b(ids.ParallelRefProcEnabled),
+            disable_explicit_gc: b(ids.DisableExplicitGC),
+            cms_initiating,
+            cms_occupancy_only: b(ids.UseCMSInitiatingOccupancyOnly),
+            cms_incremental: b(ids.CMSIncrementalMode),
+            cms_duty_cycle: int(ids.CMSIncrementalDutyCycle),
+            cms_scavenge_before_remark: b(ids.CMSScavengeBeforeRemark),
+            cms_parallel_remark: b(ids.CMSParallelRemarkEnabled),
+            cms_compact_at_full: b(ids.UseCMSCompactAtFullCollection),
+            g1_region_size,
+            g1_reserve_pct: int(ids.G1ReservePercent),
+            g1_ihop: int(ids.InitiatingHeapOccupancyPercent),
+            g1_new_pct: int(ids.G1NewSizePercent),
+            g1_max_new_pct: int(ids.G1MaxNewSizePercent),
+            g1_heap_waste_pct: int(ids.G1HeapWastePercent),
+            g1_mixed_count_target: int(ids.G1MixedGCCountTarget).max(1.0) as u32,
+            g1_eager_humongous: b(ids.G1EagerReclaimHumongousObjects),
+            use_compiler: b(ids.UseCompiler),
+            tiered,
+            tiered_stop_level: int(ids.TieredStopAtLevel).clamp(0.0, 4.0) as u32,
+            compile_threshold: int(ids.CompileThreshold).max(1.0),
+            tier3_threshold: int(ids.Tier3CompileThreshold).max(1.0),
+            tier4_threshold: int(ids.Tier4CompileThreshold).max(1.0),
+            ci_compiler_count: (int(ids.CICompilerCount) as u32).max(1),
+            background_compilation: b(ids.BackgroundCompilation),
+            use_osr: b(ids.UseOnStackReplacement),
+            profile_interpreter: b(ids.ProfileInterpreter),
+            dont_compile_huge: b(ids.DontCompileHugeMethods),
+            inline: b(ids.Inline),
+            max_inline_size: int(ids.MaxInlineSize),
+            freq_inline_size: int(ids.FreqInlineSize),
+            inline_small_code: int(ids.InlineSmallCode),
+            max_inline_level: int(ids.MaxInlineLevel) as u32,
+            inline_accessors: b(ids.InlineAccessors),
+            inline_math: b(ids.InlineMathNatives),
+            code_cache_size: int(ids.ReservedCodeCacheSize),
+            code_cache_flushing: b(ids.UseCodeCacheFlushing),
+            escape_analysis: b(ids.DoEscapeAnalysis),
+            eliminate_allocations: b(ids.EliminateAllocations),
+            eliminate_locks: b(ids.EliminateLocks),
+            use_superword: b(ids.UseSuperWord),
+            loop_unroll_limit: int(ids.LoopUnrollLimit),
+            aggressive_opts: b(ids.AggressiveOpts),
+            biased_locking: b(ids.UseBiasedLocking),
+            biased_delay_ms: int(ids.BiasedLockingStartupDelay),
+            use_spinning: b(ids.UseSpinning),
+            pre_block_spin: int(ids.PreBlockSpin),
+            heavy_monitors: b(ids.UseHeavyMonitors),
+            use_tlab: b(ids.UseTLAB),
+            resize_tlab: b(ids.ResizeTLAB),
+            tlab_size: int(ids.TLABSize),
+            tlab_waste_target: int(ids.TLABWasteTargetPercent),
+            zero_tlab: b(ids.ZeroTLAB),
+            compressed_oops,
+            object_alignment: int(ids.ObjectAlignmentInBytes) as u32,
+            large_pages: b(ids.UseLargePages),
+            use_numa: b(ids.UseNUMA),
+            prefetch_style: int(ids.AllocatePrefetchStyle) as u32,
+            prefetch_distance,
+            prefetch_lines: int(ids.AllocatePrefetchLines),
+            safepoint_interval_ms: int(ids.GuaranteedSafepointInterval),
+            use_membar: b(ids.UseMembar),
+            shared_spaces: b(ids.UseSharedSpaces),
+            verify_remote: b(ids.BytecodeVerificationRemote),
+            verify_local: b(ids.BytecodeVerificationLocal),
+            fast_accessors: b(ids.UseFastAccessorMethods),
+            stack_traces: b(ids.StackTraceInThrowable),
+        };
+        Ok((view, warnings))
+    }
+
+    /// Eden size implied by young size and survivor ratio.
+    pub fn eden_size(&self) -> f64 {
+        self.young_size * self.survivor_ratio / (self.survivor_ratio + 2.0)
+    }
+
+    /// Size of one survivor space.
+    pub fn survivor_size(&self) -> f64 {
+        self.young_size / (self.survivor_ratio + 2.0)
+    }
+
+    /// Old-generation capacity.
+    pub fn old_size(&self) -> f64 {
+        (self.xmx - self.young_size).max(0.0)
+    }
+}
+
+/// Resolution by name as it was before runs were prepared, kept as the
+/// reference [`FlagView::resolve_ids`] is tested against.
+#[cfg(test)]
+impl FlagView {
+    pub(crate) fn reference_resolve(
+        registry: &Registry,
+        config: &JvmConfig,
+        machine: &Machine,
+    ) -> Result<(FlagView, Vec<String>), String> {
         let mut warnings = Vec::new();
         let b = |name: &str| -> bool {
             config
@@ -441,21 +736,6 @@ impl FlagView {
             stack_traces: b("StackTraceInThrowable"),
         };
         Ok((view, warnings))
-    }
-
-    /// Eden size implied by young size and survivor ratio.
-    pub fn eden_size(&self) -> f64 {
-        self.young_size * self.survivor_ratio / (self.survivor_ratio + 2.0)
-    }
-
-    /// Size of one survivor space.
-    pub fn survivor_size(&self) -> f64 {
-        self.young_size / (self.survivor_ratio + 2.0)
-    }
-
-    /// Old-generation capacity.
-    pub fn old_size(&self) -> f64 {
-        (self.xmx - self.young_size).max(0.0)
     }
 }
 

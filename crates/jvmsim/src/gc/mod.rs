@@ -2,8 +2,9 @@
 //!
 //! [`GcModel`] owns the heap state and collector behaviour for one run.
 //! The simulation engine feeds it allocation ([`GcModel::allocate`]) and
-//! elapsed mutator time ([`GcModel::tick_concurrent`]); the model replies
-//! with stop-the-world [`GcEvent`]s and a concurrent-drag fraction.
+//! elapsed mutator time ([`GcModel::tick_concurrent`]); the model appends
+//! the stop-the-world [`GcEvent`]s they cause to one buffer the engine
+//! owns, and replies with a concurrent-drag fraction.
 //!
 //! Collector-specific pause-cost functions live in the per-collector
 //! modules ([`serial`], [`parallel`], [`cms`], [`g1`]); this module holds
@@ -153,10 +154,9 @@ impl GcModel {
         }
     }
 
-    /// Feed `bytes` of allocation into the heap, returning the STW events
-    /// it caused. Humongous allocation bypasses eden under G1.
-    pub fn allocate(&mut self, bytes: f64) -> Result<Vec<GcEvent>, RunFailure> {
-        let mut events = Vec::new();
+    /// Feed `bytes` of allocation into the heap, appending the STW events
+    /// it causes to `events`. Humongous allocation bypasses eden under G1.
+    pub fn allocate(&mut self, bytes: f64, events: &mut Vec<GcEvent>) -> Result<(), RunFailure> {
         let humongous = bytes * self.humongous_fraction;
         let ordinary = bytes - humongous;
         if humongous > 0.0 {
@@ -171,20 +171,19 @@ impl GcModel {
         self.state.eden_used += ordinary;
         self.peak_used = self.peak_used.max(self.state.used());
         while self.state.eden_used >= self.geometry.eden {
-            self.young_gc(&mut events)?;
+            self.young_gc(events)?;
         }
-        self.maybe_start_cycle(&mut events);
-        self.maybe_expand(&mut events);
-        Ok(events)
+        self.maybe_start_cycle(events);
+        self.maybe_expand(events);
+        Ok(())
     }
 
     /// Advance concurrent GC work by `dt` seconds of wall time. Returns the
-    /// fraction of mutator throughput stolen by concurrent GC threads plus
-    /// any pauses the cycle completion triggers.
-    pub fn tick_concurrent(&mut self, dt: f64) -> (f64, Vec<GcEvent>) {
-        let mut events = Vec::new();
+    /// fraction of mutator throughput stolen by concurrent GC threads, and
+    /// appends any pauses the cycle completion triggers to `events`.
+    pub fn tick_concurrent(&mut self, dt: f64, events: &mut Vec<GcEvent>) -> f64 {
         let CyclePhase::Running { remaining } = self.cycle else {
-            return (0.0, events);
+            return 0.0;
         };
         let duty = if self.view.collector == CollectorKind::Cms && self.view.cms_incremental {
             (self.view.cms_duty_cycle / 100.0).clamp(0.05, 1.0)
@@ -195,13 +194,13 @@ impl GcModel {
         let progress = dt * threads * duty;
         let drag = ((threads * duty) / self.machine.cores as f64).min(0.4);
         if progress >= remaining {
-            self.finish_cycle(&mut events);
+            self.finish_cycle(events);
         } else {
             self.cycle = CyclePhase::Running {
                 remaining: remaining - progress,
             };
         }
-        (drag, events)
+        drag
     }
 
     // ---- young collection ----
@@ -547,6 +546,62 @@ pub(crate) fn effective_threads(configured: u32, cores: u32) -> f64 {
     }
 }
 
+/// The event-returning calls the engine used before it owned one event
+/// buffer, kept as the reference the prepared engine is tested against.
+#[cfg(test)]
+impl GcModel {
+    /// Feed `bytes` of allocation into the heap, returning the STW events
+    /// it caused. Humongous allocation bypasses eden under G1.
+    pub(crate) fn reference_allocate(&mut self, bytes: f64) -> Result<Vec<GcEvent>, RunFailure> {
+        let mut events = Vec::new();
+        let humongous = bytes * self.humongous_fraction;
+        let ordinary = bytes - humongous;
+        if humongous > 0.0 {
+            // Region-rounding waste under G1; large-object slop elsewhere.
+            let waste = if self.view.collector == CollectorKind::G1 {
+                1.25
+            } else {
+                1.05
+            };
+            self.state.humongous += humongous * waste;
+        }
+        self.state.eden_used += ordinary;
+        self.peak_used = self.peak_used.max(self.state.used());
+        while self.state.eden_used >= self.geometry.eden {
+            self.young_gc(&mut events)?;
+        }
+        self.maybe_start_cycle(&mut events);
+        self.maybe_expand(&mut events);
+        Ok(events)
+    }
+
+    /// Advance concurrent GC work by `dt` seconds of wall time. Returns the
+    /// fraction of mutator throughput stolen by concurrent GC threads plus
+    /// any pauses the cycle completion triggers.
+    pub(crate) fn reference_tick_concurrent(&mut self, dt: f64) -> (f64, Vec<GcEvent>) {
+        let mut events = Vec::new();
+        let CyclePhase::Running { remaining } = self.cycle else {
+            return (0.0, events);
+        };
+        let duty = if self.view.collector == CollectorKind::Cms && self.view.cms_incremental {
+            (self.view.cms_duty_cycle / 100.0).clamp(0.05, 1.0)
+        } else {
+            1.0
+        };
+        let threads = self.view.conc_gc_threads as f64;
+        let progress = dt * threads * duty;
+        let drag = ((threads * duty) / self.machine.cores as f64).min(0.4);
+        if progress >= remaining {
+            self.finish_cycle(&mut events);
+        } else {
+            self.cycle = CyclePhase::Running {
+                remaining: remaining - progress,
+            };
+        }
+        (drag, events)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,13 +621,10 @@ mod tests {
     fn pump(model: &mut GcModel, bytes: f64, steps: usize) -> Vec<GcEvent> {
         let mut all = Vec::new();
         for _ in 0..steps {
-            all.extend(
-                model
-                    .allocate(bytes / steps as f64)
-                    .expect("no OOM expected"),
-            );
-            let (_, ev) = model.tick_concurrent(0.05);
-            all.extend(ev);
+            model
+                .allocate(bytes / steps as f64, &mut all)
+                .expect("no OOM expected");
+            model.tick_concurrent(0.05, &mut all);
         }
         all
     }
@@ -629,7 +681,7 @@ mod tests {
         let mut m = model_with(&[("UseAdaptiveSizePolicy", FlagValue::Bool(false))], &wl);
         let mut oom = false;
         for _ in 0..4000 {
-            match m.allocate(10e6) {
+            match m.allocate(10e6, &mut Vec::new()) {
                 Ok(_) => {}
                 Err(RunFailure::OutOfMemory) => {
                     oom = true;
@@ -677,10 +729,11 @@ mod tests {
         // Very fast allocation with a late trigger: old gen fills before a
         // cycle can help.
         for _ in 0..2000 {
-            if m.allocate(5e6).is_err() {
+            let mut events = Vec::new();
+            if m.allocate(5e6, &mut events).is_err() {
                 break;
             }
-            let _ = m.tick_concurrent(0.001);
+            m.tick_concurrent(0.001, &mut events);
         }
         assert!(m.failures > 0, "expected concurrent-mode failures");
     }

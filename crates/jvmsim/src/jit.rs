@@ -154,6 +154,10 @@ struct Bucket {
 #[derive(Clone, Debug)]
 pub struct JitModel {
     buckets: Vec<Bucket>,
+    /// [`JitModel::speed_factor`], kept by [`JitModel::retier`].
+    speed: f64,
+    /// Call share of the buckets at C2, kept by [`JitModel::retier`].
+    c2_share: f64,
     speeds: TierSpeeds,
     /// Outstanding compile work, in compiler-thread seconds.
     backlog: Vec<(usize, Tier, f64)>,
@@ -181,29 +185,44 @@ pub struct JitModel {
     flushing: bool,
 }
 
+/// The workload's hot methods folded into at most [`BUCKETS`] rank
+/// buckets of equal rank width, as `(call_share, methods)`: the bucket's
+/// share of all dynamic calls under the Zipf weights, and its method
+/// count. It depends only on the workload, so a prepared run computes it
+/// once instead of one `powf` per hot method per run.
+pub(crate) fn zipf_buckets(wl: &Workload) -> Vec<(f64, f64)> {
+    let n = wl.hot_methods.max(1) as usize;
+    let s = wl.hotness_skew;
+    let mut rank_w: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).collect();
+    let total: f64 = rank_w.iter().sum();
+    for w in &mut rank_w {
+        *w /= total;
+    }
+    let per = n.div_ceil(BUCKETS);
+    rank_w
+        .chunks(per)
+        .map(|chunk| (chunk.iter().sum(), chunk.len() as f64))
+        .collect()
+}
+
 impl JitModel {
     /// Build the model for one run.
     pub fn new(view: &FlagView, wl: &Workload) -> JitModel {
-        // Zipf weights over method ranks, folded into BUCKETS groups of
-        // equal rank width.
-        let n = wl.hot_methods.max(1) as usize;
-        let s = wl.hotness_skew;
-        let mut rank_w: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).collect();
-        let total: f64 = rank_w.iter().sum();
-        for w in &mut rank_w {
-            *w /= total;
-        }
-        let per = n.div_ceil(BUCKETS);
-        let mut buckets = Vec::with_capacity(BUCKETS);
-        for chunk in rank_w.chunks(per) {
-            buckets.push(Bucket {
-                call_share: chunk.iter().sum(),
-                methods: chunk.len() as f64,
+        JitModel::with_buckets(view, wl, &zipf_buckets(wl))
+    }
+
+    /// Build the model for one run over the workload's [`zipf_buckets`].
+    pub(crate) fn with_buckets(view: &FlagView, wl: &Workload, shares: &[(f64, f64)]) -> JitModel {
+        let buckets: Vec<Bucket> = shares
+            .iter()
+            .map(|&(call_share, methods)| Bucket {
+                call_share,
+                methods,
                 invocations: 0.0,
                 tier: Tier::Interp,
                 queued: None,
-            });
-        }
+            })
+            .collect();
 
         // Inlining inflates C2 compile cost and code size.
         let cov = inline_coverage(view, wl);
@@ -223,8 +242,10 @@ impl JitModel {
         } else {
             (f64::INFINITY, view.compile_threshold)
         };
-        JitModel {
+        let mut model = JitModel {
             buckets,
+            speed: 0.0,
+            c2_share: 0.0,
             speeds: tier_speeds(view, wl),
             backlog: Vec::new(),
             code_cache_used: 0.0,
@@ -245,11 +266,15 @@ impl JitModel {
             ci_threads: view.ci_compiler_count as f64,
             background: view.background_compilation,
             flushing: view.code_cache_flushing,
-        }
+        };
+        model.retier();
+        model
     }
 
-    /// Current mutator speed factor relative to the interpreter (≥ ~1).
-    pub fn speed_factor(&self) -> f64 {
+    /// Recompute the sums over the buckets' tiers, in bucket order. Only a
+    /// tier change moves them, so caching them between changes keeps
+    /// every bit.
+    fn retier(&mut self) {
         let mut f = 0.0;
         for b in &self.buckets {
             let tier_speed = match b.tier {
@@ -259,7 +284,18 @@ impl JitModel {
             };
             f += b.call_share * tier_speed;
         }
-        f.max(0.05)
+        self.speed = f.max(0.05);
+        self.c2_share = self
+            .buckets
+            .iter()
+            .filter(|b| b.tier == Tier::C2)
+            .map(|b| b.call_share)
+            .sum::<f64>();
+    }
+
+    /// Current mutator speed factor relative to the interpreter (≥ ~1).
+    pub fn speed_factor(&self) -> f64 {
+        self.speed
     }
 
     /// Advance the model by `work` units retired over `dt_secs` of mutator
@@ -269,21 +305,16 @@ impl JitModel {
     /// (non-zero only with `-XX:-BackgroundCompilation`).
     pub fn advance(&mut self, work: f64, dt_secs: f64, calls_per_unit: f64) -> f64 {
         self.total_work += work;
-        self.c2_work += work
-            * self
-                .buckets
-                .iter()
-                .filter(|b| b.tier == Tier::C2)
-                .map(|b| b.call_share)
-                .sum::<f64>();
+        self.c2_work += work * self.c2_share;
         if !self.use_compiler {
             return 0.0;
         }
         let calls = work * calls_per_unit;
         let mut stall = 0.0;
-        // Threshold crossings enqueue compiles.
+        // Threshold crossings enqueue compiles. A bucket at the top tier
+        // never compiles again, so its invocations are not counted.
         for (i, b) in self.buckets.iter_mut().enumerate() {
-            if b.methods == 0.0 || b.call_share == 0.0 {
+            if b.tier == self.stop_at || b.methods == 0.0 || b.call_share == 0.0 {
                 continue;
             }
             b.invocations += calls * b.call_share / b.methods;
@@ -349,6 +380,7 @@ impl JitModel {
             // drain instantly.
             budget = f64::INFINITY;
         }
+        let mut retiered = false;
         let mut k = 0;
         while k < self.backlog.len() && budget > 0.0 {
             let (i, t, ref mut remaining) = self.backlog[k];
@@ -361,6 +393,7 @@ impl JitModel {
                 let b = &mut self.buckets[i];
                 if t > b.tier {
                     b.tier = t;
+                    retiered = true;
                     match t {
                         Tier::C1 => self.c1_compiles += b.methods as u64,
                         Tier::C2 => self.c2_compiles += b.methods as u64,
@@ -375,6 +408,9 @@ impl JitModel {
                 k += 1;
             }
         }
+        if retiered {
+            self.retier();
+        }
         stall
     }
 
@@ -384,6 +420,271 @@ impl JitModel {
             0.0
         } else {
             self.c2_work / self.total_work
+        }
+    }
+}
+
+/// The model as it was before runs were prepared, kept as the reference
+/// the prepared model is tested against: it folds the Zipf weights on
+/// every run and re-sums the tier shares on every call.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{
+        inline_coverage, tier_speeds, Tier, TierSpeeds, BUCKETS, C1_COMPILE_RATE, C2_COMPILE_RATE,
+        NATIVE_BYTES_PER_BYTECODE,
+    };
+    use crate::flagview::FlagView;
+    use crate::workload::Workload;
+
+    #[derive(Clone, Debug)]
+    struct Bucket {
+        /// Share of all dynamic calls landing in this bucket.
+        call_share: f64,
+        /// Methods in the bucket.
+        methods: f64,
+        /// Invocations accumulated per method.
+        invocations: f64,
+        tier: Tier,
+        /// Tier queued for compilation (compile work already enqueued).
+        queued: Option<Tier>,
+    }
+
+    /// Live JIT state during a run.
+    #[derive(Clone, Debug)]
+    pub struct JitModel {
+        buckets: Vec<Bucket>,
+        speeds: TierSpeeds,
+        /// Outstanding compile work, in compiler-thread seconds.
+        backlog: Vec<(usize, Tier, f64)>,
+        code_cache_used: f64,
+        code_cache_capacity: f64,
+        compile_seconds_per_method_c1: f64,
+        compile_seconds_per_method_c2: f64,
+        native_bytes_per_method: f64,
+        /// Counters for the outcome report.
+        pub c1_compiles: u64,
+        /// Counters for the outcome report.
+        pub c2_compiles: u64,
+        /// Compilations dropped to a full code cache.
+        pub dropped: u64,
+        /// Work retired at C2 speed (for `c2_work_fraction`).
+        c2_work: f64,
+        total_work: f64,
+        tiered: bool,
+        stop_at: Tier,
+        use_compiler: bool,
+        tier_up_c1: f64,
+        tier_up_c2: f64,
+        ci_threads: f64,
+        background: bool,
+        flushing: bool,
+    }
+
+    impl JitModel {
+        /// Build the model for one run.
+        pub fn new(view: &FlagView, wl: &Workload) -> JitModel {
+            // Zipf weights over method ranks, folded into BUCKETS groups of
+            // equal rank width.
+            let n = wl.hot_methods.max(1) as usize;
+            let s = wl.hotness_skew;
+            let mut rank_w: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).collect();
+            let total: f64 = rank_w.iter().sum();
+            for w in &mut rank_w {
+                *w /= total;
+            }
+            let per = n.div_ceil(BUCKETS);
+            let mut buckets = Vec::with_capacity(BUCKETS);
+            for chunk in rank_w.chunks(per) {
+                buckets.push(Bucket {
+                    call_share: chunk.iter().sum(),
+                    methods: chunk.len() as f64,
+                    invocations: 0.0,
+                    tier: Tier::Interp,
+                    queued: None,
+                });
+            }
+
+            // Inlining inflates C2 compile cost and code size.
+            let cov = inline_coverage(view, wl);
+            let expansion = 1.0 + 2.0 * cov;
+            let msize = wl.mean_method_size;
+            let stop_at = if !view.use_compiler || view.tiered_stop_level == 0 {
+                Tier::Interp
+            } else if view.tiered && view.tiered_stop_level <= 3 {
+                Tier::C1
+            } else {
+                Tier::C2
+            };
+            // Thresholds: tiered uses the tier3/tier4 pair; the classic policy
+            // compiles straight to C2 at CompileThreshold.
+            let (t_c1, t_c2) = if view.tiered {
+                (view.tier3_threshold, view.tier4_threshold)
+            } else {
+                (f64::INFINITY, view.compile_threshold)
+            };
+            JitModel {
+                buckets,
+                speeds: tier_speeds(view, wl),
+                backlog: Vec::new(),
+                code_cache_used: 0.0,
+                code_cache_capacity: view.code_cache_size,
+                compile_seconds_per_method_c1: msize / C1_COMPILE_RATE,
+                compile_seconds_per_method_c2: msize * expansion / C2_COMPILE_RATE,
+                native_bytes_per_method: msize * expansion * NATIVE_BYTES_PER_BYTECODE,
+                c1_compiles: 0,
+                c2_compiles: 0,
+                dropped: 0,
+                c2_work: 0.0,
+                total_work: 0.0,
+                tiered: view.tiered,
+                stop_at,
+                use_compiler: view.use_compiler && view.tiered_stop_level > 0,
+                tier_up_c1: t_c1,
+                tier_up_c2: t_c2,
+                ci_threads: view.ci_compiler_count as f64,
+                background: view.background_compilation,
+                flushing: view.code_cache_flushing,
+            }
+        }
+
+        /// Current mutator speed factor relative to the interpreter (≥ ~1).
+        pub fn speed_factor(&self) -> f64 {
+            let mut f = 0.0;
+            for b in &self.buckets {
+                let tier_speed = match b.tier {
+                    Tier::Interp => self.speeds.interp,
+                    Tier::C1 => self.speeds.c1,
+                    Tier::C2 => self.speeds.c2,
+                };
+                f += b.call_share * tier_speed;
+            }
+            f.max(0.05)
+        }
+
+        /// Advance the model by `work` units retired over `dt_secs` of mutator
+        /// time; `calls_per_unit` comes from the workload.
+        ///
+        /// Returns the foreground **stall seconds** to charge to the run
+        /// (non-zero only with `-XX:-BackgroundCompilation`).
+        pub fn advance(&mut self, work: f64, dt_secs: f64, calls_per_unit: f64) -> f64 {
+            self.total_work += work;
+            self.c2_work += work
+                * self
+                    .buckets
+                    .iter()
+                    .filter(|b| b.tier == Tier::C2)
+                    .map(|b| b.call_share)
+                    .sum::<f64>();
+            if !self.use_compiler {
+                return 0.0;
+            }
+            let calls = work * calls_per_unit;
+            let mut stall = 0.0;
+            // Threshold crossings enqueue compiles.
+            for (i, b) in self.buckets.iter_mut().enumerate() {
+                if b.methods == 0.0 || b.call_share == 0.0 {
+                    continue;
+                }
+                b.invocations += calls * b.call_share / b.methods;
+                let want = if self.tiered {
+                    if b.tier == Tier::Interp && b.invocations >= self.tier_up_c1 {
+                        Some(Tier::C1)
+                    } else if b.tier <= Tier::C1
+                        && b.invocations >= self.tier_up_c2
+                        && self.stop_at == Tier::C2
+                    {
+                        Some(Tier::C2)
+                    } else {
+                        None
+                    }
+                } else if b.tier == Tier::Interp && b.invocations >= self.tier_up_c2 {
+                    Some(Tier::C2)
+                } else {
+                    None
+                };
+                if let Some(t) = want {
+                    let t = t.min(self.stop_at);
+                    if t > b.tier && b.queued.is_none_or(|q| q < t) {
+                        let per_method = match t {
+                            Tier::C1 => self.compile_seconds_per_method_c1,
+                            Tier::C2 => self.compile_seconds_per_method_c2,
+                            Tier::Interp => 0.0,
+                        };
+                        // Code-cache space is reserved at enqueue time (the
+                        // real allocator rejects compilations whose result the
+                        // cache cannot hold).
+                        let bytes = b.methods * self.native_bytes_per_method;
+                        if self.code_cache_used + bytes > self.code_cache_capacity && !self.flushing
+                        {
+                            // Cache full, no sweeper: compilation stops.
+                            self.dropped += b.methods as u64;
+                            continue;
+                        } else {
+                            if self.code_cache_used + bytes > self.code_cache_capacity {
+                                // Sweeper makes room at a small throughput cost,
+                                // modelled as extra compile work; occupancy
+                                // stays pinned at capacity.
+                                self.backlog.push((i, t, 0.2 * per_method * b.methods));
+                                self.code_cache_used = self.code_cache_capacity;
+                            } else {
+                                self.code_cache_used += bytes;
+                            }
+                            b.queued = Some(t);
+                            let cost = per_method * b.methods;
+                            self.backlog.push((i, t, cost));
+                            if !self.background {
+                                // Foreground compilation blocks the mutator for
+                                // the full compile cost (spread over compiler
+                                // threads).
+                                stall += cost / self.ci_threads;
+                            }
+                        }
+                    }
+                }
+            }
+            // Serve the queue with CICompilerCount threads.
+            let mut budget = dt_secs * self.ci_threads;
+            if !self.background {
+                // Foreground mode: everything already accounted as stall;
+                // drain instantly.
+                budget = f64::INFINITY;
+            }
+            let mut k = 0;
+            while k < self.backlog.len() && budget > 0.0 {
+                let (i, t, ref mut remaining) = self.backlog[k];
+                let spend = remaining.min(budget);
+                *remaining -= spend;
+                if budget.is_finite() {
+                    budget -= spend;
+                }
+                if *remaining <= 1e-12 {
+                    let b = &mut self.buckets[i];
+                    if t > b.tier {
+                        b.tier = t;
+                        match t {
+                            Tier::C1 => self.c1_compiles += b.methods as u64,
+                            Tier::C2 => self.c2_compiles += b.methods as u64,
+                            Tier::Interp => {}
+                        }
+                    }
+                    if b.queued == Some(t) {
+                        b.queued = None;
+                    }
+                    self.backlog.remove(k);
+                } else {
+                    k += 1;
+                }
+            }
+            stall
+        }
+
+        /// Fraction of all retired work that ran at C2 speed.
+        pub fn c2_work_fraction(&self) -> f64 {
+            if self.total_work <= 0.0 {
+                0.0
+            } else {
+                self.c2_work / self.total_work
+            }
         }
     }
 }

@@ -5,7 +5,9 @@
 //! substitution argument). Given a [`jtune_flags::JvmConfig`] and a
 //! [`Workload`], [`JvmSim::run`] produces a [`RunOutcome`]: total run time
 //! with a breakdown into mutator execution, GC pauses, JIT compilation and
-//! startup, plus GC/JIT statistics.
+//! startup, plus GC/JIT statistics. A caller that runs one workload many
+//! times prepares it once ([`JvmSim::prepare`]) and calls
+//! [`PreparedRun::run`], which gives the same bits.
 //!
 //! The simulator is *mechanistic*, not a lookup table. A run advances a
 //! virtual clock through an epoch loop in which
@@ -50,7 +52,7 @@ pub mod outcome;
 pub mod runtime;
 pub mod workload;
 
-pub use engine::JvmSim;
+pub use engine::{JvmSim, PreparedRun};
 pub use flagview::{CollectorKind, FlagView};
 pub use machine::Machine;
 pub use noise::NoiseModel;

@@ -393,12 +393,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing on
-                // a char boundary is safe once we find the next one).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash as one
+                // slice. The input is a &str and both delimiters are
+                // ASCII, so the run starts and ends on char boundaries and
+                // each byte is validated once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -553,6 +558,36 @@ mod tests {
         let b = v.get("b").and_then(JsonValue::as_array).unwrap();
         assert!(b[0].get("c").unwrap().is_null());
         assert_eq!(b[1].as_f64(), Some(-150.0));
+    }
+
+    #[test]
+    fn multi_byte_runs_around_escapes_decode_exactly() {
+        let v = parse(r#"["aé€😀\n\"xé", "é\\", "\u00e9€", "😀"]"#).unwrap();
+        let strings: Vec<&str> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(strings, ["aé€😀\n\"xé", "é\\", "é€", "😀"]);
+        // Long strings parse whole, through the same runs.
+        let long = "é€😀x".repeat(10_000);
+        let v = parse(&format!("{{\"s\":\"{long}\\t{long}\"}}")).unwrap();
+        assert_eq!(
+            v.get("s").and_then(JsonValue::as_str),
+            Some(&*format!("{long}\t{long}"))
+        );
+    }
+
+    #[test]
+    fn an_unterminated_string_ending_in_a_multi_byte_char_is_rejected() {
+        for bad in ["\"aé", "\"x😀", "[\"€", "{\"k\":\"\\n😀"] {
+            assert_eq!(
+                parse(bad),
+                Err("unterminated string".to_string()),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
