@@ -6,8 +6,8 @@
 //! strictly fewer measurements.
 
 use autotuner_core::{ModelPolicy, TuningResult};
-use jtune_experiments::Experiment;
-use jtune_util::table::{fpct, Align, Table};
+use jtune_experiments::{text_table, Experiment};
+use jtune_util::table::fpct;
 
 /// Real measurements (budget-charged trials) before the session's
 /// best-so-far first reaches `target_secs`; `None` if it never does.
@@ -40,9 +40,8 @@ fn main() {
     ];
 
     println!("== E10: model-guided screening, {budget}-minute budget ==");
-    let mut results: Vec<Vec<TuningResult>> = Vec::new();
+    let mut jobs = Vec::new();
     for (label, model, technique) in &variants {
-        let mut row = Vec::new();
         for (i, p) in programs.iter().enumerate() {
             let w = jtune_workloads::workload_by_name(p).expect("known program");
             let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE10 ^ ((i as u64) << 16));
@@ -52,34 +51,25 @@ fn main() {
             if let Some(t) = technique {
                 opts.technique = t.to_string();
             }
-            let bus = exp.telemetry.bus_for(&format!("{label}+{p}"));
-            row.push(exp.tune(w, opts, &bus).result);
+            jobs.push(exp.job(format!("{label}+{p}"), w, opts));
         }
-        results.push(row);
     }
+    let mut rows = exp.run(jobs).into_iter().map(|r| r.result);
+    let results: Vec<Vec<TuningResult>> = variants
+        .iter()
+        .map(|_| rows.by_ref().take(programs.len()).collect())
+        .collect();
+    let mean = |row: &[TuningResult]| {
+        row.iter().map(|r| r.improvement_percent()).sum::<f64>() / programs.len() as f64
+    };
 
-    let mut headers = vec!["variant".to_string()];
-    headers.extend(programs.iter().map(|p| p.to_string()));
-    headers.extend(["mean".to_string(), "screened".to_string()]);
-    let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut aligns = vec![Align::Left];
-    aligns.extend(std::iter::repeat_n(Align::Right, programs.len() + 2));
-    let mut t = Table::new(&headers_ref, &aligns);
+    let mut t = text_table("variant", &[&programs[..], &["mean", "screened"]].concat());
     for ((label, _, _), row) in variants.iter().zip(&results) {
         let mut cells = vec![label.to_string()];
-        let mut sum = 0.0;
-        for r in row {
-            let imp = r.improvement_percent();
-            sum += imp;
-            cells.push(fpct(imp));
-        }
-        cells.push(fpct(sum / programs.len() as f64));
-        cells.push(
-            row.iter()
-                .map(|r| r.session.screened)
-                .sum::<u64>()
-                .to_string(),
-        );
+        cells.extend(row.iter().map(|r| fpct(r.improvement_percent())));
+        cells.push(fpct(mean(row)));
+        let screened: u64 = row.iter().map(|r| r.session.screened).sum();
+        cells.push(screened.to_string());
         t.row(cells);
     }
     print!("{}", t.render());
@@ -88,11 +78,7 @@ fn main() {
     // reach the *plain* run's final best on the same program.
     println!();
     println!("-- measurements to reach the plain run's final score --");
-    let mut headers2 = vec!["variant".to_string()];
-    headers2.extend(programs.iter().map(|p| p.to_string()));
-    headers2.push("total".to_string());
-    let headers2_ref: Vec<&str> = headers2.iter().map(String::as_str).collect();
-    let mut t2 = Table::new(&headers2_ref, &aligns[..aligns.len() - 1]);
+    let mut t2 = text_table("variant", &[&programs[..], &["total"]].concat());
     for ((label, _, _), row) in variants.iter().zip(&results) {
         let mut cells = vec![label.to_string()];
         let mut total = 0u64;
@@ -114,16 +100,7 @@ fn main() {
     }
     print!("{}", t2.render());
 
-    let plain_mean: f64 = results[0]
-        .iter()
-        .map(|r| r.improvement_percent())
-        .sum::<f64>()
-        / programs.len() as f64;
-    let model_mean: f64 = results[1]
-        .iter()
-        .map(|r| r.improvement_percent())
-        .sum::<f64>()
-        / programs.len() as f64;
+    let (plain_mean, model_mean) = (mean(&results[0]), mean(&results[1]));
     let plain_cost: u64 = results[0].iter().map(|r| r.session.evaluations).sum();
     let model_cost: u64 = results[1]
         .iter()
@@ -142,7 +119,5 @@ fn main() {
     println!("the screen trades cheap surrogate scores for expensive JVM runs:");
     println!("each round over-proposes, keeps only the acquisition-ranked best,");
     println!("and the budget those rejects would have burned goes to real trials.");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

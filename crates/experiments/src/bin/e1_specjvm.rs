@@ -8,7 +8,7 @@ use jtune_experiments::{render_suite_table, Experiment};
 fn main() {
     let exp = Experiment::from_env("e1_specjvm", 200);
     let budget = exp.budget_mins();
-    let rows = exp.tune_suite(jtune_workloads::specjvm2008_startup());
+    let rows = exp.run(exp.suite(jtune_workloads::specjvm2008_startup()));
     print!(
         "{}",
         render_suite_table(
@@ -17,7 +17,5 @@ fn main() {
         )
     );
     println!("paper: average +19%, top-3 +63% / +51% / +32%");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

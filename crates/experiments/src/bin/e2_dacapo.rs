@@ -8,7 +8,7 @@ use jtune_experiments::{render_suite_table, Experiment};
 fn main() {
     let exp = Experiment::from_env("e2_dacapo", 200);
     let budget = exp.budget_mins();
-    let rows = exp.tune_suite(jtune_workloads::dacapo());
+    let rows = exp.run(exp.suite(jtune_workloads::dacapo()));
     print!(
         "{}",
         render_suite_table(
@@ -17,7 +17,5 @@ fn main() {
         )
     );
     println!("paper: average +26%, max +42%");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

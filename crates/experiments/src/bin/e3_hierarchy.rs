@@ -6,20 +6,18 @@
 //! to record). It still checks its options like every driver, and
 //! ignores them.
 
+use jtune_experiments::{text_table, Experiment};
 use jtune_flags::{hotspot_registry, Category};
 use jtune_flagtree::{hotspot_tree, SpaceStats};
-use jtune_util::table::{fnum, Align, Table};
+use jtune_util::table::fnum;
 
 fn main() {
-    jtune_experiments::Experiment::from_env("e3_hierarchy", 200);
+    Experiment::from_env("e3_hierarchy", 200);
     let registry = hotspot_registry();
     let tree = hotspot_tree();
 
     println!("== E3a: flag registry by category ==");
-    let mut t = Table::new(
-        &["category", "flags", "tunable", "perf-relevant"],
-        &[Align::Left, Align::Right, Align::Right, Align::Right],
-    );
+    let mut t = text_table("category", &["flags", "tunable", "perf-relevant"]);
     let mut totals = (0usize, 0usize, 0usize);
     for cat in Category::ALL {
         let all: Vec<_> = registry.iter().filter(|(_, s)| s.category == cat).collect();
@@ -53,13 +51,9 @@ fn main() {
 
     println!("\n== E3c: search-space size (log10 of configuration count) ==");
     let stats = SpaceStats::compute(tree, registry);
-    let mut t = Table::new(
-        &[
-            "stratum (collector, jit mode)",
-            "active flags",
-            "log10 size",
-        ],
-        &[Align::Left, Align::Right, Align::Right],
+    let mut t = text_table(
+        "stratum (collector, jit mode)",
+        &["active flags", "log10 size"],
     );
     for s in &stats.strata {
         let label: Vec<String> = s.choices.iter().map(|(_, l)| l.to_string()).collect();

@@ -2,8 +2,8 @@
 //! representative programs (the paper's motivation for the 200-minute
 //! budget). One long session per program yields the whole curve.
 
-use jtune_experiments::{improvement_at, Experiment};
-use jtune_util::table::{fpct, Align, Table};
+use jtune_experiments::{improvement_at, text_table, Experiment};
+use jtune_util::table::fpct;
 
 fn main() {
     let exp = Experiment::from_env("e4_convergence", 200);
@@ -11,22 +11,19 @@ fn main() {
     let programs = ["serial", "xml.validation", "compress", "dacapo:h2"];
     let checkpoints = [5.0, 10.0, 25.0, 50.0, 100.0, 150.0, budget as f64];
 
-    let rows: Vec<_> = programs
-        .iter()
-        .map(|p| {
-            let w = jtune_workloads::workload_by_name(p).expect("known program");
-            let bus = exp.telemetry.bus_for(p);
-            exp.tune(w, exp.tuner_options(budget, exp.seed() ^ 0xE4), &bus)
-        })
-        .collect();
+    let rows = exp.run(
+        programs
+            .iter()
+            .map(|p| {
+                let w = jtune_workloads::workload_by_name(p).expect("known program");
+                exp.job(*p, w, exp.tuner_options(budget, exp.seed() ^ 0xE4))
+            })
+            .collect(),
+    );
 
     println!("== E4: best-found improvement vs tuning time (minutes) ==");
-    let mut headers = vec!["program".to_string()];
-    headers.extend(checkpoints.iter().map(|c| format!("{c:.0}min")));
-    let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut aligns = vec![Align::Left];
-    aligns.extend(std::iter::repeat_n(Align::Right, checkpoints.len()));
-    let mut t = Table::new(&headers_ref, &aligns);
+    let minutes: Vec<String> = checkpoints.iter().map(|c| format!("{c:.0}min")).collect();
+    let mut t = text_table("program", &minutes);
     for (p, row) in programs.iter().zip(rows.iter()) {
         let mut cells = vec![p.to_string()];
         cells.extend(checkpoints.iter().map(|c| fpct(improvement_at(row, *c))));
@@ -35,7 +32,5 @@ fn main() {
     print!("{}", t.render());
     println!("expectation: curves rise steeply early and flatten towards the budget,");
     println!("which is why the paper fixes 200 minutes per program.");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

@@ -4,8 +4,8 @@
 //! only a subset of the tunable flags are tuned").
 
 use autotuner_core::tuner::ManipulatorKind;
-use jtune_experiments::Experiment;
-use jtune_util::table::{fpct, Align, Table};
+use jtune_experiments::{text_table, Experiment};
+use jtune_util::table::fpct;
 
 fn main() {
     let exp = Experiment::from_env("e5_subset_baseline", 200);
@@ -25,21 +25,23 @@ fn main() {
     ];
 
     println!("== E5: improvement by tuning approach, {budget}-minute budget ==");
-    let mut t = Table::new(
-        &["program", "hierarchical", "gc-subset", "flat"],
-        &[Align::Left, Align::Right, Align::Right, Align::Right],
-    );
-    let mut sums = [0.0f64; 3];
-    let mut failed = [0u64; 3];
-    let mut total = [0u64; 3];
+    let mut t = text_table("program", &["hierarchical", "gc-subset", "flat"]);
+    let mut jobs = Vec::new();
     for p in programs {
         let w = jtune_workloads::workload_by_name(p).expect("known program");
-        let mut cells = vec![p.to_string()];
         for (i, (_, kind)) in kinds.iter().enumerate() {
             let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE5 ^ (i as u64));
             opts.manipulator = *kind;
-            let bus = exp.telemetry.bus_for(&format!("{p}+{}", kind.label()));
-            let row = exp.tune(w.clone(), opts, &bus);
+            jobs.push(exp.job(format!("{p}+{}", kind.label()), w.clone(), opts));
+        }
+    }
+    let rows = exp.run(jobs);
+    let mut sums = [0.0f64; 3];
+    let mut failed = [0u64; 3];
+    let mut total = [0u64; 3];
+    for (p, rows) in programs.iter().zip(rows.chunks(kinds.len())) {
+        let mut cells = vec![p.to_string()];
+        for (i, row) in rows.iter().enumerate() {
             let imp = row.improvement;
             sums[i] += imp;
             failed[i] += row
@@ -76,7 +78,5 @@ fn main() {
     println!("refuses to start (see the failure row), and it only stays cheap");
     println!("because failed JVM launches cost almost no budget; the hierarchy");
     println!("spends every evaluation on a launchable configuration.");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

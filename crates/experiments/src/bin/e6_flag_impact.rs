@@ -7,22 +7,22 @@
 //! "hitchhikers" random search drags along — reported as a count.
 
 use autotuner_core::analysis::{flag_impact, median_score, ImpactOptions};
-use jtune_experiments::Experiment;
+use jtune_experiments::{text_table, Experiment};
 use jtune_harness::SimExecutor;
-use jtune_util::table::{fpct, Align, Table};
+use jtune_util::table::fpct;
 
 fn main() {
     let exp = Experiment::from_env("e6_flag_impact", 200);
     let budget = exp.budget_mins();
     let programs = ["serial", "xml.validation", "dacapo:h2", "dacapo:xalan"];
-    for p in programs {
-        let w = jtune_workloads::workload_by_name(p).expect("known program");
-        let bus = exp.telemetry.bus_for(p);
-        let row = exp.tune(
-            w.clone(),
-            exp.tuner_options(budget, exp.seed() ^ 0xE6),
-            &bus,
-        );
+    let workloads = programs.map(|p| jtune_workloads::workload_by_name(p).expect("known program"));
+    let opts = exp.tuner_options(budget, exp.seed() ^ 0xE6);
+    let jobs = programs.iter().zip(&workloads);
+    let rows = exp.run(
+        jobs.map(|(p, w)| exp.job(*p, w.clone(), opts.clone()))
+            .collect(),
+    );
+    for ((p, w), row) in programs.iter().zip(workloads).zip(rows) {
         let ex = SimExecutor::new(w);
         let best = &row.result.best_config;
         // Median-of-5 scoring for stable ablation numbers; a reversion
@@ -45,10 +45,7 @@ fn main() {
             best_secs,
             fpct(row.improvement)
         );
-        let mut t = Table::new(
-            &["flag setting", "marginal impact"],
-            &[Align::Left, Align::Right],
-        );
+        let mut t = text_table("flag setting", &["marginal impact"]);
         for i in impacts.iter().take(8) {
             t.row(vec![
                 format!("{}={}", i.name, i.value),
@@ -62,7 +59,5 @@ fn main() {
             impacts.len()
         );
     }
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

@@ -4,9 +4,9 @@
 //! One 400-minute session per program; best-so-far is sampled at each
 //! budget checkpoint from the trial log.
 
-use jtune_experiments::{improvement_at, Experiment};
+use jtune_experiments::{improvement_at, text_table, Experiment};
 use jtune_util::stats::Summary;
-use jtune_util::table::{fpct, Align, Table};
+use jtune_util::table::fpct;
 
 fn main() {
     // Fixed 400-minute sessions: the budget is this experiment's axis.
@@ -21,27 +21,18 @@ fn main() {
     ];
 
     println!("== E7: suite-average improvement vs tuning budget (minutes) ==");
-    let mut t = Table::new(
-        &["suite", "25", "50", "100", "200", "400"],
-        &[
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
-    );
+    let mut t = text_table("suite", &["25", "50", "100", "200", "400"]);
+    let mut jobs = Vec::new();
+    for (name, workloads) in &suites {
+        for (i, w) in workloads.iter().enumerate() {
+            let seed = exp.seed() ^ 0xE7 ^ ((i as u64) << 24);
+            let label = format!("{name}+{}", w.name);
+            jobs.push(exp.job(label, w.clone(), exp.tuner_options(400, seed)));
+        }
+    }
+    let mut rows = exp.run(jobs).into_iter();
     for (name, workloads) in suites {
-        let rows: Vec<_> = workloads
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let bus = exp.telemetry.bus_for(&format!("{name}+{}", w.name));
-                let seed = exp.seed() ^ 0xE7 ^ ((i as u64) << 24);
-                exp.tune(w, exp.tuner_options(400, seed), &bus)
-            })
-            .collect();
+        let rows: Vec<_> = rows.by_ref().take(workloads.len()).collect();
         let mut cells = vec![name.to_string()];
         for b in budgets {
             let at: Vec<f64> = rows.iter().map(|r| improvement_at(r, b)).collect();
@@ -51,7 +42,5 @@ fn main() {
     }
     print!("{}", t.render());
     println!("the paper's 200-minute choice sits where the curves flatten.");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

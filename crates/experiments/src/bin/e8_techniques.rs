@@ -1,8 +1,8 @@
 //! E8 — search-technique ablation: each technique solo vs. the AUC-bandit
 //! ensemble, at a fixed budget (why the tuner is an ensemble).
 
-use jtune_experiments::Experiment;
-use jtune_util::table::{fpct, Align, Table};
+use jtune_experiments::{text_table, Experiment};
+use jtune_util::table::fpct;
 
 fn main() {
     let exp = Experiment::from_env("e8_techniques", 100);
@@ -12,26 +12,22 @@ fn main() {
     techniques.push("ensemble");
 
     println!("== E8: improvement by search technique, {budget}-minute budget ==");
-    let mut headers = vec!["technique".to_string()];
-    headers.extend(programs.iter().map(|p| p.to_string()));
-    headers.push("mean".to_string());
-    let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut aligns = vec![Align::Left];
-    aligns.extend(std::iter::repeat_n(Align::Right, programs.len() + 1));
-    let mut t = Table::new(&headers_ref, &aligns);
+    let mut t = text_table("technique", &[&programs[..], &["mean"]].concat());
 
-    for tech in techniques {
-        let mut cells = vec![tech.to_string()];
-        let mut sum = 0.0;
+    let mut jobs = Vec::new();
+    for tech in &techniques {
         for (i, p) in programs.iter().enumerate() {
             let w = jtune_workloads::workload_by_name(p).expect("known program");
             let mut opts = exp.tuner_options(budget, exp.seed() ^ 0xE8 ^ ((i as u64) << 16));
             opts.technique = tech.to_string();
-            let bus = exp.telemetry.bus_for(&format!("{tech}+{p}"));
-            let imp = exp.tune(w, opts, &bus).improvement;
-            sum += imp;
-            cells.push(fpct(imp));
+            jobs.push(exp.job(format!("{tech}+{p}"), w, opts));
         }
+    }
+    let rows = exp.run(jobs);
+    for (tech, rows) in techniques.iter().zip(rows.chunks(programs.len())) {
+        let mut cells = vec![tech.to_string()];
+        cells.extend(rows.iter().map(|r| fpct(r.improvement)));
+        let sum: f64 = rows.iter().map(|r| r.improvement).sum();
         cells.push(fpct(sum / programs.len() as f64));
         t.row(cells);
     }
@@ -40,7 +36,5 @@ fn main() {
     println!("the ensemble's value is robustness: its per-program *minimum* is the");
     println!("highest of any row, i.e. it avoids every technique's worst case —");
     println!("what matters when each program gets one budgeted session.");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

@@ -8,35 +8,8 @@
 //! not correctness. Override the rate with `JTUNE_FAULT_RATE` (and
 //! `JTUNE_FAULT_SEED` to reseed the plan).
 
-use jtune_experiments::{
-    render_suite_table, suite_sessions, tune_program_with, Experiment, SuiteRow,
-};
+use jtune_experiments::{render_suite_table, Experiment, Job, SuiteRow};
 use jtune_harness::{FaultPlan, QuarantinePolicy, RetryPolicy};
-use jtune_jvmsim::Workload;
-
-/// Tune the whole suite under one fault plan (`None` = fault-free),
-/// seeding programs as `tune_suite` does so the clean arm reproduces E1
-/// at the same budget.
-fn tune_arm(
-    exp: &Experiment,
-    workloads: Vec<Workload>,
-    fault: Option<FaultPlan>,
-    label: &str,
-) -> Vec<SuiteRow> {
-    let base = exp.tuner_options(exp.budget_mins(), exp.seed());
-    suite_sessions(&base, workloads)
-        .map(|(w, mut opts)| {
-            if fault.is_some() {
-                // The faulty arm always tunes with the safety net on;
-                // CLI/env knobs can still override its parameters.
-                opts.protocol.retry.get_or_insert(RetryPolicy::default());
-                opts.quarantine.get_or_insert(QuarantinePolicy::default());
-            }
-            let bus = exp.telemetry.bus_for(&format!("{label}+{}", w.name));
-            tune_program_with(w, opts, fault, &bus)
-        })
-        .collect()
-}
 
 fn avg_improvement(rows: &[SuiteRow]) -> f64 {
     rows.iter().map(|r| r.improvement).sum::<f64>() / rows.len() as f64
@@ -53,9 +26,26 @@ fn main() {
         .fault
         .unwrap_or_else(|| FaultPlan::transient(0.05, FaultPlan::DEFAULT_SEED));
 
-    let workloads = jtune_workloads::specjvm2008_startup();
-    let clean = tune_arm(&exp, workloads.clone(), None, "clean");
-    let faulty = tune_arm(&exp, workloads, Some(plan), "faulty");
+    // Both arms seed programs as E1 does, so the clean arm reproduces E1
+    // at the same budget. The faulty arm always tunes with the safety net
+    // on; CLI/env knobs can still override its parameters.
+    let mut safe = exp.clone();
+    let opts = &mut safe.options;
+    opts.protocol.retry.get_or_insert(RetryPolicy::default());
+    opts.quarantine.get_or_insert(QuarantinePolicy::default());
+    let mut jobs = Vec::new();
+    for (arm, fault, run) in [("clean", None, &exp), ("faulty", Some(plan), &safe)] {
+        for job in run.suite(jtune_workloads::specjvm2008_startup()) {
+            let label = format!("{arm}+{}", job.label);
+            jobs.push(Job {
+                label,
+                fault,
+                ..job
+            });
+        }
+    }
+    let mut faulty = exp.run(jobs);
+    let clean: Vec<SuiteRow> = faulty.drain(..faulty.len() / 2).collect();
 
     print!(
         "{}",
@@ -86,7 +76,5 @@ fn main() {
     println!("faults absorbed: {retried} runs retried, {quarantined} configurations quarantined");
     println!("claim: bounded retries + quarantine keep the gap within ~3 points —");
     println!("injected faults cost tuning budget, not result quality.");
-    if let Some(path) = exp.telemetry.write_report() {
-        eprintln!("report: {}", path.display());
-    }
+    exp.telemetry.write_report();
 }

@@ -5,6 +5,10 @@
 //! DESIGN.md for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results.
 //!
+//! A driver lists its tuning sessions as [`Job`]s and hands them to
+//! [`Experiment::run`], which traces each one and runs them side by side
+//! at the machine's width; rows come back in job order.
+//!
 //! Each driver parses its run once, in `main`, with
 //! [`Experiment::from_env`]: its command line first, then the
 //! environment. It accepts exactly the option rows that name a `JTUNE_*`
@@ -25,12 +29,12 @@
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use autotuner_core::{Tuner, TunerOptions, TuningResult, TUNER_OPTIONS};
 use jtune_harness::{ExecutorSpec, FaultPlan, EXECUTOR_OPTIONS};
 use jtune_jvmsim::Workload;
-use jtune_telemetry::{JsonlSink, MetricsRegistry, ProgressReporter, TelemetryBus};
+use jtune_telemetry::{JsonlSink, MetricsRegistry, ProgressReporter, TelemetryBus, TuningObserver};
 use jtune_util::cli::{self, Args, Opt, Table};
 use jtune_util::table::{fnum, fpct, Align, Table as TextTable};
 use jtune_util::{stats, SimDuration};
@@ -75,11 +79,6 @@ pub fn tuner_options(budget_minutes: u64, seed: u64) -> TunerOptions {
     TunerOptions::builder()
         .budget(SimDuration::from_mins(budget_minutes))
         .seed(seed)
-        .workers(
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
-        )
         .batch(8)
         .build()
         .expect("standard experiment options are valid")
@@ -115,6 +114,21 @@ pub struct Experiment {
 }
 
 impl Experiment {
+    /// A run that starts every session from `options`, injects no
+    /// faults and records no telemetry.
+    pub fn new(options: TunerOptions) -> Experiment {
+        Experiment {
+            options,
+            fault: None,
+            telemetry: ExperimentTelemetry {
+                dir: None,
+                progress: false,
+                spans: false,
+                metrics: Arc::new(MetricsRegistry::new()),
+            },
+        }
+    }
+
     /// Parse the process's arguments and environment for driver `name`
     /// with its default budget; on a bad option, print it and the
     /// accepted options, then exit with status 2.
@@ -140,14 +154,8 @@ impl Experiment {
         env: &dyn Fn(&str) -> Option<String>,
     ) -> Result<Experiment, String> {
         let args = Args::parse_env(name, argv, SURFACE, env)?;
-        let mut exp = Experiment {
-            options: tuner_options(budget_mins, 7),
-            fault: None,
-            telemetry: ExperimentTelemetry {
-                dir: Some(PathBuf::from("results/traces")),
-                ..ExperimentTelemetry::disabled()
-            },
-        };
+        let mut exp = Experiment::new(tuner_options(budget_mins, 7));
+        exp.telemetry.dir = Some(PathBuf::from("results/traces"));
         args.apply(&mut exp.options, TUNER_OPTIONS)?;
         exp.options
             .validate()
@@ -181,22 +189,79 @@ impl Experiment {
         }
     }
 
-    /// Tune one workload under the run's fault plan.
-    pub fn tune(&self, workload: Workload, opts: TunerOptions, bus: &TelemetryBus) -> SuiteRow {
-        tune_program_with(workload, opts, self.fault, bus)
+    /// A session tuning `workload` under `options` and the run's fault
+    /// plan, traced as `label`.
+    pub fn job(&self, label: impl Into<String>, workload: Workload, options: TunerOptions) -> Job {
+        Job {
+            label: label.into(),
+            workload,
+            options,
+            fault: self.fault,
+        }
     }
 
-    /// Tune an entire suite, one trace per program, each program seeded
-    /// by [`suite_sessions`].
-    pub fn tune_suite(&self, workloads: Vec<Workload>) -> Vec<SuiteRow> {
-        let base = self.tuner_options(self.budget_mins(), self.seed());
-        suite_sessions(&base, workloads)
-            .map(|(w, opts)| {
-                let bus = self.telemetry.bus_for(&w.name);
-                self.tune(w, opts, &bus)
-            })
+    /// An entire suite at the run's budget, one session per program
+    /// labelled by its name and seeded by [`suite_sessions`].
+    pub fn suite(&self, workloads: Vec<Workload>) -> Vec<Job> {
+        suite_sessions(&self.options, workloads)
+            .map(|(w, opts)| self.job(w.name.clone(), w, opts))
             .collect()
     }
+
+    /// Run every job and return its row, in job order. Sessions are
+    /// independent, so they run side by side on as many threads as the
+    /// machine offers (`taskset` or a cgroup lowers that), each with one
+    /// evaluation worker; `workers` never changes a result, so rows and
+    /// traces are the same at any width. A panicking session panics the
+    /// caller.
+    pub fn run(&self, jobs: Vec<Job>) -> Vec<SuiteRow> {
+        let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_at(jobs, width)
+    }
+
+    /// [`Experiment::run`] on at most `width` threads, the caller's
+    /// included.
+    fn run_at(&self, jobs: Vec<Job>, width: usize) -> Vec<SuiteRow> {
+        let width = width.clamp(1, jobs.len().max(1));
+        let queue = Mutex::new(jobs.into_iter().enumerate());
+        let next = || queue.lock().unwrap_or_else(|p| p.into_inner()).next();
+        let work = || {
+            let mut done = Vec::new();
+            while let Some((i, job)) = next() {
+                done.push((i, self.telemetry.tune(job)));
+            }
+            done
+        };
+        let mut done = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..width).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for helper in helpers {
+                done.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
+            }
+            done
+        });
+        done.sort_unstable_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, row)| row).collect()
+    }
+}
+
+/// One tuning session of a run, for [`Experiment::run`].
+#[derive(Clone, Debug)]
+pub struct Job {
+    /// Names the session's trace, `<dir>/<label>.jsonl`.
+    pub label: String,
+    /// The program to tune on the simulator.
+    pub workload: Workload,
+    /// The session's options; the runner sets one evaluation worker.
+    pub options: TunerOptions,
+    /// `Some(plan)` wraps the simulator in a
+    /// [`FaultyExecutor`](jtune_harness::FaultyExecutor); `None` runs
+    /// fault-free.
+    pub fault: Option<FaultPlan>,
 }
 
 /// The suite loop: each workload in order, paired with `base` reseeded
@@ -238,88 +303,70 @@ pub struct ExperimentTelemetry {
 }
 
 impl ExperimentTelemetry {
-    /// Telemetry that records nothing (unit tests, library callers).
-    pub fn disabled() -> ExperimentTelemetry {
-        ExperimentTelemetry {
-            dir: None,
-            progress: false,
-            spans: false,
-            metrics: Arc::new(MetricsRegistry::new()),
-        }
-    }
-
-    /// Build the bus for one session. `label` names the trace file
-    /// (`<dir>/<label>.jsonl`, with path-hostile characters replaced).
-    pub fn bus_for(&self, label: &str) -> TelemetryBus {
+    /// Run one job with its own bus: a trace at `<dir>/<label>.jsonl`
+    /// (path-hostile characters replaced), the run-wide metrics when
+    /// spans are on, and a progress reporter when asked for.
+    fn tune(&self, job: Job) -> SuiteRow {
         let mut bus = TelemetryBus::new().with_spans(self.spans);
+        let mut trace = None;
         if let Some(dir) = &self.dir {
-            let file = format!("{}.jsonl", label.replace([':', '/', '\\', ' '], "-"));
-            match JsonlSink::create(dir.join(file)) {
+            let file = format!("{}.jsonl", job.label.replace([':', '/', '\\', ' '], "-"));
+            let path = dir.join(file);
+            match JsonlSink::create(&path) {
                 Ok(sink) => {
-                    bus.add(Arc::new(sink));
+                    let sink = Arc::new(sink);
+                    bus.add(Arc::clone(&sink) as Arc<dyn TuningObserver>);
+                    trace = Some((path, sink));
                 }
-                Err(e) => eprintln!("warning: trace disabled for {label}: {e}"),
+                Err(e) => eprintln!("warning: trace disabled for {}: {e}", job.label),
             }
         }
         if self.spans {
-            bus.add(Arc::clone(&self.metrics) as Arc<dyn jtune_telemetry::TuningObserver>);
+            bus.add(Arc::clone(&self.metrics) as Arc<dyn TuningObserver>);
         }
         if self.progress {
             bus.add(Arc::new(ProgressReporter::stderr()));
         }
-        bus
-    }
-
-    /// The run-wide metrics registry (non-empty only when spans are on).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        let name = job.workload.name.clone();
+        let executor = ExecutorSpec::sim(job.workload)
+            .with_fault(job.fault.filter(FaultPlan::is_active))
+            .build();
+        let opts = TunerOptions {
+            workers: 1,
+            ..job.options
+        };
+        let result = Tuner::new(opts).run(executor.as_ref(), &name, &bus);
+        if let Some((path, sink)) = trace {
+            match sink.write_errors() {
+                0 => {}
+                lost => eprintln!(
+                    "warning: trace {} is incomplete: {lost} failed writes",
+                    path.display()
+                ),
+            }
+        }
+        SuiteRow::from(result)
     }
 
     /// Render everything the run left in the trace directory into
-    /// `<dir>/report.md` (plus `<dir>/metrics.txt` when spans are on).
-    /// No-op when tracing is disabled; rendering problems are warned
-    /// about on stderr but never fail the experiment. Returns the
-    /// report path when one was written.
-    pub fn write_report(&self) -> Option<PathBuf> {
-        let dir = self.dir.as_ref()?;
+    /// `<dir>/report.md` (plus `<dir>/metrics.txt` when spans are on)
+    /// and name the report on stderr. No-op when tracing is disabled;
+    /// rendering problems are warned about on stderr but never fail the
+    /// experiment.
+    pub fn write_report(&self) {
+        let Some(dir) = &self.dir else { return };
         if self.spans {
             let _ = std::fs::write(dir.join("metrics.txt"), self.metrics.render());
         }
-        let report = match jtune_report::load(dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("warning: report skipped: {e}");
-                return None;
-            }
-        };
         let path = dir.join("report.md");
-        match std::fs::write(&path, jtune_report::to_markdown(&report)) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: report skipped: {e}");
-                None
-            }
+        let written = jtune_report::load(dir).and_then(|report| {
+            std::fs::write(&path, jtune_report::to_markdown(&report)).map_err(|e| e.to_string())
+        });
+        match written {
+            Ok(()) => eprintln!("report: {}", path.display()),
+            Err(e) => eprintln!("warning: report skipped: {e}"),
         }
     }
-}
-
-/// Tune one workload with the given options and fault plan, emitting
-/// telemetry on `bus` (pass [`TelemetryBus::disabled()`] for a silent
-/// run). `Some(plan)` wraps the simulator in a
-/// [`FaultyExecutor`](jtune_harness::FaultyExecutor), `None` runs
-/// fault-free. The stack is built from the shared [`ExecutorSpec`]
-/// description, the same path the CLI and daemon sessions use.
-pub fn tune_program_with(
-    workload: Workload,
-    opts: TunerOptions,
-    fault: Option<FaultPlan>,
-    bus: &TelemetryBus,
-) -> SuiteRow {
-    let name = workload.name.clone();
-    let executor = ExecutorSpec::sim(workload)
-        .with_fault(fault.filter(FaultPlan::is_active))
-        .build();
-    SuiteRow::from(Tuner::new(opts).run(executor.as_ref(), &name, bus))
 }
 
 impl From<TuningResult> for SuiteRow {
@@ -354,36 +401,37 @@ impl From<TuningResult> for SuiteRow {
 /// columns; with the features off the layout is byte-identical to the
 /// published tables.
 pub fn render_suite_table(title: &str, rows: &[SuiteRow]) -> String {
-    let pipeline = rows.iter().any(|r| r.cache_hits > 0 || r.aborted > 0);
-    let faults = rows.iter().any(|r| r.retried > 0 || r.quarantined > 0);
-    let model = rows.iter().any(|r| r.screened > 0 || r.model_fits > 0);
-    let mut headers = vec![
-        "program",
-        "default (s)",
-        "tuned (s)",
-        "improvement",
-        "evals",
+    type Column = (&'static str, fn(&SuiteRow) -> u64);
+    // Optional column groups, each shown when any row is active in it.
+    let groups: [(bool, &[Column]); 3] = [
+        (
+            rows.iter().any(|r| r.cache_hits > 0 || r.aborted > 0),
+            &[
+                ("distinct", |r| r.distinct),
+                ("hits", |r| r.cache_hits),
+                ("aborted", |r| r.aborted),
+            ],
+        ),
+        (
+            rows.iter().any(|r| r.retried > 0 || r.quarantined > 0),
+            &[
+                ("retried", |r| r.retried),
+                ("quarantined", |r| r.quarantined),
+            ],
+        ),
+        (
+            rows.iter().any(|r| r.screened > 0 || r.model_fits > 0),
+            &[("screened", |r| r.screened), ("fits", |r| r.model_fits)],
+        ),
     ];
-    let mut aligns = vec![
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ];
-    if pipeline {
-        headers.extend(["distinct", "hits", "aborted"]);
-        aligns.extend([Align::Right, Align::Right, Align::Right]);
-    }
-    if faults {
-        headers.extend(["retried", "quarantined"]);
-        aligns.extend([Align::Right, Align::Right]);
-    }
-    if model {
-        headers.extend(["screened", "fits"]);
-        aligns.extend([Align::Right, Align::Right]);
-    }
-    let mut t = TextTable::new(&headers, &aligns);
+    let extra: Vec<Column> = groups
+        .into_iter()
+        .filter(|(active, _)| *active)
+        .flat_map(|(_, columns)| columns.iter().copied())
+        .collect();
+    let mut headers = vec!["default (s)", "tuned (s)", "improvement", "evals"];
+    headers.extend(extra.iter().map(|(name, _)| *name));
+    let mut t = text_table("program", &headers);
     for r in rows {
         let mut row = vec![
             r.program.clone(),
@@ -392,40 +440,15 @@ pub fn render_suite_table(title: &str, rows: &[SuiteRow]) -> String {
             fpct(r.improvement),
             r.evaluations.to_string(),
         ];
-        if pipeline {
-            row.extend([
-                r.distinct.to_string(),
-                r.cache_hits.to_string(),
-                r.aborted.to_string(),
-            ]);
-        }
-        if faults {
-            row.extend([r.retried.to_string(), r.quarantined.to_string()]);
-        }
-        if model {
-            row.extend([r.screened.to_string(), r.model_fits.to_string()]);
-        }
+        row.extend(extra.iter().map(|(_, value)| value(r).to_string()));
         t.row(row);
     }
     t.rule();
     let improvements: Vec<f64> = rows.iter().map(|r| r.improvement).collect();
     let avg = stats::Summary::from_slice(&improvements).mean();
-    let mut avg_row = vec![
-        "average".to_string(),
-        String::new(),
-        String::new(),
-        fpct(avg),
-        String::new(),
-    ];
-    if pipeline {
-        avg_row.extend([String::new(), String::new(), String::new()]);
-    }
-    if faults {
-        avg_row.extend([String::new(), String::new()]);
-    }
-    if model {
-        avg_row.extend([String::new(), String::new()]);
-    }
+    let mut avg_row = vec![String::new(); headers.len() + 1];
+    avg_row[0] = "average".to_string();
+    avg_row[3] = fpct(avg);
     t.row(avg_row);
     let mut sorted = improvements.clone();
     sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
@@ -435,6 +458,16 @@ pub fn render_suite_table(title: &str, rows: &[SuiteRow]) -> String {
         t.render(),
         top.join(", ")
     )
+}
+
+/// A text table with a left-aligned `first` column followed by
+/// right-aligned `columns`, the layout of every experiment table.
+pub fn text_table<S: AsRef<str>>(first: &str, columns: &[S]) -> TextTable {
+    let mut headers = vec![first];
+    headers.extend(columns.iter().map(AsRef::as_ref));
+    let mut aligns = vec![Align::Right; headers.len()];
+    aligns[0] = Align::Left;
+    TextTable::new(&headers, &aligns)
 }
 
 /// Best-so-far improvement at a virtual-time checkpoint, from a session's
@@ -571,12 +604,107 @@ mod tests {
         );
     }
 
+    /// One untraced session of `program` through the runner.
+    fn tune_one(program: &str, opts: TunerOptions, fault: Option<FaultPlan>) -> SuiteRow {
+        let exp = Experiment::new(opts.clone());
+        let w = workload_by_name(program).unwrap();
+        let job = Job {
+            fault,
+            ..exp.job(program, w, opts)
+        };
+        exp.run(vec![job]).remove(0)
+    }
+
+    /// Small sessions over five programs, each traced under its own
+    /// label.
+    fn small_suite(exp: &Experiment) -> Vec<Job> {
+        let mut opts = tuner_options(3, 7);
+        opts.max_evaluations = Some(12);
+        let names = [
+            "compress",
+            "serial",
+            "dacapo:h2",
+            "crypto.aes",
+            "xml.validation",
+        ];
+        let workloads = names.map(|n| workload_by_name(n).unwrap()).to_vec();
+        suite_sessions(&opts, workloads)
+            .map(|(w, opts)| exp.job(format!("run:{}", w.name), w, opts))
+            .collect()
+    }
+
+    #[test]
+    fn rows_come_back_in_job_order() {
+        let exp = Experiment::new(tuner_options(3, 7));
+        let jobs = small_suite(&exp);
+        let want: Vec<String> = jobs.iter().map(|j| j.workload.name.clone()).collect();
+        for width in [1, 2, 3, 8] {
+            let got: Vec<String> = exp
+                .run_at(jobs.clone(), width)
+                .into_iter()
+                .map(|r| r.program)
+                .collect();
+            assert_eq!(got, want, "width {width}");
+        }
+        assert!(exp.run(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn every_width_gives_identical_records_and_traces() {
+        let run = |width: usize| {
+            let dir =
+                std::env::temp_dir().join(format!("jtune-runner-{}-w{width}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut exp = Experiment::new(tuner_options(3, 7));
+            exp.telemetry.dir = Some(dir.clone());
+            let records: Vec<String> = exp
+                .run_at(small_suite(&exp), width)
+                .iter()
+                .map(|r| r.result.session.to_json())
+                .collect();
+            let mut traces: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&path).unwrap())
+                })
+                .collect();
+            traces.sort();
+            let _ = std::fs::remove_dir_all(&dir);
+            (records, traces)
+        };
+        let (records, traces) = run(1);
+        assert_eq!(traces.len(), 5);
+        assert!(traces.iter().any(|(name, _)| name == "run-h2.jsonl"));
+        assert!(traces.iter().all(|(_, bytes)| !bytes.is_empty()));
+        assert_eq!(run(3), (records, traces));
+    }
+
+    #[test]
+    fn a_panicking_session_reaches_the_caller() {
+        let exp = Experiment::new(tuner_options(3, 7));
+        let mut jobs = small_suite(&exp);
+        jobs[3].options.technique = "no-such-technique".into();
+        for width in [1, 3] {
+            let payload = std::panic::catch_unwind(|| exp.run_at(jobs.clone(), width))
+                .expect_err("the bad session must panic the run");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                message.contains("no-such-technique"),
+                "width {width}: {message:?}"
+            );
+        }
+    }
+
     #[test]
     fn tune_program_produces_consistent_row() {
-        let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(2, 1);
         opts.max_evaluations = Some(10);
-        let row = tune_program_with(w, opts, None, &TelemetryBus::disabled());
+        let row = tune_one("compress", opts, None);
         assert!(row.tuned_secs <= row.default_secs);
         assert!(
             (row.improvement - stats::improvement_percent(row.default_secs, row.tuned_secs)).abs()
@@ -586,9 +714,7 @@ mod tests {
 
     #[test]
     fn improvement_at_is_monotone_in_time() {
-        let w = workload_by_name("serial").unwrap();
-        let opts = tuner_options(5, 2);
-        let row = tune_program_with(w, opts, None, &TelemetryBus::disabled());
+        let row = tune_one("serial", tuner_options(5, 2), None);
         let early = improvement_at(&row, 1.0);
         let late = improvement_at(&row, 5.0);
         assert!(late >= early);
@@ -597,10 +723,9 @@ mod tests {
 
     #[test]
     fn render_table_contains_all_programs() {
-        let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
+        let rows = vec![tune_one("compress", opts, None)];
         let s = render_suite_table("t", &rows);
         assert!(s.contains("compress"));
         assert!(s.contains("average improvement"));
@@ -613,10 +738,9 @@ mod tests {
 
     #[test]
     fn suite_table_grows_pipeline_columns_when_active() {
-        let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let mut rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
+        let mut rows = vec![tune_one("compress", opts, None)];
         rows[0].cache_hits = 3;
         rows[0].aborted = 1;
         let s = render_suite_table("t", &rows);
@@ -627,10 +751,9 @@ mod tests {
 
     #[test]
     fn suite_table_grows_fault_columns_when_active() {
-        let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let mut rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
+        let mut rows = vec![tune_one("compress", opts, None)];
         rows[0].retried = 2;
         rows[0].quarantined = 1;
         let s = render_suite_table("t", &rows);
@@ -641,10 +764,9 @@ mod tests {
 
     #[test]
     fn suite_table_grows_model_columns_when_active() {
-        let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(1, 3);
         opts.max_evaluations = Some(5);
-        let mut rows = vec![tune_program_with(w, opts, None, &TelemetryBus::disabled())];
+        let mut rows = vec![tune_one("compress", opts, None)];
         rows[0].screened = 4;
         rows[0].model_fits = 2;
         let s = render_suite_table("t", &rows);
@@ -656,10 +778,9 @@ mod tests {
 
     #[test]
     fn model_guided_session_screens_candidates() {
-        let w = workload_by_name("compress").unwrap();
         let mut opts = tuner_options(10, 5);
         opts.model = Some(ModelPolicy::default());
-        let row = tune_program_with(w, opts, None, &TelemetryBus::disabled());
+        let row = tune_one("compress", opts, None);
         assert!(row.screened > 0, "screen never rejected a proposal");
         assert!(row.model_fits > 0, "surrogate never fitted");
         assert!(row.tuned_secs <= row.default_secs);
@@ -667,13 +788,12 @@ mod tests {
 
     #[test]
     fn faulty_session_with_retries_still_improves() {
-        let w = workload_by_name("serial").unwrap();
         let mut opts = tuner_options(3, 11);
         opts.max_evaluations = Some(40);
         opts.protocol.retry = Some(RetryPolicy::default());
         opts.quarantine = Some(QuarantinePolicy::default());
         let plan = FaultPlan::transient(0.05, FaultPlan::DEFAULT_SEED);
-        let row = tune_program_with(w, opts, Some(plan), &TelemetryBus::disabled());
+        let row = tune_one("serial", opts, Some(plan));
         assert!(row.tuned_secs <= row.default_secs);
     }
 }

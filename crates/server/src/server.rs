@@ -910,8 +910,8 @@ impl TuneServer {
             // Frame-handling wall time: from parse to reply written
             // (watch streams count until their stream closes).
             let frame_start = std::time::Instant::now();
-            let request = match wire::parse_request(&line) {
-                Ok(r) => r,
+            let (request, retry) = match wire::parse_tagged_request(&line) {
+                Ok(parsed) => parsed,
                 Err(e) => {
                     self.note_event(&TraceEvent::FrameRejected {
                         code: e.code.clone(),
@@ -926,12 +926,8 @@ impl TuneServer {
             // Retried requests carry a retry tag (attempt, backoff) the
             // client spliced in; count them so `stats` shows how much
             // of the load is retry pressure.
-            if line.contains("\"attempt\":") {
-                if let Ok(v) = jtune_util::json::parse(&line) {
-                    if let Some((attempt, delay_ms)) = wire::retry_tag(&v) {
-                        self.note_event(&TraceEvent::ClientRetried { attempt, delay_ms });
-                    }
-                }
+            if let Some((attempt, delay_ms)) = retry {
+                self.note_event(&TraceEvent::ClientRetried { attempt, delay_ms });
             }
             let reply: Result<Response, WireError> = match request {
                 Request::Submit(spec) => self.submit(spec).map(|sid| Response::Sid { sid }),

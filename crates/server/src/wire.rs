@@ -339,7 +339,17 @@ impl std::error::Error for WireError {}
 
 /// Parse one request line into a [`Request`].
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
+    parse_tagged_request(line).map(|(request, _)| request)
+}
+
+/// Parse one request line, once, into its [`Request`] and the
+/// [`retry_tag`] a retried frame carries.
+pub fn parse_tagged_request(line: &str) -> Result<(Request, Option<(u64, u64)>), WireError> {
     let v = json::parse(line).map_err(|e| WireError::new("bad-frame", e))?;
+    Ok((decode_request(&v)?, retry_tag(&v)))
+}
+
+fn decode_request(v: &JsonValue) -> Result<Request, WireError> {
     match v.get("v").and_then(JsonValue::as_u64) {
         Some(VERSION) => {}
         Some(other) => {
@@ -362,7 +372,7 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     match op {
         "submit" => {
             let spec =
-                SessionSpec::from_json_value(&v).map_err(|e| WireError::new("invalid-spec", e))?;
+                SessionSpec::from_json_value(v).map_err(|e| WireError::new("invalid-spec", e))?;
             Ok(Request::Submit(spec))
         }
         "status" => Ok(Request::Status {
@@ -402,7 +412,7 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         "complete" => Ok(Request::Complete {
             wid: field("wid")?,
             lease: field("lease")?,
-            outcome: TrialOutcome::from_json(&v)?,
+            outcome: TrialOutcome::from_json(v)?,
         }),
         "fail" => Ok(Request::Fail {
             wid: field("wid")?,
@@ -1152,9 +1162,10 @@ mod tests {
         assert_eq!(retry_tag(&v), Some((2, 310)));
         // The tag must not confuse the request decoder.
         assert_eq!(
-            parse_request(&tagged).expect("tagged request parses"),
-            Request::Status { sid: None }
+            parse_tagged_request(&tagged).expect("tagged request parses"),
+            (Request::Status { sid: None }, Some((2, 310)))
         );
+        assert_eq!(parse_tagged_request(&frame).unwrap().1, None);
     }
 
     #[test]

@@ -37,7 +37,8 @@ impl JsonlSink {
         })
     }
 
-    /// Number of events dropped because the underlying write failed.
+    /// Number of writes and flushes that failed; non-zero means the
+    /// trace lost events.
     pub fn write_errors(&self) -> u64 {
         self.write_errors.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -64,13 +65,17 @@ impl TuningObserver for JsonlSink {
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().unwrap_or_else(|p| p.into_inner()).flush();
+        let flushed = self.out.lock().unwrap_or_else(|p| p.into_inner()).flush();
+        if flushed.is_err() {
+            self.write_errors
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
     }
 }
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        let _ = self.out.lock().unwrap_or_else(|p| p.into_inner()).flush();
+        TuningObserver::flush(self);
     }
 }
 
@@ -99,6 +104,18 @@ mod tests {
         assert_eq!(sink.write_errors(), 0);
         drop(sink);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_flush_counts_as_a_write_error() {
+        let sink = JsonlSink::create("/dev/full").expect("open /dev/full");
+        sink.on_event(&TraceEvent::CheckpointWritten {
+            trials: 1,
+            spent_secs: 1.0,
+        });
+        sink.flush();
+        assert!(sink.write_errors() >= 1, "{}", sink.write_errors());
     }
 
     #[test]

@@ -168,45 +168,6 @@ pub struct MetricsRegistry {
     inner: Mutex<Inner>,
 }
 
-/// Counter names the registry maintains (all are 0 until first hit).
-pub const COUNTERS: &[&str] = &[
-    "sessions_started",
-    "sessions_finished",
-    "rounds_proposed",
-    "trials_measured",
-    "trials_evaluated",
-    "trials_failed",
-    "cache_hits",
-    "duplicates_suppressed",
-    "trials_aborted",
-    "best_improvements",
-    "technique_switches",
-    "budget_exhausted",
-    "trials_retried",
-    "quarantined",
-    "model_fits",
-    "candidates_screened",
-    "checkpoints_written",
-    "sessions_resumed",
-    "workers_registered",
-    "trials_leased",
-    "leases_expired",
-    "connections_rejected",
-    "frames_rejected",
-    "clients_retried",
-    "workers_reconnected",
-];
-
-/// Histogram names the registry maintains.
-pub const HISTOGRAMS: &[&str] = &[
-    "trial_score",
-    "trial_cost",
-    "gc_pause_total",
-    "jit_compile",
-    "budget_saved",
-    "retry_cost",
-];
-
 impl MetricsRegistry {
     /// Empty registry.
     pub fn new() -> MetricsRegistry {

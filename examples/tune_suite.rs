@@ -9,9 +9,7 @@
 //! 200-minute budget reproduces `results/e1_specjvm.txt` or
 //! `results/e2_dacapo.txt` row for row.
 
-use hotspot_autotuner::experiments::{
-    render_suite_table, suite_sessions, tune_program_with, tuner_options,
-};
+use hotspot_autotuner::experiments::{render_suite_table, tuner_options, Experiment};
 use hotspot_autotuner::prelude::*;
 
 fn main() {
@@ -28,10 +26,8 @@ fn main() {
         }
     };
 
-    let base = tuner_options(budget_mins, 7);
-    let rows: Vec<_> = suite_sessions(&base, workloads)
-        .map(|(w, opts)| tune_program_with(w, opts, None, &TelemetryBus::disabled()))
-        .collect();
+    let exp = Experiment::new(tuner_options(budget_mins, 7));
+    let rows = exp.run(exp.suite(workloads));
     let title = format!("suite {suite}, {budget_mins}-minute budget per program (paper: 200)");
     print!("{}", render_suite_table(&title, &rows));
 }

@@ -169,13 +169,17 @@ fn executor_spec(args: &Args, workload: Workload) -> Result<ExecutorSpec, String
 }
 
 /// Build the telemetry bus requested on the command line: `--trace PATH`
-/// attaches a JSONL sink, `--progress` a live stderr reporter.
-fn telemetry_from(local: &Local) -> TelemetryBus {
+/// attaches a JSONL sink (returned too, for [`warn_lost_events`]),
+/// `--progress` a live stderr reporter.
+fn telemetry_from(local: &Local) -> (TelemetryBus, Option<Arc<JsonlSink>>) {
     let mut bus = TelemetryBus::new();
+    let mut trace = None;
     if let Some(path) = &local.trace {
         match JsonlSink::create(path) {
             Ok(sink) => {
-                bus.add(Arc::new(sink));
+                let sink = Arc::new(sink);
+                bus.add(Arc::clone(&sink) as Arc<dyn TuningObserver>);
+                trace = Some(sink);
             }
             Err(e) => eprintln!("warning: cannot create trace file {path:?}: {e}"),
         }
@@ -183,7 +187,17 @@ fn telemetry_from(local: &Local) -> TelemetryBus {
     if local.progress {
         bus.add(Arc::new(ProgressReporter::stderr()));
     }
-    bus
+    (bus, trace)
+}
+
+/// Warn on stderr when the `--trace` file lost events.
+fn warn_lost_events(local: &Local, trace: Option<Arc<JsonlSink>>) {
+    if let (Some(path), Some(sink)) = (&local.trace, trace) {
+        match sink.write_errors() {
+            0 => {}
+            lost => eprintln!("warning: trace {path:?} is incomplete: {lost} failed writes"),
+        }
+    }
 }
 
 fn cmd_tune(rest: &[String]) -> Result<i32, String> {
@@ -194,7 +208,7 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
     // Fault injection applies to the *tuning* run only; flag-impact
     // attribution below always measures fault-free.
     let spec = executor_spec(&args, workload)?;
-    let bus = telemetry_from(&local);
+    let (bus, trace) = telemetry_from(&local);
     if !local.json {
         println!(
             "tuning {name} ({} budget, technique {}, {:?} manipulator)",
@@ -211,6 +225,7 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
             return Ok(1);
         }
     };
+    warn_lost_events(&local, trace);
     if local.json {
         println!("{}", result.session.to_json());
         return Ok(0);
@@ -254,7 +269,7 @@ fn cmd_suite(rest: &[String]) -> Result<i32, String> {
         Some(other) => return Err(format!("unknown suite {other:?}")),
         None => return Err("suite: expected `spec` or `dacapo`".to_string()),
     };
-    let bus = telemetry_from(&local);
+    let (bus, trace) = telemetry_from(&local);
     let mut rows = Vec::new();
     for (w, opts) in suite_sessions(&base, workloads) {
         let name = w.name.clone();
@@ -267,6 +282,7 @@ fn cmd_suite(rest: &[String]) -> Result<i32, String> {
             }
         }
     }
+    warn_lost_events(&local, trace);
     if local.json {
         let records: Vec<String> = rows.iter().map(|r| r.result.session.to_json()).collect();
         println!("{}", json::array_of(&records));

@@ -47,8 +47,10 @@
 //!   (`jtune report`).
 //! - [`experiments`] — the suite loop behind the paper's tables, with
 //!   its one per-program seed rule ([`experiments::suite_sessions`]),
-//!   and the paper-style table ([`experiments::render_suite_table`]),
-//!   shared by `jtune suite`, the experiment drivers and the examples.
+//!   the session runner the drivers hand their sessions to
+//!   ([`experiments::Experiment::run`]), and the paper-style table
+//!   ([`experiments::render_suite_table`]), shared by `jtune suite`,
+//!   the experiment drivers and the examples.
 //!
 //! ## Quickstart
 //!
