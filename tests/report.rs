@@ -134,3 +134,79 @@ fn json_report_round_trips_through_the_parser() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The Markdown report of the failing-default session: its `null`
+/// default and best scores read as 0.
+const FAILING_DEFAULT_MD: &str = r#"# jtune report
+
+Input: `traces` — 1 session(s)
+
+## Overview
+
+| session | program | technique | default (s) | best (s) | improvement | evals | spent (s) |
+|---|---|---|---|---|---|---|---|
+| compress | compress | ensemble | 0.000 | 0.000 | +0.0% | 1 | 2.207 |
+
+## compress
+
+Program `compress`, seed 7, budget 120.000 s; best delta: (default configuration)
+
+### Convergence
+
+| eval | spent (s) | best (s) |
+|---|---|---|
+
+### Techniques
+
+| technique | proposals | failures | wins | reward (s) | best (s) |
+|---|---|---|---|---|---|
+| default | 1 | 1 | 0 | 0.000 | — |
+
+### Counters
+
+| counter | value |
+|---|---|
+| evaluations | 1 |
+| failures | 1 |
+| cache hits | 0 |
+| duplicates suppressed | 0 |
+| racing aborts | 0 |
+| retries | 0 |
+| quarantined | 0 |
+| screened | 0 |
+| model fits | 0 |
+| checkpoints | 0 |
+| budget saved (s) | 0.000 |
+
+### Flag impact
+
+No `-XX:` flags appeared in any trial delta.
+"#;
+
+#[test]
+fn failing_default_session_renders_null_scores_as_zero() {
+    // Live set far beyond the default heap: the default run OOMs, so the
+    // trace's `SessionFinished.default_secs` is `null`.
+    let dir = temp_dir("failing-default");
+    let mut w = Workload::baseline("compress");
+    w.total_work = 2e9;
+    w.live_set = 3e9;
+    w.nursery_survival = 0.6;
+    w.alloc_rate = 10.0;
+    let opts = TunerOptions {
+        budget: SimDuration::from_mins(2),
+        seed: 7,
+        workers: 2,
+        batch: 4,
+        ..TunerOptions::default()
+    };
+    let sink = JsonlSink::create(dir.join("compress.jsonl")).expect("trace file");
+    let bus = TelemetryBus::new().with(Arc::new(sink));
+    Tuner::new(opts).run(&SimExecutor::new(w), "compress", &bus);
+    drop(bus);
+    let trace = std::fs::read_to_string(dir.join("compress.jsonl")).expect("trace");
+    assert!(trace.contains("\"default_secs\":null"), "{trace}");
+    let md = report::to_markdown(&report::load(&dir).expect("report"));
+    assert_eq!(md, FAILING_DEFAULT_MD);
+    let _ = std::fs::remove_dir_all(&dir);
+}
