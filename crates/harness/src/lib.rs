@@ -66,6 +66,9 @@ pub use executor::{
 };
 pub use fault::{Fault, FaultPlan, FaultyExecutor};
 pub use journal::{JournalError, JournalWriter, ReplayLog, SessionHeader};
+/// The event type the pipeline emits, re-exported so a crate that only
+/// reads traces (the report) needs no telemetry dependency of its own.
+pub use jtune_telemetry::TraceEvent;
 pub use memo::{MeasurementCache, MemoExecutor};
 pub use objective::Objective;
 pub use pipeline::{BatchReport, EvalPipeline, PipelineStats, Provenance};

@@ -80,6 +80,7 @@ fn load_trace_file(path: &Path) -> Result<SessionSummary, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     SessionSummary::from_trace(&label_of(path), &text)
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Sorted entries of `dir` whose file name passes `keep`.

@@ -439,3 +439,39 @@ fn daemon_and_worker_rows_keep_their_rules() {
     assert_eq!(options.backoff.retry.max_retries, 2);
     assert_eq!(options.backoff.cap_ms, 1, "a zero cap is floored at 1 ms");
 }
+
+#[test]
+fn report_rejects_a_trace_it_cannot_decode() {
+    let dir = temp_dir("report-decode");
+    let trace = dir.join("compress.jsonl");
+    let trace_arg = trace.to_str().expect("utf-8 path");
+    let out = jtune(&[
+        "tune", "compress", "--budget", "2", "--seed", "3", "--trace", trace_arg,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    assert_eq!(jtune(&["report", trace_arg]).status.code(), Some(0));
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    for (from, to, names) in [
+        (
+            "budget_spent_secs",
+            "budget_used_secs",
+            "missing field `budget_spent_secs`",
+        ),
+        (
+            "\"type\":\"RoundProposed\"",
+            "\"type\":\"RoundPlanned\"",
+            "unknown event type \"RoundPlanned\"",
+        ),
+    ] {
+        std::fs::write(&trace, text.replacen(from, to, 1)).expect("rewrite trace");
+        let out = jtune(&["report", trace_arg]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(
+            err.contains(trace_arg) && err.contains(": line ") && err.contains(names),
+            "{err}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

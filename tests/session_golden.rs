@@ -1,7 +1,9 @@
 //! Golden session hashes: a small matrix of tuning-session shapes, each
 //! pinned by an FNV-1a hash of its [`SessionRecord`] JSON, of its JSONL
 //! trace (what `JsonlSink` writes), and of its live event skeleton
-//! (ephemeral events included, span wall times dropped).
+//! (ephemeral events included, span wall times dropped). Every trace
+//! line and every live event must also decode with
+//! `TraceEvent::from_json` and re-encode to the same bytes.
 //!
 //! The other determinism tests compare two runs of the same build; this
 //! one compares a run against constants, so it pins the tuner's trial
@@ -126,6 +128,13 @@ fn observed(
     let mut trace = String::new();
     let mut live = String::new();
     for event in recorder.events() {
+        let line = event.to_json();
+        let decoded = TraceEvent::from_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(
+            decoded.to_json(),
+            line,
+            "live event re-encodes to its bytes"
+        );
         match &event {
             TraceEvent::PhaseStarted { phase, round } => {
                 live.push_str(&format!("start {phase} {round}\n"));
@@ -134,7 +143,6 @@ fn observed(
                 live.push_str(&format!("end {phase} {round}\n"));
             }
             e => {
-                let line = e.to_json();
                 live.push_str(&line);
                 live.push('\n');
                 if !e.is_ephemeral() {
@@ -260,6 +268,10 @@ fn session_streams_match_the_golden_hashes() {
     for case in CASES {
         for program in PROGRAMS {
             let (result, trace, live) = run_case(case, program);
+            for line in trace.lines() {
+                let decoded = TraceEvent::from_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                assert_eq!(decoded.to_json(), line, "{case}/{program}: trace line");
+            }
             match case {
                 "suspend" => assert!(result.suspended, "{case}/{program}"),
                 "failing-default" => assert!(result.session.default_secs.is_infinite()),
