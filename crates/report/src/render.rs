@@ -217,9 +217,8 @@ fn page(report: &Report, syntax: Syntax) -> String {
     }
     for s in &report.sessions {
         w.heading(2, &s.label);
-        let seed = s.seed.map_or_else(|| "—".to_string(), |v| v.to_string());
         let budget = secs(s.budget_secs);
-        let intro = format!(", seed {seed}, budget {budget} s; best delta: ");
+        let intro = format!(", seed {}, budget {budget} s; best delta: ", s.seed);
         let delta = s.best_delta.join(" ");
         w.paragraph(&[
             Span::Text("Program "),
@@ -428,16 +427,13 @@ fn session_json(s: &SessionSummary) -> String {
         .fold(JsonObject::new(), |o, (key, _, v)| o.u64(key, *v))
         .f64("saved_secs", s.counters.saved_secs)
         .finish();
-    let mut o = JsonObject::new()
+    JsonObject::new()
         .str("label", &s.label)
         .str("program", &s.program)
         .str("technique", &s.technique)
-        .f64("budget_secs", s.budget_secs);
-    o = match s.seed {
-        Some(seed) => o.u64("seed", seed),
-        None => o.raw("seed", "null"),
-    };
-    o.f64("default_secs", s.default_secs)
+        .f64("budget_secs", s.budget_secs)
+        .u64("seed", s.seed)
+        .f64("default_secs", s.default_secs)
         .f64("best_secs", s.best_secs)
         .f64("improvement_percent", s.improvement_percent)
         .f64("spent_secs", s.spent_secs)
@@ -483,7 +479,7 @@ mod tests {
                 program: "compress".into(),
                 technique: "ensemble".into(),
                 budget_secs: 600.0,
-                seed: Some(7),
+                seed: 7,
                 default_secs: 10.0,
                 best_secs: 8.0,
                 improvement_percent: 25.0,
