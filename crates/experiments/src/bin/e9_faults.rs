@@ -23,6 +23,7 @@ fn main() {
     let exp = Experiment::from_env("e9_faults", 50);
     let budget = exp.budget_mins();
     let plan = exp
+        .executor
         .fault
         .unwrap_or_else(|| FaultPlan::transient(0.05, FaultPlan::DEFAULT_SEED));
 
@@ -39,7 +40,7 @@ fn main() {
             let label = format!("{arm}+{}", job.label);
             jobs.push(Job {
                 label,
-                fault,
+                executor: job.executor.with_fault(fault),
                 ..job
             });
         }

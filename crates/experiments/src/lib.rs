@@ -7,7 +7,8 @@
 //!
 //! A driver lists its tuning sessions as [`Job`]s and hands them to
 //! [`Experiment::run`], which traces each one and runs them side by side
-//! at the machine's width; rows come back in job order.
+//! at the machine's width; rows come back in job order. `jtune suite`
+//! runs its sessions the same way.
 //!
 //! Each driver parses its run once, in `main`, with
 //! [`Experiment::from_env`]: its command line first, then the
@@ -32,7 +33,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use autotuner_core::{Tuner, TunerOptions, TuningResult, TUNER_OPTIONS};
-use jtune_harness::{ExecutorSpec, FaultPlan, EXECUTOR_OPTIONS};
+use jtune_harness::{ExecutorKind, ExecutorSpec, EXECUTOR_OPTIONS};
 use jtune_jvmsim::Workload;
 use jtune_telemetry::{JsonlSink, MetricsRegistry, ProgressReporter, TelemetryBus, TuningObserver};
 use jtune_util::cli::{self, Args, Opt, Table};
@@ -107,25 +108,22 @@ pub struct Experiment {
     /// the requested pipeline features, the run's budget and its
     /// master seed.
     pub options: TunerOptions,
-    /// Fault injection requested for the run; `None` injects nothing.
-    pub fault: Option<FaultPlan>,
+    /// The executor rows the run parsed (a deadline and a fault plan) on
+    /// a placeholder simulator; [`Experiment::job`] puts each session's
+    /// program in its place.
+    pub executor: ExecutorSpec,
     /// Where traces go and whether progress and spans are on.
     pub telemetry: ExperimentTelemetry,
 }
 
 impl Experiment {
-    /// A run that starts every session from `options`, injects no
-    /// faults and records no telemetry.
+    /// A run that starts every session from `options`, adds no executor
+    /// layers and records no telemetry.
     pub fn new(options: TunerOptions) -> Experiment {
         Experiment {
             options,
-            fault: None,
-            telemetry: ExperimentTelemetry {
-                dir: None,
-                progress: false,
-                spans: false,
-                metrics: Arc::new(MetricsRegistry::new()),
-            },
+            executor: ExecutorSpec::sim(Workload::baseline("experiment")),
+            telemetry: ExperimentTelemetry::new(None, false),
         }
     }
 
@@ -160,10 +158,7 @@ impl Experiment {
         exp.options
             .validate()
             .map_err(|e| format!("{name}: invalid options: {e}"))?;
-        // The executor rows only set layers, so any workload carries them.
-        let mut layers = ExecutorSpec::sim(Workload::baseline(name));
-        args.apply(&mut layers, EXECUTOR_OPTIONS)?;
-        exp.fault = layers.fault;
+        args.apply(&mut exp.executor, EXECUTOR_OPTIONS)?;
         args.apply(&mut exp, EXPERIMENT_OPTIONS)?;
         exp.telemetry.dir = exp.telemetry.dir.map(|dir| dir.join(name));
         Ok(exp)
@@ -189,14 +184,16 @@ impl Experiment {
         }
     }
 
-    /// A session tuning `workload` under `options` and the run's fault
-    /// plan, traced as `label`.
+    /// A session tuning `workload` under `options` and the run's
+    /// executor layers, traced as `label`.
     pub fn job(&self, label: impl Into<String>, workload: Workload, options: TunerOptions) -> Job {
         Job {
             label: label.into(),
-            workload,
+            executor: ExecutorSpec {
+                kind: ExecutorKind::Sim(workload),
+                ..self.executor.clone()
+            },
             options,
-            fault: self.fault,
         }
     }
 
@@ -254,14 +251,11 @@ impl Experiment {
 pub struct Job {
     /// Names the session's trace, `<dir>/<label>.jsonl`.
     pub label: String,
-    /// The program to tune on the simulator.
-    pub workload: Workload,
+    /// The executor stack to tune on, built as `jtune tune` builds its
+    /// own: the program's simulator, a deadline, a fault plan.
+    pub executor: ExecutorSpec,
     /// The session's options; the runner sets one evaluation worker.
     pub options: TunerOptions,
-    /// `Some(plan)` wraps the simulator in a
-    /// [`FaultyExecutor`](jtune_harness::FaultyExecutor); `None` runs
-    /// fault-free.
-    pub fault: Option<FaultPlan>,
 }
 
 /// The suite loop: each workload in order, paired with `base` reseeded
@@ -303,6 +297,17 @@ pub struct ExperimentTelemetry {
 }
 
 impl ExperimentTelemetry {
+    /// Trace each session to `<dir>/<label>.jsonl` when `dir` is set and
+    /// report live progress on stderr when `progress` is; no spans.
+    pub fn new(dir: Option<PathBuf>, progress: bool) -> ExperimentTelemetry {
+        ExperimentTelemetry {
+            dir,
+            progress,
+            spans: false,
+            metrics: Arc::new(MetricsRegistry::new()),
+        }
+    }
+
     /// Run one job with its own bus: a trace at `<dir>/<label>.jsonl`
     /// (path-hostile characters replaced), the run-wide metrics when
     /// spans are on, and a progress reporter when asked for.
@@ -327,10 +332,12 @@ impl ExperimentTelemetry {
         if self.progress {
             bus.add(Arc::new(ProgressReporter::stderr()));
         }
-        let name = job.workload.name.clone();
-        let executor = ExecutorSpec::sim(job.workload)
-            .with_fault(job.fault.filter(FaultPlan::is_active))
-            .build();
+        // A simulated session is named after its program.
+        let name = match &job.executor.kind {
+            ExecutorKind::Sim(workload) => workload.name.clone(),
+            ExecutorKind::Process { .. } => job.label.clone(),
+        };
+        let executor = job.executor.build();
         let opts = TunerOptions {
             workers: 1,
             ..job.options
@@ -492,7 +499,7 @@ pub fn improvement_at(row: &SuiteRow, minutes: f64) -> f64 {
 mod tests {
     use super::*;
     use autotuner_core::ModelPolicy;
-    use jtune_harness::{QuarantinePolicy, RetryPolicy};
+    use jtune_harness::{FaultPlan, QuarantinePolicy, RetryPolicy};
     use jtune_workloads::workload_by_name;
 
     fn parse(line: &str, vars: &[(&str, &str)]) -> Result<Experiment, String> {
@@ -511,7 +518,8 @@ mod tests {
         let plain = tuner_options(200, 7);
         assert_eq!(exp.options.signature(), plain.signature());
         assert_eq!((exp.budget_mins(), exp.seed()), (200, 7));
-        assert!(exp.fault.is_none());
+        assert!(exp.executor.fault.is_none());
+        assert!(exp.executor.deadline_secs.is_none());
         assert_eq!(exp.telemetry.dir, Some(PathBuf::from("results/traces/e0")));
     }
 
@@ -543,7 +551,7 @@ mod tests {
         let exp = parse("--budget 30 --no-trace", &vars).unwrap();
         assert_eq!((exp.budget_mins(), exp.seed()), (30, 3), "argv wins");
         assert_eq!(
-            exp.fault,
+            exp.executor.fault,
             Some(FaultPlan::transient(0.05, FaultPlan::DEFAULT_SEED))
         );
         assert_eq!(exp.options.model.map(|m| m.screen_ratio), Some(2.0));
@@ -608,9 +616,10 @@ mod tests {
     fn tune_one(program: &str, opts: TunerOptions, fault: Option<FaultPlan>) -> SuiteRow {
         let exp = Experiment::new(opts.clone());
         let w = workload_by_name(program).unwrap();
+        let job = exp.job(program, w, opts);
         let job = Job {
-            fault,
-            ..exp.job(program, w, opts)
+            executor: job.executor.with_fault(fault),
+            ..job
         };
         exp.run(vec![job]).remove(0)
     }
@@ -637,7 +646,7 @@ mod tests {
     fn rows_come_back_in_job_order() {
         let exp = Experiment::new(tuner_options(3, 7));
         let jobs = small_suite(&exp);
-        let want: Vec<String> = jobs.iter().map(|j| j.workload.name.clone()).collect();
+        let want = ["compress", "serial", "h2", "crypto.aes", "xml.validation"];
         for width in [1, 2, 3, 8] {
             let got: Vec<String> = exp
                 .run_at(jobs.clone(), width)

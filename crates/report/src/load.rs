@@ -125,7 +125,13 @@ pub fn load(path: &Path) -> Result<Report, String> {
 /// server state directory.
 fn discover(path: &Path) -> Result<(Vec<SessionSummary>, Option<DaemonCounters>), String> {
     if path.is_file() {
-        let session = load_trace_file(path).map_err(|e| format!("{e}; expected {SHAPES}"))?;
+        // A .jsonl file that fails to decode is a broken trace; any other
+        // file may not be a trace at all, so name what would be.
+        let trace = path.extension().is_some_and(|ext| ext == "jsonl");
+        let session = match load_trace_file(path) {
+            Err(e) if !trace => return Err(format!("{e}; expected {SHAPES}")),
+            loaded => loaded?,
+        };
         return Ok((vec![session], None));
     }
     if !path.is_dir() {
@@ -266,6 +272,20 @@ mod tests {
         let r = load(&dir).expect("load");
         assert_eq!(r.sessions.len(), 1);
         assert_eq!(r.sessions[0].program, "serial");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_broken_trace_file_names_its_line_without_the_shapes_hint() {
+        let dir = temp_dir("broken");
+        let path = dir.join("run.jsonl");
+        let broken = tiny_trace("compress").replace("budget_spent_secs", "budget_used_secs");
+        std::fs::write(&path, broken).unwrap();
+        let err = load(&path).expect_err("a renamed field must not load");
+        assert!(
+            err.ends_with("line 2: TrialEvaluated: missing field `budget_spent_secs`"),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

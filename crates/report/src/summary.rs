@@ -265,7 +265,8 @@ impl SessionSummary {
     /// Replay one serialised JSONL trace into a summary. `label` names
     /// the session in the report (usually the trace file stem). A line
     /// [`TraceEvent::from_json`] cannot decode is an error naming the
-    /// line and the field.
+    /// line and the field, and so is a second `SessionStarted`: a trace
+    /// holds one session.
     pub fn from_trace(label: &str, trace: &str) -> Result<SessionSummary, String> {
         let mut acc = Accumulator::default();
         let mut started = None;
@@ -278,6 +279,12 @@ impl SessionSummary {
             let event = TraceEvent::from_json(line).map_err(|e| format!("line {}: {e}", n + 1))?;
             let counters = &mut acc.counters;
             match event {
+                TraceEvent::SessionStarted { .. } if started.is_some() => {
+                    return Err(format!(
+                        "line {}: a second SessionStarted; a trace holds one session",
+                        n + 1
+                    ));
+                }
                 TraceEvent::SessionStarted {
                     program,
                     technique,
@@ -466,6 +473,18 @@ mod tests {
         let unknown = trial.replace("TrialEvaluated", "TrialScored");
         let err = SessionSummary::from_trace("t", &lines(&[started(), &unknown])).unwrap_err();
         assert_eq!(err, "line 2: unknown event type \"TrialScored\"");
+    }
+
+    #[test]
+    fn a_second_session_fails_the_replay_naming_its_line() {
+        let trial = r#"{"type":"TrialEvaluated","index":0,"technique":"default","delta":[],"repeat_secs":[10.0],"score_secs":10.0,"cost_secs":10.0,"budget_spent_secs":10.0,"gc_pause_total_ms":null,"jit_compile_ms":null,"error":null}"#;
+        let one = lines(&[started(), trial]);
+        assert!(SessionSummary::from_trace("t", &one).is_ok());
+        let err = SessionSummary::from_trace("t", &format!("{one}{one}")).unwrap_err();
+        assert_eq!(
+            err,
+            "line 3: a second SessionStarted; a trace holds one session"
+        );
     }
 
     #[test]

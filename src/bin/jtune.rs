@@ -5,9 +5,10 @@
 //! tables (tuner, executor, daemon, worker, session, backoff, chaos) plus
 //! the few below that only the command line has.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use hotspot_autotuner::experiments::{render_suite_table, suite_sessions, SuiteRow};
+use hotspot_autotuner::experiments::{render_suite_table, Experiment, ExperimentTelemetry};
 use hotspot_autotuner::flagtree::SpaceStats;
 use hotspot_autotuner::harness::{BackoffPolicy, BACKOFF_OPTIONS, EXECUTOR_OPTIONS};
 use hotspot_autotuner::prelude::*;
@@ -42,7 +43,7 @@ const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 const OUTPUT: &[Opt<Local>] = &[
     Opt::new("--minimize", "off", "(tune only) rank the best flags by marginal impact, reverting one at a time",
         |l, _| { l.minimize = true; Ok(()) }),
-    Opt::new("--trace PATH", "off", "stream one JSON event per trial to PATH (JSON Lines, deterministic per seed)",
+    Opt::new("--trace PATH", "off", "stream one JSON event per trial (JSON Lines, deterministic per seed): tune to the file PATH, suite to PATH/<program>.jsonl",
         |l, v| { l.trace = Some(v.to_string()); Ok(()) }),
     Opt::new("--progress", "off", "report live tuning progress on stderr",
         |l, _| { l.progress = true; Ok(()) }),
@@ -147,7 +148,7 @@ Exit status: 0 ok, 1 run failure, 2 usage error.
 }
 
 /// Parse `tune`'s or `suite`'s line into validated tuner options and
-/// the output settings; the executor rows apply per workload.
+/// the output settings; the caller applies the executor rows.
 fn parse_tune(cmd: &str, rest: &[String]) -> Result<(Args, TunerOptions, Local), String> {
     let args = Args::parse(cmd, rest, surface(cmd), 1)?;
     let (mut opts, mut local) = (TunerOptions::default(), Local::default());
@@ -156,16 +157,6 @@ fn parse_tune(cmd: &str, rest: &[String]) -> Result<(Args, TunerOptions, Local),
     opts.validate()
         .map_err(|e| format!("{cmd}: invalid options: {e}"))?;
     Ok((args, opts, local))
-}
-
-/// The executor stack the command line denotes for `workload`. One
-/// description serves every consumer: `tune`, `suite`, experiment
-/// drivers, daemon sessions and remote workers all call
-/// [`ExecutorSpec::build`] instead of hand-wiring executor stacks.
-fn executor_spec(args: &Args, workload: Workload) -> Result<ExecutorSpec, String> {
-    let mut spec = ExecutorSpec::sim(workload);
-    args.apply(&mut spec, EXECUTOR_OPTIONS)?;
-    Ok(spec)
 }
 
 /// Build the telemetry bus requested on the command line: `--trace PATH`
@@ -207,7 +198,8 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
         .ok_or_else(|| format!("unknown workload {name:?} (see `jtune workloads`)"))?;
     // Fault injection applies to the *tuning* run only; flag-impact
     // attribution below always measures fault-free.
-    let spec = executor_spec(&args, workload)?;
+    let mut spec = ExecutorSpec::sim(workload);
+    args.apply(&mut spec, EXECUTOR_OPTIONS)?;
     let (bus, trace) = telemetry_from(&local);
     if !local.json {
         println!(
@@ -261,6 +253,8 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
+/// Tune every program of a suite through the experiment runner: one
+/// session per program, side by side, each traced to its own file.
 fn cmd_suite(rest: &[String]) -> Result<i32, String> {
     let (args, base, local) = parse_tune("suite", rest)?;
     let (suite, workloads) = match args.positional(0) {
@@ -269,25 +263,23 @@ fn cmd_suite(rest: &[String]) -> Result<i32, String> {
         Some(other) => return Err(format!("unknown suite {other:?}")),
         None => return Err("suite: expected `spec` or `dacapo`".to_string()),
     };
-    let (bus, trace) = telemetry_from(&local);
-    let mut rows = Vec::new();
-    for (w, opts) in suite_sessions(&base, workloads) {
-        let name = w.name.clone();
-        let executor = executor_spec(&args, w)?.build();
-        match Tuner::new(opts).try_run(executor.as_ref(), &name, &bus) {
-            Ok(result) => rows.push(SuiteRow::from(result)),
-            Err(e) => {
-                eprintln!("suite: {e}");
-                return Ok(1);
-            }
-        }
+    // Suite sessions run side by side, and a journal belongs to one.
+    if base.checkpoint.is_some() || base.resume.is_some() {
+        return Err("suite: --checkpoint/--resume journal one session; use `jtune tune`".into());
     }
-    warn_lost_events(&local, trace);
+    let trace = local.trace.map(PathBuf::from);
+    if trace.as_ref().is_some_and(|path| path.is_file()) {
+        return Err("suite: --trace names a directory of traces, not a file".into());
+    }
+    let mut exp = Experiment::new(base);
+    args.apply(&mut exp.executor, EXECUTOR_OPTIONS)?;
+    exp.telemetry = ExperimentTelemetry::new(trace, local.progress);
+    let rows = exp.run(exp.suite(workloads));
     if local.json {
         let records: Vec<String> = rows.iter().map(|r| r.result.session.to_json()).collect();
         println!("{}", json::array_of(&records));
     } else {
-        let budget = base.budget.as_mins_f64();
+        let budget = exp.options.budget.as_mins_f64();
         let title = format!("{suite}, {budget}-minute budget per program");
         print!("{}", render_suite_table(&title, &rows));
     }

@@ -3,7 +3,7 @@
 //! accepted line must map to the session it always meant; and the README
 //! flag reference must match the option rows.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use hotspot_autotuner::experiments::suite_sessions;
@@ -62,6 +62,32 @@ fn malformed_values_exit_nonzero() {
             stderr_of(&out)
         );
     }
+}
+
+/// A journal belongs to one session and suite sessions run side by
+/// side, so `suite` leaves journals to `tune`; its `--trace` names a
+/// directory. Each line is refused before any session starts.
+#[test]
+fn suite_rejects_journals_and_a_trace_file() {
+    let dir = temp_dir("suite-refusals");
+    let journal = dir.join("journal.jsonl");
+    let file = dir.join("trace.jsonl");
+    std::fs::write(&file, "kept\n").expect("write trace file");
+    let (journal, file) = (journal.to_str().unwrap(), file.to_str().unwrap());
+    for (flag, path, want) in [
+        ("--checkpoint", journal, "use `jtune tune`"),
+        ("--resume", journal, "use `jtune tune`"),
+        ("--trace", file, "names a directory of traces, not a file"),
+    ] {
+        let out = jtune(&["suite", "spec", "--budget", "1", flag, path]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains(want) && err.contains("USAGE"), "{flag}: {err}");
+        assert!(out.stdout.is_empty(), "{flag}");
+    }
+    assert!(!Path::new(journal).exists(), "no session ran");
+    assert_eq!(std::fs::read_to_string(file).unwrap(), "kept\n");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -276,8 +302,6 @@ fn argv_maps_to_the_pinned_session_signature() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `jtune suite` seeds program `i` by the one suite rule, so its records
-/// are the sessions the experiment drivers run under the same seed.
 #[test]
 fn minimize_lists_only_impacts_above_the_hitchhiker_threshold() {
     let out = jtune(&[
@@ -315,6 +339,8 @@ fn minimize_lists_only_impacts_above_the_hitchhiker_threshold() {
     }
 }
 
+/// `jtune suite` seeds program `i` by the one suite rule, so its records
+/// are the sessions the experiment drivers run under the same seed.
 #[test]
 fn suite_seeds_programs_through_the_shared_rule() {
     let out = jtune(&["suite", "dacapo", "--seed", "7", "--budget", "1", "--json"]);
@@ -336,6 +362,65 @@ fn suite_seeds_programs_through_the_shared_rule() {
         String::from_utf8_lossy(&out.stdout),
         format!("{}\n", json::array_of(&records))
     );
+}
+
+/// `jtune suite --trace DIR` writes one trace per program, and each is
+/// the trace `jtune tune` writes for that program under its suite seed:
+/// the executor rows (here `--deadline`) reach every suite session.
+#[test]
+fn suite_traces_one_file_per_program_as_tune_does() {
+    let dir = temp_dir("suite-traces");
+    let seed_of = |program: &str| {
+        let base = TunerOptions {
+            seed: 7,
+            ..TunerOptions::default()
+        };
+        let (_, opts) = suite_sessions(&base, dacapo())
+            .find(|(w, _)| w.name == program)
+            .expect("a DaCapo program");
+        opts.seed.to_string()
+    };
+    let suite = |name: &str, extra: &[&str]| {
+        let traces = dir.join(name);
+        let mut args = vec!["suite", "dacapo", "--budget", "1", "--seed", "7"];
+        args.extend(extra);
+        args.extend(["--trace", traces.to_str().unwrap()]);
+        let out = jtune(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        traces
+    };
+    let tune = |program: &str, extra: &[&str]| {
+        let trace = dir.join(format!("tune-{program}.jsonl"));
+        let seed = seed_of(program);
+        let mut args = vec!["tune", program, "--budget", "1", "--seed", &seed];
+        args.extend(extra);
+        args.extend(["--trace", trace.to_str().unwrap()]);
+        let out = jtune(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        std::fs::read_to_string(trace).expect("tune trace")
+    };
+    let read = |path: PathBuf| std::fs::read_to_string(path).expect("suite trace");
+    let plain = suite("plain", &[]);
+    let mut files: Vec<String> = std::fs::read_dir(&plain)
+        .expect("suite trace dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut want: Vec<String> = dacapo()
+        .iter()
+        .map(|w| format!("{}.jsonl", w.name))
+        .collect();
+    want.sort();
+    assert_eq!(files.len(), 13);
+    assert_eq!(files, want);
+    assert_eq!(read(plain.join("h2.jsonl")), tune("h2", &[]));
+
+    // A 20 s watchdog kills some of jython's runs, so its trace changes.
+    let deadline = suite("deadline", &["--deadline", "20"]);
+    let jython = read(deadline.join("jython.jsonl"));
+    assert_ne!(jython, read(plain.join("jython.jsonl")));
+    assert_eq!(jython, tune("jython", &["--deadline", "20"]));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The README's flag reference is the one `jtune --help` renders from
@@ -471,7 +556,19 @@ fn report_rejects_a_trace_it_cannot_decode() {
             err.contains(trace_arg) && err.contains(": line ") && err.contains(names),
             "{err}"
         );
+        assert!(
+            err.trim_end().ends_with(names),
+            "no input-shapes hint: {err}"
+        );
         assert!(out.stdout.is_empty());
     }
+    // Two sessions concatenated are not one trace.
+    let lines = text.lines().count();
+    std::fs::write(&trace, format!("{text}{text}")).expect("rewrite trace");
+    let out = jtune(&["report", trace_arg]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let want = format!("line {}: a second SessionStarted", lines + 1);
+    assert!(err.contains(trace_arg) && err.contains(&want), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
