@@ -148,15 +148,19 @@ fn sessions(s: &mut Snapshot, dir: &Path) {
     }
 }
 
-/// Wire bytes of one frame, and the allocations of its render →
-/// `read_frame` → parse round trip.
-fn frame<T>(s: &mut Snapshot, name: &str, render: impl Fn() -> String, parse: impl Fn(&str) -> T) {
-    let (allocs, bytes) = allocations(|| {
-        let wire = render() + "\n";
-        let frame = read_frame(&mut wire.as_bytes(), 1 << 20).expect("frame reads");
-        black_box(parse(&frame.expect("one frame")));
-        wire.len() as u64
-    });
+/// One frame's render → `read_frame` → parse round trip; returns its
+/// wire bytes.
+fn trip<T>(render: impl Fn() -> String, parse: impl Fn(&str) -> T) -> u64 {
+    let wire = render() + "\n";
+    let frame = read_frame(&mut wire.as_bytes(), 1 << 20).expect("frame reads");
+    black_box(parse(&frame.expect("one frame")));
+    wire.len() as u64
+}
+
+/// Wire bytes of an exchange (one frame, or a request and its reply),
+/// and the allocations of its round trips.
+fn exchange(s: &mut Snapshot, name: &str, trips: impl FnOnce() -> u64) {
+    let (allocs, bytes) = allocations(trips);
     s.push(format!("wire.{name}.bytes_per_frame"), bytes, 1);
     s.push(format!("wire.{name}.allocs_per_round_trip"), allocs, 1);
 }
@@ -175,9 +179,12 @@ fn frames(s: &mut Snapshot) {
             .map(String::from)
             .collect(),
     });
-    let parse = |line: &str| parse_response(line).expect("offer parses");
-    frame(s, "lease_offer", || render_response(&offer), parse);
-    let complete = Request::Complete {
+    let parse_offer = |line: &str| parse_response(line).expect("offer parses");
+    let parse_complete = |line: &str| parse_request(line).expect("complete parses");
+    exchange(s, "lease_offer", || {
+        trip(|| render_response(&offer), parse_offer)
+    });
+    let complete = |wait_ms| Request::Complete {
         wid: 7,
         lease: 9,
         outcome: TrialOutcome {
@@ -189,9 +196,18 @@ fn frames(s: &mut Snapshot) {
             jit_compiles: Some(310),
             ..TrialOutcome::default()
         },
+        wait_ms,
     };
-    let parse = |line: &str| parse_request(line).expect("complete parses");
-    frame(s, "complete", || render_request(&complete), parse);
+    let plain = complete(None);
+    exchange(s, "complete", || {
+        trip(|| render_request(&plain), parse_complete)
+    });
+    // A `complete` asking for the next lease, answered with the offer.
+    let combined = complete(Some(500));
+    exchange(s, "complete_lease", || {
+        trip(|| render_request(&combined), parse_complete)
+            + trip(|| render_response(&offer), parse_offer)
+    });
 }
 
 fn rustc_version() -> String {

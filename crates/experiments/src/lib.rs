@@ -451,14 +451,20 @@ pub fn render_suite_table(title: &str, rows: &[SuiteRow]) -> String {
         t.row(row);
     }
     t.rule();
-    let improvements: Vec<f64> = rows.iter().map(|r| r.improvement).collect();
+    // A session whose default configuration failed has no improvement
+    // (NaN): its row shows it, but it takes no part in the summary.
+    let improvements: Vec<f64> = rows
+        .iter()
+        .map(|r| r.improvement)
+        .filter(|x| x.is_finite())
+        .collect();
     let avg = stats::Summary::from_slice(&improvements).mean();
     let mut avg_row = vec![String::new(); headers.len() + 1];
     avg_row[0] = "average".to_string();
     avg_row[3] = fpct(avg);
     t.row(avg_row);
     let mut sorted = improvements.clone();
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    sorted.sort_by(|a, b| b.total_cmp(a));
     let top: Vec<String> = sorted.iter().take(3).map(|x| fpct(*x)).collect();
     format!(
         "== {title} ==\n{}\naverage improvement: {avg:.1}%   top-3: {}\n",

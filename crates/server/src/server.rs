@@ -867,6 +867,31 @@ impl TuneServer {
         outcome
     }
 
+    /// Serve worker `wid`'s next lease, long-polling up to `wait_ms`.
+    fn next_lease(&self, wid: u64, wait_ms: u64) -> Result<Response, WireError> {
+        self.workers
+            .lease(wid, Duration::from_millis(wait_ms))
+            .map(|grant| match grant {
+                LeaseGrant::Offer(offer) => Response::Leased(offer),
+                LeaseGrant::Idle => Response::Idle { draining: false },
+                LeaseGrant::Draining => Response::Idle { draining: true },
+            })
+    }
+
+    /// The reply to a recorded `complete`/`fail` of `lease`: its ack, or,
+    /// when the worker sent `wait_ms`, its next lease.
+    fn lease_reply(
+        &self,
+        wid: u64,
+        lease: u64,
+        wait_ms: Option<u64>,
+    ) -> Result<Response, WireError> {
+        match wait_ms {
+            Some(wait_ms) => self.next_lease(wid, wait_ms),
+            None => Ok(Response::LeaseAck { lease }),
+        }
+    }
+
     /// Pump one connection's request/reply frames. Every reply goes
     /// through [`wire::render_reply`] — the single encode path the
     /// protocol tests pin byte-for-byte. Reads are bounded by the
@@ -992,25 +1017,24 @@ impl TuneServer {
                     }
                     Ok(Response::WorkerAck { wid })
                 }
-                Request::Lease { wid, wait_ms } => self
-                    .workers
-                    .lease(wid, Duration::from_millis(wait_ms))
-                    .map(|grant| match grant {
-                        LeaseGrant::Offer(offer) => Response::Leased(offer),
-                        LeaseGrant::Idle => Response::Idle { draining: false },
-                        LeaseGrant::Draining => Response::Idle { draining: true },
-                    }),
+                Request::Lease { wid, wait_ms } => self.next_lease(wid, wait_ms),
                 Request::Complete {
                     wid,
                     lease,
                     outcome,
-                } => outcome.to_measurement().map(|measurement| {
+                    wait_ms,
+                } => outcome.to_measurement().and_then(|measurement| {
                     self.workers.complete(wid, lease, measurement);
-                    Response::LeaseAck { lease }
+                    self.lease_reply(wid, lease, wait_ms)
                 }),
-                Request::Fail { wid, lease, reason } => {
+                Request::Fail {
+                    wid,
+                    lease,
+                    reason,
+                    wait_ms,
+                } => {
                     self.workers.fail(wid, lease, &reason);
-                    Ok(Response::LeaseAck { lease })
+                    self.lease_reply(wid, lease, wait_ms)
                 }
                 Request::Heartbeat { wid, leases } => {
                     let extended = self.workers.heartbeat(wid, &leases);

@@ -31,10 +31,17 @@
 //! |--------------|--------------------------------------|---------------|
 //! | `register`   | `executor` capability tag, `slots`   | `wid`         |
 //! | `lease`      | `wid`, `wait_ms` long-poll bound     | lease offer, or `idle` (+ `draining`) |
-//! | `complete`   | `wid`, `lease`, trial outcome        | `lease`       |
-//! | `fail`       | `wid`, `lease`, `reason`             | `lease`       |
+//! | `complete`   | `wid`, `lease`, trial outcome, optional `wait_ms` | `lease`; with `wait_ms`, as `lease` |
+//! | `fail`       | `wid`, `lease`, `reason`, optional `wait_ms` | `lease`; with `wait_ms`, as `lease` |
 //! | `heartbeat`  | `wid`, in-flight `leases` array      | `leases` count extended |
 //! | `deregister` | `wid`                                | `wid`         |
+//!
+//! A `complete` or `fail` carrying `wait_ms` also asks for the worker's
+//! next lease: the daemon records the outcome, then answers exactly as
+//! it answers a `lease` with that bound (an offer, `idle`, or an error
+//! such as `unknown-worker`). A busy worker thus pays one round trip per
+//! trial. Without `wait_ms` the frames and their `lease` ack keep their
+//! exact bytes.
 //!
 //! Two replies carry raw payload lines so clients (and CI scripts) can
 //! byte-compare them against one-shot `jtune` output without a lossy
@@ -128,6 +135,9 @@ pub enum Request {
         lease: u64,
         /// The measurement, losslessly serialised.
         outcome: TrialOutcome,
+        /// When present, the reply is the worker's next lease, long-polled
+        /// up to this bound, instead of a [`Response::LeaseAck`].
+        wait_ms: Option<u64>,
     },
     /// Report a lease the worker could not run (unknown workload,
     /// capability mismatch); the daemon reissues the slot.
@@ -138,6 +148,9 @@ pub enum Request {
         lease: u64,
         /// Why the worker could not run it.
         reason: String,
+        /// When present, the reply is the worker's next lease, long-polled
+        /// up to this bound, instead of a [`Response::LeaseAck`].
+        wait_ms: Option<u64>,
     },
     /// Liveness ping extending the deadlines of in-flight leases.
     Heartbeat {
@@ -369,6 +382,15 @@ fn decode_request(v: &JsonValue) -> Result<Request, WireError> {
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| WireError::new("bad-frame", format!("op {op:?} requires a {key:?}")))
     };
+    let optional = |key: &str| -> Result<Option<u64>, WireError> {
+        v.get(key)
+            .map(|x| {
+                x.as_u64().ok_or_else(|| {
+                    WireError::new("bad-frame", format!("op {op:?} needs an integer {key:?}"))
+                })
+            })
+            .transpose()
+    };
     match op {
         "submit" => {
             let spec =
@@ -413,6 +435,7 @@ fn decode_request(v: &JsonValue) -> Result<Request, WireError> {
             wid: field("wid")?,
             lease: field("lease")?,
             outcome: TrialOutcome::from_json(v)?,
+            wait_ms: optional("wait_ms")?,
         }),
         "fail" => Ok(Request::Fail {
             wid: field("wid")?,
@@ -422,6 +445,7 @@ fn decode_request(v: &JsonValue) -> Result<Request, WireError> {
                 .and_then(JsonValue::as_str)
                 .unwrap_or("")
                 .to_string(),
+            wait_ms: optional("wait_ms")?,
         }),
         "heartbeat" => {
             let leases = match v.get("leases").and_then(JsonValue::as_array) {
@@ -497,25 +521,42 @@ pub fn render_request(request: &Request) -> String {
             wid,
             lease,
             outcome,
-        } => outcome
-            .fill(
+            wait_ms,
+        } => with_wait(
+            outcome.fill(
                 base.str("op", "complete")
                     .u64("wid", *wid)
                     .u64("lease", *lease),
-            )
-            .finish(),
-        Request::Fail { wid, lease, reason } => base
-            .str("op", "fail")
-            .u64("wid", *wid)
-            .u64("lease", *lease)
-            .str("reason", reason)
-            .finish(),
+            ),
+            *wait_ms,
+        ),
+        Request::Fail {
+            wid,
+            lease,
+            reason,
+            wait_ms,
+        } => with_wait(
+            base.str("op", "fail")
+                .u64("wid", *wid)
+                .u64("lease", *lease)
+                .str("reason", reason),
+            *wait_ms,
+        ),
         Request::Heartbeat { wid, leases } => base
             .str("op", "heartbeat")
             .u64("wid", *wid)
             .u64_array("leases", leases)
             .finish(),
         Request::Deregister { wid } => base.str("op", "deregister").u64("wid", *wid).finish(),
+    }
+}
+
+/// Finish a `complete`/`fail` frame, appending `wait_ms` only when the
+/// worker asks for its next lease.
+fn with_wait(o: JsonObject, wait_ms: Option<u64>) -> String {
+    match wait_ms {
+        Some(ms) => o.u64("wait_ms", ms).finish(),
+        None => o.finish(),
     }
 }
 
@@ -559,15 +600,17 @@ pub enum Response {
         /// The worker id (issued on register, confirmed on deregister).
         wid: u64,
     },
-    /// `lease` grant.
+    /// `lease` grant (also the reply to a `complete`/`fail` carrying
+    /// `wait_ms`).
     Leased(LeaseOffer),
     /// `lease` without work; with `draining`, the worker should exit.
     Idle {
         /// The daemon is shutting down — finish up and disconnect.
         draining: bool,
     },
-    /// `complete`/`fail` ack (also sent for stale leases, which the
-    /// daemon discards silently — the slot was already reissued).
+    /// `complete`/`fail` ack without `wait_ms` (also sent for stale
+    /// leases, which the daemon discards silently — the slot was already
+    /// reissued).
     LeaseAck {
         /// The lease acknowledged.
         lease: u64,
@@ -926,6 +969,7 @@ mod tests {
                     error_kind: None,
                     error: None,
                 },
+                wait_ms: None,
             },
             Request::Complete {
                 wid: 7,
@@ -936,11 +980,19 @@ mod tests {
                     error: Some("heap exhausted at 93% live".into()),
                     ..TrialOutcome::default()
                 },
+                wait_ms: Some(500),
             },
             Request::Fail {
                 wid: 7,
                 lease: 43,
                 reason: "unknown workload".into(),
+                wait_ms: None,
+            },
+            Request::Fail {
+                wid: 7,
+                lease: 44,
+                reason: "unknown workload".into(),
+                wait_ms: Some(0),
             },
             Request::Heartbeat {
                 wid: 7,
@@ -967,6 +1019,45 @@ mod tests {
             }),
             "{\"v\":1,\"op\":\"register\",\"executor\":\"sim\",\"slots\":4}"
         );
+    }
+
+    #[test]
+    fn asking_for_the_next_lease_only_appends_wait_ms() {
+        let outcome = TrialOutcome {
+            time_ns: 5_000,
+            ..TrialOutcome::default()
+        };
+        let cases = [
+            (
+                Request::Complete {
+                    wid: 7,
+                    lease: 41,
+                    outcome,
+                    wait_ms: None,
+                },
+                "{\"v\":1,\"op\":\"complete\",\"wid\":7,\"lease\":41,\"time_ns\":5000}",
+            ),
+            (
+                Request::Fail {
+                    wid: 7,
+                    lease: 43,
+                    reason: "lost".into(),
+                    wait_ms: None,
+                },
+                "{\"v\":1,\"op\":\"fail\",\"wid\":7,\"lease\":43,\"reason\":\"lost\"}",
+            ),
+        ];
+        for (mut request, legacy) in cases {
+            assert_eq!(render_request(&request), legacy);
+            if let Request::Complete { wait_ms, .. } | Request::Fail { wait_ms, .. } = &mut request
+            {
+                *wait_ms = Some(500);
+            }
+            assert_eq!(
+                render_request(&request),
+                format!("{},\"wait_ms\":500}}", &legacy[..legacy.len() - 1])
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   to the registry and falls back to its local inner executor when no
 //!   worker can (or does) serve it.
 //! - [`run_worker`] — the worker-side agent behind
-//!   `jtune worker --connect`, pumping `lease`/`complete` loops.
+//!   `jtune worker --connect`, pumping lease loops: one `lease` poll,
+//!   then each `complete`/`fail` asks for the next lease.
 //!
 //! # Lease state machine
 //!
@@ -23,6 +24,10 @@
 //!                                ▼      (reissue budget exhausted)
 //!                            ABANDONED ──▶ measured by the local pool
 //! ```
+//!
+//! A `complete`/`fail` carrying `wait_ms` is the complete (or fail) op
+//! followed by a lease op for the same worker: two transitions, each
+//! under the lock, in that order.
 //!
 //! Every transition happens under one registry lock. A lease id is
 //! issued once and never reused, so a `complete` for an expired lease
@@ -593,7 +598,8 @@ pub struct WorkerOptions {
     pub addr: String,
     /// Concurrent trial slots to offer (each runs its own lease loop).
     pub slots: usize,
-    /// Long-poll bound passed with each `lease` request, milliseconds.
+    /// Long-poll bound of each request for a lease (a `lease`, or a
+    /// `complete`/`fail` asking for the next one), milliseconds.
     pub wait_ms: u64,
     /// Executor capability tag to register (only `"sim"` today).
     pub capability: String,
@@ -804,6 +810,12 @@ fn run_worker_session(
 
 /// One slot's lease loop: poll, execute, stream back; stop on drain
 /// (flagging `drained`) or a dead connection.
+///
+/// Only the first poll is a plain `lease`. Each `complete`/`fail` then
+/// carries `wait_ms`, and its reply is the next grant, so a busy slot
+/// pays one round trip per trial. A `lease` ack in its place comes from
+/// a daemon that ignores `wait_ms`; the slot then polls with a plain
+/// `lease`, as it does after an `idle` reply.
 fn run_lease_loop(
     client: &mut Client,
     wid: u64,
@@ -816,13 +828,18 @@ fn run_lease_loop(
     // Executors are rebuilt only when the tag changes (one session's
     // leases all share a tag).
     let mut cache: Option<(String, Box<dyn Executor>)> = None;
+    let poll = Request::Lease {
+        wid,
+        wait_ms: options.wait_ms,
+    };
+    let mut reply = client.request(&poll);
     loop {
-        let grant = match client.request(&Request::Lease {
-            wid,
-            wait_ms: options.wait_ms,
-        }) {
+        let grant = match reply {
             Ok(Response::Leased(offer)) => offer,
-            Ok(Response::Idle { draining: false }) => continue,
+            Ok(Response::Idle { draining: false } | Response::LeaseAck { .. }) => {
+                reply = client.request(&poll);
+                continue;
+            }
             Ok(Response::Idle { draining: true }) => {
                 drained.store(true, Ordering::SeqCst);
                 return;
@@ -838,13 +855,14 @@ fn run_lease_loop(
         pulse.start(grant.lease, grant.deadline_ms);
         let outcome = execute_lease(&grant, &mut cache);
         pulse.finish(grant.lease);
-        let reply = match outcome {
+        let done = match outcome {
             Ok(outcome) => {
                 completed.fetch_add(1, Ordering::SeqCst);
                 Request::Complete {
                     wid,
                     lease: grant.lease,
                     outcome,
+                    wait_ms: Some(options.wait_ms),
                 }
             }
             Err(reason) => {
@@ -853,12 +871,11 @@ fn run_lease_loop(
                     wid,
                     lease: grant.lease,
                     reason,
+                    wait_ms: Some(options.wait_ms),
                 }
             }
         };
-        if client.request(&reply).is_err() {
-            return;
-        }
+        reply = client.request(&done);
     }
 }
 
@@ -1101,6 +1118,314 @@ mod tests {
         // A 2.4 s deadline beats every 250 ms; a 600 ms one never does.
         assert_eq!(beat_interval(2_400), Some(Duration::from_millis(250)));
         assert_eq!(beat_interval(600), None);
+    }
+
+    /// The ledger's internal agreement: every outstanding lease holds an
+    /// issued job, every worker's in-flight count is the jobs issued to
+    /// it, and the queue holds exactly the queued jobs, once each.
+    fn check_ledger(ledger: &Ledger) {
+        for (lease, jid) in &ledger.leases {
+            assert!(
+                matches!(ledger.jobs[jid].state, JobState::Issued { .. }),
+                "lease {lease} holds job {jid} in {:?}",
+                ledger.jobs[jid].state
+            );
+        }
+        for (wid, worker) in &ledger.workers {
+            let issued = ledger
+                .jobs
+                .values()
+                .filter(|j| matches!(j.state, JobState::Issued { wid: w, .. } if w == *wid))
+                .count() as u64;
+            assert_eq!(worker.inflight, issued, "worker {wid}");
+            assert!(worker.inflight <= worker.slots, "worker {wid}");
+        }
+        let mut queued: Vec<u64> = ledger
+            .jobs
+            .iter()
+            .filter(|(_, j)| matches!(j.state, JobState::Queued))
+            .map(|(jid, _)| *jid)
+            .collect();
+        let mut queue: Vec<u64> = ledger.queue.iter().copied().collect();
+        queued.sort_unstable();
+        queue.sort_unstable();
+        assert_eq!(queue, queued, "the queue is the queued jobs");
+    }
+
+    /// How a job ended: `Some(secs)` done with that measurement, `None`
+    /// abandoned.
+    type End = Option<u64>;
+
+    fn end_of(ledger: &Ledger, jid: u64) -> Option<End> {
+        match &ledger.jobs[&jid].state {
+            JobState::Done(m) => Some(Some(m.time.as_nanos() / 1_000_000_000)),
+            JobState::Abandoned => Some(None),
+            JobState::Queued | JobState::Issued { .. } => None,
+        }
+    }
+
+    /// What the operation-sequence test knows besides the registry.
+    #[derive(Default)]
+    struct Model {
+        live: Vec<u64>,
+        gone: Vec<u64>,
+        /// Leases a worker believes it holds (it never learns of an
+        /// expiry): lease → (wid, jid).
+        held: std::collections::BTreeMap<u64, (u64, u64)>,
+        seen: std::collections::HashSet<u64>,
+        /// Per job: the leases issued for it, and how it ended.
+        issues: HashMap<u64, u32>,
+        ended: HashMap<u64, End>,
+        slot_job: HashMap<u64, u64>,
+    }
+
+    impl Model {
+        /// Serve `wid`'s next lease without waiting, as the daemon serves
+        /// a `lease` frame or the tail of a combined `complete`/`fail`.
+        fn lease(&mut self, registry: &WorkerRegistry, wid: u64, case: u64) {
+            match registry.lease(wid, Duration::ZERO) {
+                Ok(LeaseGrant::Offer(offer)) => {
+                    let lease = offer.lease;
+                    assert!(self.seen.insert(lease), "case {case}: lease {lease} reused");
+                    let jid = self.slot_job[&offer.slot];
+                    let n = self.issues.entry(jid).or_insert(0);
+                    *n += 1;
+                    assert!(
+                        *n <= 1 + MAX_REISSUES,
+                        "case {case}: job {jid} issued {n} times"
+                    );
+                    self.held.insert(lease, (wid, jid));
+                }
+                Ok(LeaseGrant::Idle) => assert!(self.live.contains(&wid), "case {case}"),
+                Ok(LeaseGrant::Draining) => panic!("case {case}: nothing drains"),
+                Err(e) => {
+                    assert_eq!(e.code, "unknown-worker", "case {case}");
+                    assert!(
+                        !self.live.contains(&wid),
+                        "case {case}: {wid} is registered"
+                    );
+                }
+            }
+        }
+
+        /// A job that ended stays ended the same way.
+        fn check_ends(&mut self, ledger: &Ledger, case: u64) {
+            for &jid in self.slot_job.values() {
+                match (end_of(ledger, jid), self.ended.get(&jid)) {
+                    (Some(now), Some(was)) => assert_eq!(now, *was, "case {case}: job {jid}"),
+                    (Some(now), None) => {
+                        self.ended.insert(jid, now);
+                    }
+                    (None, Some(was)) => panic!("case {case}: job {jid} revived after {was:?}"),
+                    (None, None) => {}
+                }
+            }
+        }
+    }
+
+    /// Seeded operation sequences against one registry: register,
+    /// submit, lease, complete and fail (each with or without asking for
+    /// the next lease, as the daemon serves a frame carrying `wait_ms`),
+    /// expire and deregister. After every step: lease ids are fresh, the
+    /// ledger agrees with itself, no job is issued more than
+    /// `1 + MAX_REISSUES` times, and a job that ended stays ended the
+    /// same way. Finally every job ends exactly once, through
+    /// `await_result`: done with the measurement its live lease carried,
+    /// or abandoned.
+    #[test]
+    fn generated_operation_sequences_keep_the_lease_ledger_invariants() {
+        use jtune_util::{Rng, Xoshiro256pp};
+
+        const CASES: u64 = 64;
+        const STEPS: usize = 200;
+        for case in 0..CASES {
+            let seed = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x1ea5e;
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let registry =
+                WorkerRegistry::new(Duration::from_secs(3_600), TelemetryBus::disabled());
+            let mut m = Model::default();
+            let pick = |rng: &mut Xoshiro256pp, n: usize| rng.next_below(n as u64) as usize;
+            for slot in 0..STEPS as u64 {
+                match rng.next_below(8) {
+                    0 if m.live.len() < 4 => {
+                        m.live.push(registry.register("sim", 1 + rng.next_below(2)));
+                    }
+                    1 => {
+                        let jid = registry.submit(1, slot, "sim:test".into(), Vec::new(), 7, slot);
+                        assert_eq!(jid.is_some(), !m.live.is_empty(), "case {case}");
+                        if let Some(jid) = jid {
+                            m.slot_job.insert(slot, jid);
+                        }
+                    }
+                    2 if !m.live.is_empty() || !m.gone.is_empty() => {
+                        let from_gone =
+                            m.live.is_empty() || (!m.gone.is_empty() && rng.next_bool(0.1));
+                        let wid = if from_gone {
+                            m.gone[pick(&mut rng, m.gone.len())]
+                        } else {
+                            m.live[pick(&mut rng, m.live.len())]
+                        };
+                        m.lease(&registry, wid, case);
+                    }
+                    3 | 4 if !m.held.is_empty() => {
+                        let leases: Vec<u64> = m.held.keys().copied().collect();
+                        let lease = leases[pick(&mut rng, leases.len())];
+                        let (wid, jid) = m.held.remove(&lease).expect("picked from the map");
+                        let was_live = registry.lock().leases.get(&lease) == Some(&jid);
+                        let before = end_of(&registry.lock(), jid);
+                        let completing = rng.next_bool(0.75);
+                        if completing {
+                            registry.complete(wid, lease, measurement(lease));
+                        } else {
+                            registry.fail(wid, lease, "cannot run");
+                        }
+                        let after = end_of(&registry.lock(), jid);
+                        match (was_live, completing) {
+                            (true, true) => assert_eq!(after, Some(Some(lease)), "case {case}"),
+                            (true, false) => {
+                                assert!(matches!(after, None | Some(None)), "case {case}")
+                            }
+                            (false, _) => assert_eq!(after, before, "case {case}: stale {lease}"),
+                        }
+                        if rng.next_bool(0.8) {
+                            m.lease(&registry, wid, case);
+                        }
+                    }
+                    5 => {
+                        let mut ledger = registry.lock();
+                        let mut leases: Vec<u64> = ledger.leases.keys().copied().collect();
+                        leases.sort_unstable();
+                        if !leases.is_empty() {
+                            let jid = ledger.leases[&leases[pick(&mut rng, leases.len())]];
+                            let job = ledger.jobs.get_mut(&jid).expect("leased job");
+                            if let JobState::Issued { deadline, .. } = &mut job.state {
+                                *deadline = Instant::now();
+                            }
+                            registry.reap(&mut ledger, Instant::now());
+                        }
+                    }
+                    6 if !m.live.is_empty() => {
+                        let wid = m.live.swap_remove(pick(&mut rng, m.live.len()));
+                        registry.deregister(wid);
+                        m.gone.push(wid);
+                    }
+                    _ => {}
+                }
+                let ledger = registry.lock();
+                check_ledger(&ledger);
+                m.check_ends(&ledger, case);
+            }
+
+            // Every worker leaves; then each job's waiter collects it.
+            for wid in m.live.drain(..) {
+                registry.deregister(wid);
+            }
+            check_ledger(&registry.lock());
+            let mut jobs: Vec<u64> = m.slot_job.values().copied().collect();
+            jobs.sort_unstable();
+            for jid in jobs {
+                let got = registry
+                    .await_result(jid)
+                    .map(|r| r.time.as_nanos() / 1_000_000_000);
+                let want = m.ended.get(&jid).copied().flatten();
+                assert_eq!(got, want, "case {case}: job {jid}");
+                assert!(
+                    registry.await_result(jid).is_none(),
+                    "case {case}: collected twice"
+                );
+            }
+            let ledger = registry.lock();
+            assert!(ledger.jobs.is_empty() && ledger.leases.is_empty() && ledger.queue.is_empty());
+        }
+    }
+
+    /// A daemon that ignores `wait_ms` acks each `complete` with
+    /// `{"lease":N}`: the worker polls with a plain `lease` on the same
+    /// connection and runs every trial it is offered.
+    #[test]
+    fn a_daemon_that_acks_completes_still_gets_its_trials_run() {
+        use std::io::{BufReader, Write};
+
+        use crate::net::read_frame;
+        use crate::wire::{parse_request, render_response};
+
+        let executor = ExecutorSpec::named("sim:compress")
+            .expect("built-in workload")
+            .build();
+        let fingerprint = JvmConfig::parse_args(executor.registry(), &[])
+            .expect("the default configuration")
+            .fingerprint();
+        let offer = move |lease| LeaseOffer {
+            lease,
+            sid: 1,
+            slot: lease,
+            seed: lease,
+            fingerprint,
+            executor: "sim:compress".into(),
+            deadline_ms: 1_000,
+            config: Vec::new(),
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let daemon = std::thread::spawn(move || {
+            // One connection: a worker that reconnects fails the test.
+            let (stream, _) = listener.accept().expect("the worker connects");
+            drop(listener);
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            let (mut seen, mut offered) = (Vec::new(), 0);
+            while let Ok(Some(line)) = read_frame(&mut reader, 1 << 20) {
+                let request = parse_request(&line).expect("the worker sends valid frames");
+                let reply = match &request {
+                    Request::Register { .. } => Response::WorkerAck { wid: 1 },
+                    Request::Lease { .. } if offered < 2 => {
+                        offered += 1;
+                        Response::Leased(offer(offered))
+                    }
+                    Request::Lease { .. } => Response::Idle { draining: true },
+                    Request::Complete { lease, .. } => Response::LeaseAck { lease: *lease },
+                    Request::Deregister { wid } => Response::WorkerAck { wid: *wid },
+                    other => panic!("unexpected request {other:?}"),
+                };
+                let last = matches!(request, Request::Deregister { .. });
+                seen.push(request);
+                writer
+                    .write_all(format!("{}\n", render_response(&reply)).as_bytes())
+                    .expect("reply");
+                if last {
+                    break;
+                }
+            }
+            seen
+        });
+        let mut options = WorkerOptions::new(addr.to_string());
+        options.backoff.retry.max_retries = 0;
+        let stats = run_worker(&options).expect("the worker drains");
+        assert_eq!((stats.completed, stats.failed), (2, 0));
+        let ops: Vec<(&str, Option<u64>)> = daemon
+            .join()
+            .expect("fake daemon")
+            .iter()
+            .map(|r| match r {
+                Request::Register { .. } => ("register", None),
+                Request::Lease { .. } => ("lease", None),
+                Request::Complete { wait_ms, .. } => ("complete", *wait_ms),
+                Request::Deregister { .. } => ("deregister", None),
+                other => panic!("unexpected request {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            ops,
+            [
+                ("register", None),
+                ("lease", None),
+                ("complete", Some(options.wait_ms)),
+                ("lease", None),
+                ("complete", Some(options.wait_ms)),
+                ("lease", None),
+                ("deregister", None),
+            ]
+        );
     }
 
     #[test]

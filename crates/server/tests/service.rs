@@ -14,7 +14,7 @@ use autotuner_core::Tuner;
 use jtune_harness::SimExecutor;
 use jtune_server::{
     run_worker, Client, LeaseGrant, NetFaultPlan, Reconnect, Request, Response, ServerConfig,
-    SessionSpec, SessionState, TuneServer, WorkerOptions,
+    SessionSpec, SessionState, TrialOutcome, TuneServer, WorkerOptions,
 };
 use jtune_telemetry::{JsonlSink, TelemetryBus};
 use jtune_util::json::JsonValue;
@@ -629,6 +629,119 @@ fn silent_workers_lose_their_leases_to_the_deadline() {
     );
 
     let _ = std::fs::remove_dir_all(&reference);
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A `complete` carrying `wait_ms` is answered as a `lease` would be: a
+/// stale complete (its lease expired and was reissued) is discarded and
+/// still gets the next offer, an unknown worker gets `unknown-worker`,
+/// and a draining daemon answers `idle` with `draining`.
+#[test]
+fn a_complete_asking_for_the_next_lease_is_answered_as_a_lease() {
+    let state = temp_dir("complete-lease");
+    let mut config = ServerConfig::new(state.join("state"));
+    config.lease_ms = 200;
+    let server = TuneServer::new(config).expect("server");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let serve = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve(listener))
+    };
+    let mut worker = Client::connect(addr).expect("worker connect");
+    let wid = match worker
+        .request(&Request::Register {
+            executor: "sim".into(),
+            slots: 1,
+            reconnect: None,
+        })
+        .expect("register")
+    {
+        Response::WorkerAck { wid } => wid,
+        other => panic!("unexpected register reply: {other:?}"),
+    };
+    let complete = |wid, lease, wait_ms| Request::Complete {
+        wid,
+        lease,
+        outcome: TrialOutcome {
+            time_ns: 1,
+            ..TrialOutcome::default()
+        },
+        wait_ms,
+    };
+
+    let sid = server.submit(spec("compress", 10, 7)).expect("submit");
+    let first = match worker.request(&Request::Lease {
+        wid,
+        wait_ms: 10_000,
+    }) {
+        Ok(Response::Leased(offer)) => offer,
+        other => panic!("expected a lease offer, got {other:?}"),
+    };
+    assert_eq!(first.sid, sid);
+    // The worker stays silent past the deadline: the job goes back to
+    // the front of the queue.
+    let start = Instant::now();
+    while server.workers().leases_expired() == 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "deadline never expired the lease"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let reissued = match worker.request(&complete(wid, first.lease, Some(10_000))) {
+        Ok(Response::Leased(offer)) => offer,
+        other => panic!("expected the reissued lease, got {other:?}"),
+    };
+    assert!(reissued.lease > first.lease);
+    assert_eq!(
+        (reissued.sid, reissued.seed, reissued.fingerprint),
+        (first.sid, first.seed, first.fingerprint),
+        "the next offer is the reissued trial"
+    );
+    assert_eq!(
+        server.workers().leases_completed(),
+        0,
+        "the stale complete was kept"
+    );
+
+    // From an unknown worker: the old ack without `wait_ms`, the lease
+    // op's refusal with it.
+    assert_eq!(
+        worker.request(&complete(wid + 100, 0, None)),
+        Ok(Response::LeaseAck { lease: 0 })
+    );
+    let err = worker
+        .request(&complete(wid + 100, 0, Some(0)))
+        .expect_err("an unknown worker gets no lease");
+    assert_eq!(err.code, "unknown-worker");
+
+    // Draining: the next combined frame tells the worker to leave.
+    let shutdown = std::thread::spawn(move || {
+        Client::connect(addr)
+            .expect("control connect")
+            .shutdown(true)
+    });
+    let mut lease = reissued.lease;
+    let start = Instant::now();
+    loop {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "the daemon never said it was draining"
+        );
+        match worker.request(&complete(wid, lease, Some(50))) {
+            Ok(Response::Leased(offer)) => lease = offer.lease,
+            Ok(Response::Idle { draining: false }) => {}
+            Ok(Response::Idle { draining: true }) => break,
+            other => panic!("unexpected reply while draining: {other:?}"),
+        }
+    }
+    assert_eq!(
+        worker.request(&Request::Deregister { wid }),
+        Ok(Response::WorkerAck { wid })
+    );
+    shutdown.join().expect("shutdown thread").expect("shutdown");
+    serve.join().expect("serve thread").expect("serve io");
     let _ = std::fs::remove_dir_all(&state);
 }
 

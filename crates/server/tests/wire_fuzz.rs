@@ -67,6 +67,14 @@ fn junk_request_frames_decode_to_stable_codes() {
             "bad-frame",
         ),
         (
+            "{\"v\":1,\"op\":\"complete\",\"wid\":1,\"lease\":2,\"time_ns\":3,\"wait_ms\":-1}",
+            "bad-frame",
+        ),
+        (
+            "{\"v\":1,\"op\":\"fail\",\"wid\":1,\"lease\":2,\"wait_ms\":\"500\"}",
+            "bad-frame",
+        ),
+        (
             "{\"v\":1,\"op\":\"heartbeat\",\"wid\":1,\"leases\":[1,\"x\"]}",
             "bad-frame",
         ),
@@ -153,11 +161,30 @@ fn sample_requests() -> Vec<Request> {
                 pause_p99_ns: Some(77),
                 ..TrialOutcome::default()
             },
+            wait_ms: None,
+        },
+        Request::Complete {
+            wid: 1,
+            lease: 9,
+            outcome: TrialOutcome {
+                time_ns: 12_345,
+                error_kind: Some("oom".into()),
+                error: Some("heap \"full\"".into()),
+                ..TrialOutcome::default()
+            },
+            wait_ms: Some(500),
         },
         Request::Fail {
             wid: 1,
             lease: 8,
             reason: "lost".into(),
+            wait_ms: None,
+        },
+        Request::Fail {
+            wid: 1,
+            lease: 10,
+            reason: "lost".into(),
+            wait_ms: Some(0),
         },
         Request::Heartbeat {
             wid: 1,

@@ -364,6 +364,32 @@ fn suite_seeds_programs_through_the_shared_rule() {
     );
 }
 
+/// A program whose default configuration fails under the deadline has
+/// no improvement: its row reads `NaN%`, and the average and top three
+/// are taken over the programs that have one.
+#[test]
+fn suite_table_survives_failed_defaults() {
+    let out = jtune(&[
+        "suite",
+        "dacapo",
+        "--budget",
+        "1",
+        "--seed",
+        "7",
+        "--deadline",
+        "5",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("NaN%"), "no failed default row:\n{stdout}");
+    let summary = stdout
+        .lines()
+        .find(|l| l.starts_with("average improvement: "))
+        .unwrap_or_else(|| panic!("no summary line:\n{stdout}"));
+    assert!(!summary.contains("NaN"), "{summary}");
+    assert_eq!(summary.matches('%').count(), 4, "{summary}");
+}
+
 /// `jtune suite --trace DIR` writes one trace per program, and each is
 /// the trace `jtune tune` writes for that program under its suite seed:
 /// the executor rows (here `--deadline`) reach every suite session.
