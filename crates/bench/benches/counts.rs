@@ -15,12 +15,12 @@ use autotuner_core::{ConfigManipulator, HierarchicalManipulator, Tuner, TunerOpt
 use jtune_bench::{compare, Snapshot};
 use jtune_flags::{hotspot_registry, JvmConfig};
 use jtune_flagtree::hotspot_tree;
-use jtune_harness::SimExecutor;
+use jtune_harness::{Evaluation, RetryRecord, RunCounters, SimExecutor, TrialError, TrialLine};
 use jtune_model::{FeatureEncoder, Surrogate};
 use jtune_server::wire::{parse_request, parse_response, render_request, render_response};
 use jtune_server::{read_frame, LeaseOffer, Request, Response, TrialOutcome};
 use jtune_telemetry::{JsonlSink, TelemetryBus};
-use jtune_util::{SimDuration, Xoshiro256pp};
+use jtune_util::{rows, SimDuration, Xoshiro256pp};
 use jtune_workloads::workload_by_name;
 
 /// Counts every allocation (`alloc_zeroed` too, through its default,
@@ -210,6 +210,39 @@ fn frames(s: &mut Snapshot) {
     });
 }
 
+/// One journal `Trial` line's encode → decode round trip: a successful
+/// evaluation with three samples, counters and one retried attempt.
+fn journal(s: &mut Snapshot) {
+    let ns = SimDuration::from_nanos;
+    let evaluation = Evaluation {
+        score: Some(ns(5_000_000_001)),
+        samples: vec![ns(4_999_999_999), ns(5_000_000_001), ns(5_000_000_003)],
+        error: None,
+        cost: ns(16_500_000_021),
+        counters: Some(RunCounters {
+            gc_pause_total: ns(123_456_789),
+            gc_collections: 17,
+            jit_compile_time: ns(987_654_321),
+            jit_compiles: 250,
+        }),
+        runs: 3,
+        raced: None,
+        retried: 1,
+        retry_log: vec![RetryRecord {
+            rep: 1,
+            attempt: 0,
+            error: TrialError::Timeout("injected hang: run timed out after 2m".to_string()),
+            cost: ns(120_000_000_000),
+        }],
+    };
+    let (allocs, ()) = allocations(|| {
+        let line = rows::encode(&TrialLine::new(0xFEED_FACE_CAFE_F00D, &evaluation));
+        let trial: TrialLine = rows::decode(&line).expect("trial line decodes");
+        black_box(trial.into_entry());
+    });
+    s.push("journal.trial.allocs_per_round_trip", allocs, 1);
+}
+
 fn rustc_version() -> String {
     let out = std::process::Command::new("rustc").arg("-V").output();
     let version = out.ok().and_then(|out| String::from_utf8(out.stdout).ok());
@@ -236,6 +269,7 @@ fn main() {
         per_call(&mut s);
         sessions(&mut s, &dir);
         frames(&mut s);
+        journal(&mut s);
         s
     });
     let _ = std::fs::remove_dir_all(&dir);

@@ -65,7 +65,7 @@ pub use executor::{
     EXECUTOR_OPTIONS,
 };
 pub use fault::{Fault, FaultPlan, FaultyExecutor};
-pub use journal::{JournalError, JournalWriter, ReplayLog, SessionHeader};
+pub use journal::{JournalError, JournalWriter, ReplayLog, SessionHeader, TrialLine};
 /// The event type the pipeline emits, re-exported so a crate that only
 /// reads traces (the report) needs no telemetry dependency of its own.
 pub use jtune_telemetry::TraceEvent;

@@ -6,34 +6,39 @@ use autotuner_core::{ModelPolicy, TunerOptions};
 use jtune_harness::ExecutorSpec;
 use jtune_telemetry::{TraceEvent, TuningObserver};
 use jtune_util::cli::{self, Opt};
-use jtune_util::json::{self, JsonObject, JsonValue};
+use jtune_util::json_rows;
+use jtune_util::rows;
 use jtune_util::SimDuration;
 
-/// What a client submits: the session-defining knobs of a tuning run.
-///
-/// A spec maps to [`TunerOptions`] exactly the way the one-shot
-/// `jtune tune` command line does, so a daemon session with a given
-/// `(program, budget, seed)` produces a trace byte-identical to
-/// `jtune tune <program> --budget <mins> --seed <seed> --checkpoint ...`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionSpec {
-    /// Workload name (`compress`, `dacapo:h2`, ...).
-    pub program: String,
-    /// Tuning budget in virtual minutes (the paper used 200).
-    pub budget_mins: u64,
-    /// Master seed: the session is a pure function of it.
-    pub seed: u64,
-    /// Optional hard cap on evaluations (small smoke sessions).
-    pub max_evaluations: Option<u64>,
-    /// Surrogate screening over-proposal factor; `Some` enables
-    /// model-guided screening (the one-shot `--screen-ratio` /
-    /// `--model`). `None` keeps the legacy byte-stable pipeline, and the
-    /// field is omitted from spec JSON so old `spec.json` files and
-    /// clients round-trip unchanged.
-    pub screen_ratio: Option<f64>,
-    /// Search technique override (e.g. `portfolio`, `model:ensemble`);
-    /// `None` means the default ensemble and is omitted from spec JSON.
-    pub technique: Option<String>,
+json_rows! {
+    /// What a client submits: the session-defining knobs of a tuning run.
+    /// The same row is the persisted `spec.json` and, flattened after
+    /// `"op"`, the body of a `submit` frame.
+    ///
+    /// A spec maps to [`TunerOptions`] exactly the way the one-shot
+    /// `jtune tune` command line does, so a daemon session with a given
+    /// `(program, budget, seed)` produces a trace byte-identical to
+    /// `jtune tune <program> --budget <mins> --seed <seed> --checkpoint ...`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SessionSpec: lenient {
+        /// Workload name (`compress`, `dacapo:h2`, ...).
+        pub program: String,
+        /// Tuning budget in virtual minutes (the paper used 200).
+        pub budget_mins: u64 = SessionSpec::new("").budget_mins,
+        /// Master seed: the session is a pure function of it.
+        pub seed: u64 = SessionSpec::new("").seed,
+        /// Optional hard cap on evaluations (small smoke sessions).
+        pub max_evaluations as "max_evals": Option<u64> => IfSome,
+        /// Surrogate screening over-proposal factor; `Some` enables
+        /// model-guided screening (the one-shot `--screen-ratio` /
+        /// `--model`). `None` keeps the legacy byte-stable pipeline, and the
+        /// field is omitted from spec JSON so old `spec.json` files and
+        /// clients round-trip unchanged.
+        pub screen_ratio: Option<f64> => IfSome,
+        /// Search technique override (e.g. `portfolio`, `model:ensemble`);
+        /// `None` means the default ensemble and is omitted from spec JSON.
+        pub technique: Option<String> => IfSome,
+    }
 }
 
 impl SessionSpec {
@@ -50,76 +55,18 @@ impl SessionSpec {
         }
     }
 
-    /// Append this spec's fields to a JSON object under construction
-    /// (used by both the submit frame and the persisted `spec.json`).
-    pub fn fill(&self, obj: JsonObject) -> JsonObject {
-        let obj = obj
-            .str("program", &self.program)
-            .u64("budget_mins", self.budget_mins)
-            .u64("seed", self.seed);
-        let obj = match self.max_evaluations {
-            Some(cap) => obj.u64("max_evals", cap),
-            None => obj,
-        };
-        let obj = match self.screen_ratio {
-            Some(ratio) => obj.f64("screen_ratio", ratio),
-            None => obj,
-        };
-        match &self.technique {
-            Some(name) => obj.str("technique", name),
-            None => obj,
-        }
-    }
-
     /// Render as a standalone JSON object (the `spec.json` format).
     pub fn to_json(&self) -> String {
-        self.fill(JsonObject::new()).finish()
-    }
-
-    /// Read the spec fields out of a parsed JSON object (a submit frame
-    /// or a persisted `spec.json`).
-    pub fn from_json_value(v: &JsonValue) -> Result<SessionSpec, String> {
-        let program = v
-            .get("program")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing 'program'")?
-            .to_string();
-        if program.is_empty() {
-            return Err("'program' must not be empty".to_string());
-        }
-        let defaults = SessionSpec::new(&program);
-        let u64_or = |k: &str, default: u64| -> Result<u64, String> {
-            match v.get(k) {
-                None => Ok(default),
-                Some(raw) => raw.as_u64().ok_or(format!("'{k}' must be an integer")),
-            }
-        };
-        Ok(SessionSpec {
-            budget_mins: u64_or("budget_mins", defaults.budget_mins)?,
-            seed: u64_or("seed", defaults.seed)?,
-            max_evaluations: match v.get("max_evals") {
-                None => None,
-                Some(raw) => Some(raw.as_u64().ok_or("'max_evals' must be an integer")?),
-            },
-            screen_ratio: match v.get("screen_ratio") {
-                None => None,
-                Some(raw) => Some(raw.as_f64().ok_or("'screen_ratio' must be a number")?),
-            },
-            technique: match v.get("technique") {
-                None => None,
-                Some(raw) => Some(
-                    raw.as_str()
-                        .ok_or("'technique' must be a string")?
-                        .to_string(),
-                ),
-            },
-            program,
-        })
+        rows::encode(self)
     }
 
     /// Parse a standalone `spec.json` document.
     pub fn parse(text: &str) -> Result<SessionSpec, String> {
-        SessionSpec::from_json_value(&json::parse(text)?)
+        let spec: SessionSpec = rows::decode(text)?;
+        if spec.program.is_empty() {
+            return Err("'program' must not be empty".to_string());
+        }
+        Ok(spec)
     }
 
     /// The [`TunerOptions`] this spec denotes — identical to what

@@ -7,11 +7,15 @@
 //! `"error"` message. Frames are rendered with `jtune-util`'s
 //! deterministic JSON writer, so a given reply is always the same bytes.
 //!
-//! Both directions are typed: requests parse into [`Request`] and every
-//! reply the daemon can send is a [`Response`] variant. The server
-//! encodes exclusively through [`render_response`], and the client and
-//! worker decode exclusively through [`parse_response`] — one parse path
-//! and one encode path for all three parties.
+//! Both directions are typed and declared once, as rows of
+//! [`json_rows!`](jtune_util::json_rows): requests are the [`Request`]
+//! rows, tagged by `"op"` after `"v"`, and every reply the daemon can
+//! send is a [`Response`] row, told apart by the keys each row names.
+//! The server encodes exclusively through [`render_response`], and the
+//! client and worker decode exclusively through [`parse_response`] —
+//! one parse path and one encode path for all three parties. Frames
+//! ignore keys their row does not declare, so an older peer reads a
+//! newer frame.
 //!
 //! Client plane:
 //!
@@ -54,7 +58,9 @@
 //!   `{"v":1,"ok":true,"done":true}` frame when the session ends.
 
 use jtune_harness::{Measurement, RunCounters, TrialError};
-use jtune_util::json::{self, JsonObject, JsonValue};
+use jtune_util::json::{JsonObject, JsonValue};
+use jtune_util::json_rows;
+use jtune_util::rows::{self, Fields, Row as _};
 use jtune_util::SimDuration;
 
 use crate::session::SessionSpec;
@@ -68,164 +74,174 @@ pub const VERSION: u64 = 1;
 /// prefix and a closing `}`.
 pub const WATCH_EVENT_PREFIX: &str = "{\"v\":1,\"event\":";
 
-/// A parsed client or worker request.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Submit a new tuning session.
-    Submit(SessionSpec),
-    /// Report sessions (all, or one when `sid` is given).
-    Status {
-        /// Restrict to one session.
-        sid: Option<u64>,
-    },
-    /// Stream a running session's trace events.
-    Watch {
-        /// The session to watch.
-        sid: u64,
-    },
-    /// Fetch a completed session's record.
-    Result {
-        /// The session whose record to fetch.
-        sid: u64,
-    },
-    /// Cancel a session (stops it at the next batch boundary).
-    Cancel {
-        /// The session to cancel.
-        sid: u64,
-    },
-    /// Report aggregated metrics (all sessions, or one when `sid` is
-    /// given): per-session event counters plus wall-clock histograms,
-    /// and the daemon's frame-handling histogram.
-    Stats {
-        /// Restrict to one session.
-        sid: Option<u64>,
-    },
-    /// Stop the daemon; with `drain`, suspend + checkpoint in-flight
-    /// sessions first so a restart resumes them.
-    Shutdown {
-        /// Checkpoint in-flight sessions before exiting.
-        drain: bool,
-    },
-    /// Register a remote worker's capabilities.
-    Register {
-        /// Executor-kind capability tag (e.g. `"sim"`): the worker can
-        /// serve any lease whose executor tag starts `"<tag>:"`.
-        executor: String,
-        /// Concurrent trial slots the worker offers.
-        slots: u64,
-        /// Present when this registration replaces a lost connection:
-        /// the daemon reissues the previous identity's leases at once
-        /// and counts a worker reconnect. Absent on first registration
-        /// (and from all pre-reconnect frames, whose bytes are pinned).
-        reconnect: Option<Reconnect>,
-    },
-    /// Ask for work; the daemon long-polls up to `wait_ms` before
-    /// answering `idle`.
-    Lease {
-        /// The worker id issued by `register`.
-        wid: u64,
-        /// Upper bound on how long the daemon may hold the request open.
-        wait_ms: u64,
-    },
-    /// Stream a finished trial's outcome back.
-    Complete {
-        /// The worker id issued by `register`.
-        wid: u64,
-        /// The lease being fulfilled.
-        lease: u64,
-        /// The measurement, losslessly serialised.
-        outcome: TrialOutcome,
-        /// When present, the reply is the worker's next lease, long-polled
-        /// up to this bound, instead of a [`Response::LeaseAck`].
-        wait_ms: Option<u64>,
-    },
-    /// Report a lease the worker could not run (unknown workload,
-    /// capability mismatch); the daemon reissues the slot.
-    Fail {
-        /// The worker id issued by `register`.
-        wid: u64,
-        /// The lease being returned.
-        lease: u64,
-        /// Why the worker could not run it.
-        reason: String,
-        /// When present, the reply is the worker's next lease, long-polled
-        /// up to this bound, instead of a [`Response::LeaseAck`].
-        wait_ms: Option<u64>,
-    },
-    /// Liveness ping extending the deadlines of in-flight leases.
-    Heartbeat {
-        /// The worker id issued by `register`.
-        wid: u64,
-        /// Leases the worker is still executing.
-        leases: Vec<u64>,
-    },
-    /// Graceful worker exit; outstanding leases are reissued immediately.
-    Deregister {
-        /// The worker id issued by `register`.
-        wid: u64,
-    },
+json_rows! {
+    /// A parsed client or worker request.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request: lenient, tagged "op" {
+        /// Submit a new tuning session.
+        Submit = "submit" (SessionSpec),
+        /// Report sessions (all, or one when `sid` is given).
+        Status = "status" {
+            /// Restrict to one session.
+            sid: Option<u64> => IfSome,
+        },
+        /// Stream a running session's trace events.
+        Watch = "watch" {
+            /// The session to watch.
+            sid: u64,
+        },
+        /// Fetch a completed session's record.
+        Result = "result" {
+            /// The session whose record to fetch.
+            sid: u64,
+        },
+        /// Cancel a session (stops it at the next batch boundary).
+        Cancel = "cancel" {
+            /// The session to cancel.
+            sid: u64,
+        },
+        /// Report aggregated metrics (all sessions, or one when `sid` is
+        /// given): per-session event counters plus wall-clock histograms,
+        /// and the daemon's frame-handling histogram.
+        Stats = "stats" {
+            /// Restrict to one session.
+            sid: Option<u64> => IfSome,
+        },
+        /// Stop the daemon; with `drain`, suspend + checkpoint in-flight
+        /// sessions first so a restart resumes them.
+        Shutdown = "shutdown" {
+            /// Checkpoint in-flight sessions before exiting.
+            drain: bool = true,
+        },
+        /// Register a remote worker's capabilities.
+        Register = "register" {
+            /// Executor-kind capability tag (e.g. `"sim"`): the worker can
+            /// serve any lease whose executor tag starts `"<tag>:"`.
+            executor: String,
+            /// Concurrent trial slots the worker offers.
+            slots: u64,
+            /// Present when this registration replaces a lost connection:
+            /// the daemon reissues the previous identity's leases at once
+            /// and counts a worker reconnect. Absent on first registration
+            /// (and from all pre-reconnect frames, whose bytes are pinned).
+            reconnect: Option<Reconnect> => Flat,
+        },
+        /// Ask for work; the daemon long-polls up to `wait_ms` before
+        /// answering `idle`.
+        Lease = "lease" {
+            /// The worker id issued by `register`.
+            wid: u64,
+            /// Upper bound on how long the daemon may hold the request open.
+            wait_ms: u64,
+        },
+        /// Stream a finished trial's outcome back.
+        Complete = "complete" {
+            /// The worker id issued by `register`.
+            wid: u64,
+            /// The lease being fulfilled.
+            lease: u64,
+            /// The measurement, losslessly serialised.
+            outcome: TrialOutcome => Flat,
+            /// When present, the reply is the worker's next lease, long-polled
+            /// up to this bound, instead of a [`Response::LeaseAck`].
+            wait_ms: Option<u64> => IfSome,
+        },
+        /// Report a lease the worker could not run (unknown workload,
+        /// capability mismatch); the daemon reissues the slot.
+        Fail = "fail" {
+            /// The worker id issued by `register`.
+            wid: u64,
+            /// The lease being returned.
+            lease: u64,
+            /// Why the worker could not run it.
+            reason: String = String::new(),
+            /// When present, the reply is the worker's next lease, long-polled
+            /// up to this bound, instead of a [`Response::LeaseAck`].
+            wait_ms: Option<u64> => IfSome,
+        },
+        /// Liveness ping extending the deadlines of in-flight leases.
+        Heartbeat = "heartbeat" {
+            /// The worker id issued by `register`.
+            wid: u64,
+            /// Leases the worker is still executing.
+            leases: Vec<u64> = Vec::new(),
+        },
+        /// Graceful worker exit; outstanding leases are reissued immediately.
+        Deregister = "deregister" {
+            /// The worker id issued by `register`.
+            wid: u64,
+        },
+    }
 }
 
-/// Retry metadata a re-registering worker attaches to its `register`
-/// frame after losing its daemon connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Reconnect {
-    /// The worker id the lost connection held; its leases are reissued
-    /// immediately instead of waiting out their deadlines.
-    pub prev_wid: u64,
-    /// Reconnect attempts it took to get back in (1 = first retry).
-    pub attempts: u64,
+json_rows! {
+    /// Retry metadata a re-registering worker attaches to its `register`
+    /// frame after losing its daemon connection.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Reconnect: lenient {
+        /// The worker id the lost connection held; its leases are reissued
+        /// immediately instead of waiting out their deadlines.
+        pub prev_wid: u64,
+        /// Reconnect attempts it took to get back in (1 = first retry).
+        pub attempts: u64 = 1,
+    }
 }
 
-/// A lease offer: everything a worker needs to run one trial.
-///
-/// The configuration travels as its canonical `-XX:` argument delta
-/// ([`JvmConfig::to_args`](jtune_flags::JvmConfig::to_args)); both ends
-/// share the built-in registry, so
-/// [`JvmConfig::parse_args`](jtune_flags::JvmConfig::parse_args)
-/// reconstructs the exact configuration and `fingerprint` lets the
-/// worker verify it did.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LeaseOffer {
-    /// Unique lease id; quoted back in `complete`/`fail`/`heartbeat`.
-    pub lease: u64,
-    /// The session the trial belongs to.
-    pub sid: u64,
-    /// The batch slot (diagnostic; the seed already encodes position).
-    pub slot: u64,
-    /// The positional measurement seed for this slot.
-    pub seed: u64,
-    /// Canonical fingerprint of the configuration, for verification.
-    pub fingerprint: u64,
-    /// The executor tag the trial must run under (e.g. `"sim:compress"`).
-    pub executor: String,
-    /// Milliseconds the worker has before the lease expires and the
-    /// slot is reissued.
-    pub deadline_ms: u64,
-    /// The configuration as `-XX:` arguments (delta from defaults).
-    pub config: Vec<String>,
+json_rows! {
+    /// A lease offer: everything a worker needs to run one trial.
+    ///
+    /// The configuration travels as its canonical `-XX:` argument delta
+    /// ([`JvmConfig::to_args`](jtune_flags::JvmConfig::to_args)); both ends
+    /// share the built-in registry, so
+    /// [`JvmConfig::parse_args`](jtune_flags::JvmConfig::parse_args)
+    /// reconstructs the exact configuration and `fingerprint` lets the
+    /// worker verify it did.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct LeaseOffer: lenient {
+        /// Unique lease id; quoted back in `complete`/`fail`/`heartbeat`.
+        pub lease: u64,
+        /// The session the trial belongs to.
+        pub sid: u64,
+        /// The batch slot (diagnostic; the seed already encodes position).
+        pub slot: u64,
+        /// The positional measurement seed for this slot.
+        pub seed: u64,
+        /// Canonical fingerprint of the configuration, for verification.
+        pub fingerprint: u64,
+        /// The executor tag the trial must run under (e.g. `"sim:compress"`).
+        pub executor: String,
+        /// Milliseconds the worker has before the lease expires and the
+        /// slot is reissued.
+        pub deadline_ms: u64,
+        /// The configuration as `-XX:` arguments (delta from defaults).
+        pub config: Vec<String> = Vec::new(),
+    }
 }
 
-/// A [`Measurement`] in wire form: exact u64 nanosecond fields, so the
-/// round trip is lossless and remote trials merge byte-identically.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TrialOutcome {
-    /// Run time in nanoseconds.
-    pub time_ns: u64,
-    /// p99 GC pause in nanoseconds, if observed.
-    pub pause_p99_ns: Option<u64>,
-    /// Total GC pause time in nanoseconds (present iff counters are).
-    pub gc_pause_ns: Option<u64>,
-    /// GC collections (present iff counters are).
-    pub gc_collections: Option<u64>,
-    /// JIT compile-stall time in nanoseconds (present iff counters are).
-    pub jit_ns: Option<u64>,
-    /// Methods JIT-compiled (present iff counters are).
-    pub jit_compiles: Option<u64>,
-    /// Failure kind tag ([`TrialError::kind`]), if the trial failed.
-    pub error_kind: Option<String>,
-    /// Failure message, if the trial failed.
-    pub error: Option<String>,
+json_rows! {
+    /// A [`Measurement`] in wire form: exact u64 nanosecond fields, so the
+    /// round trip is lossless and remote trials merge byte-identically.
+    /// The four counters are present together or not at all, and `error`
+    /// exactly when `error_kind` is ([`TrialOutcome::from_measurement`]).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct TrialOutcome: lenient {
+        /// Run time in nanoseconds.
+        pub time_ns: u64,
+        /// p99 GC pause in nanoseconds, if observed.
+        pub pause_p99_ns: Option<u64> => IfSome,
+        /// Total GC pause time in nanoseconds (present iff counters are).
+        pub gc_pause_ns: Option<u64> => IfSome,
+        /// GC collections (present iff counters are).
+        pub gc_collections: Option<u64> => IfSome,
+        /// JIT compile-stall time in nanoseconds (present iff counters are).
+        pub jit_ns: Option<u64> => IfSome,
+        /// Methods JIT-compiled (present iff counters are).
+        pub jit_compiles: Option<u64> => IfSome,
+        /// Failure kind tag ([`TrialError::kind`]), if the trial failed.
+        pub error_kind: Option<String> => IfSome,
+        /// Failure message, if the trial failed.
+        pub error: Option<String> => IfSome,
+    }
 }
 
 impl TrialOutcome {
@@ -267,62 +283,29 @@ impl TrialOutcome {
             error,
         })
     }
-
-    fn fill(&self, o: JsonObject) -> JsonObject {
-        let mut o = o.u64("time_ns", self.time_ns);
-        if let Some(p) = self.pause_p99_ns {
-            o = o.u64("pause_p99_ns", p);
-        }
-        if let Some(gc) = self.gc_pause_ns {
-            o = o
-                .u64("gc_pause_ns", gc)
-                .u64("gc_collections", self.gc_collections.unwrap_or(0))
-                .u64("jit_ns", self.jit_ns.unwrap_or(0))
-                .u64("jit_compiles", self.jit_compiles.unwrap_or(0));
-        }
-        if let Some(kind) = &self.error_kind {
-            o = o
-                .str("error_kind", kind)
-                .str("error", self.error.as_deref().unwrap_or(""));
-        }
-        o
-    }
-
-    fn from_json(v: &JsonValue) -> Result<TrialOutcome, WireError> {
-        let u = |key: &str| v.get(key).and_then(JsonValue::as_u64);
-        let s = |key: &str| v.get(key).and_then(JsonValue::as_str).map(str::to_string);
-        Ok(TrialOutcome {
-            time_ns: u("time_ns")
-                .ok_or_else(|| WireError::new("bad-frame", "outcome requires 'time_ns'"))?,
-            pause_p99_ns: u("pause_p99_ns"),
-            gc_pause_ns: u("gc_pause_ns"),
-            gc_collections: u("gc_collections"),
-            jit_ns: u("jit_ns"),
-            jit_compiles: u("jit_compiles"),
-            error_kind: s("error_kind"),
-            error: s("error"),
-        })
-    }
 }
 
-/// A structured protocol error: a stable code plus a human message.
-///
-/// The stable codes: `bad-frame`, `bad-version`, `unknown-op`,
-/// `invalid-spec`, `overloaded` (admission reject, carries a
-/// [`WireError::retry_after_ms`] backoff hint), `frame-too-large`
-/// (frame-size cap exceeded), `io-error`, `no-result`,
-/// `unknown-session`, `unknown-worker`, `no-session`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireError {
-    /// Stable machine-readable error code.
-    pub code: String,
-    /// Human-readable detail.
-    pub message: String,
-    /// Server backoff hint, milliseconds: attached to `overloaded`
-    /// rejects so a retrying peer knows how long to stand off. Absent
-    /// from every other error (and from all pre-existing frames, whose
-    /// bytes are pinned).
-    pub retry_after_ms: Option<u64>,
+json_rows! {
+    /// A structured protocol error: a stable code plus a human message.
+    /// Its rows follow `"v":1,"ok":false` in an error frame.
+    ///
+    /// The stable codes: `bad-frame`, `bad-version`, `unknown-op`,
+    /// `invalid-spec`, `overloaded` (admission reject, carries a
+    /// [`WireError::retry_after_ms`] backoff hint), `frame-too-large`
+    /// (frame-size cap exceeded), `io-error`, `no-result`,
+    /// `unknown-session`, `unknown-worker`, `no-session`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WireError: lenient {
+        /// Stable machine-readable error code.
+        pub code: String = "server-error".to_string(),
+        /// Human-readable detail.
+        pub message as "error": String = "unknown error".to_string(),
+        /// Server backoff hint, milliseconds: attached to `overloaded`
+        /// rejects so a retrying peer knows how long to stand off. Absent
+        /// from every other error (and from all pre-existing frames, whose
+        /// bytes are pinned).
+        pub retry_after_ms: Option<u64> => IfSome,
+    }
 }
 
 impl WireError {
@@ -350,20 +333,29 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+json_rows! {
+    /// The tag a retried request frame carries after its own fields:
+    /// `attempt` (≥ 1) and the backoff delay the peer just slept. First
+    /// attempts are never tagged, so pre-retry request frames keep their
+    /// exact bytes.
+    struct RetryTag: lenient {
+        attempt: u64,
+        delay_ms: u64 = 0,
+    }
+}
+
 /// Parse one request line into a [`Request`].
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
     parse_tagged_request(line).map(|(request, _)| request)
 }
 
-/// Parse one request line, once, into its [`Request`] and the
-/// [`retry_tag`] a retried frame carries.
+/// Parse one request line, once, into its [`Request`] and the retry tag
+/// (`attempt`, `delay_ms`) a retried frame carries. A field error in a
+/// `submit` frame is an `invalid-spec`; any other is a `bad-frame`.
 pub fn parse_tagged_request(line: &str) -> Result<(Request, Option<(u64, u64)>), WireError> {
-    let v = json::parse(line).map_err(|e| WireError::new("bad-frame", e))?;
-    Ok((decode_request(&v)?, retry_tag(&v)))
-}
-
-fn decode_request(v: &JsonValue) -> Result<Request, WireError> {
-    match v.get("v").and_then(JsonValue::as_u64) {
+    let bad_frame = |e: String| WireError::new("bad-frame", e);
+    let mut m = Fields::parse(line).map_err(bad_frame)?;
+    match m.take("v").and_then(|v| v.as_u64()) {
         Some(VERSION) => {}
         Some(other) => {
             return Err(WireError::new(
@@ -371,464 +363,108 @@ fn decode_request(v: &JsonValue) -> Result<Request, WireError> {
                 format!("protocol version {other} not supported (this daemon speaks {VERSION})"),
             ))
         }
-        None => return Err(WireError::new("bad-frame", "missing 'v' field")),
+        None => return Err(bad_frame("missing 'v' field".to_string())),
     }
-    let op = v
-        .get("op")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| WireError::new("bad-frame", "missing 'op' field"))?;
-    let field = |key: &str| -> Result<u64, WireError> {
-        v.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| WireError::new("bad-frame", format!("op {op:?} requires a {key:?}")))
+    let op = m
+        .take_tag("op")
+        .ok_or_else(|| bad_frame("missing 'op' field".to_string()))?;
+    let code = if op == "submit" {
+        "invalid-spec"
+    } else {
+        "bad-frame"
     };
-    let optional = |key: &str| -> Result<Option<u64>, WireError> {
-        v.get(key)
-            .map(|x| {
-                x.as_u64().ok_or_else(|| {
-                    WireError::new("bad-frame", format!("op {op:?} needs an integer {key:?}"))
-                })
-            })
-            .transpose()
-    };
-    match op {
-        "submit" => {
-            let spec =
-                SessionSpec::from_json_value(v).map_err(|e| WireError::new("invalid-spec", e))?;
-            Ok(Request::Submit(spec))
-        }
-        "status" => Ok(Request::Status {
-            sid: v.get("sid").and_then(JsonValue::as_u64),
-        }),
-        "watch" => Ok(Request::Watch { sid: field("sid")? }),
-        "result" => Ok(Request::Result { sid: field("sid")? }),
-        "cancel" => Ok(Request::Cancel { sid: field("sid")? }),
-        "stats" => Ok(Request::Stats {
-            sid: v.get("sid").and_then(JsonValue::as_u64),
-        }),
-        "shutdown" => Ok(Request::Shutdown {
-            drain: v
-                .get("drain")
-                .map(|d| d.as_bool().unwrap_or(true))
-                .unwrap_or(true),
-        }),
-        "register" => Ok(Request::Register {
-            executor: v
-                .get("executor")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| WireError::new("bad-frame", "register requires an 'executor'"))?
-                .to_string(),
-            slots: field("slots")?,
-            reconnect: v
-                .get("prev_wid")
-                .and_then(JsonValue::as_u64)
-                .map(|prev_wid| Reconnect {
-                    prev_wid,
-                    attempts: v.get("attempts").and_then(JsonValue::as_u64).unwrap_or(1),
-                }),
-        }),
-        "lease" => Ok(Request::Lease {
-            wid: field("wid")?,
-            wait_ms: field("wait_ms")?,
-        }),
-        "complete" => Ok(Request::Complete {
-            wid: field("wid")?,
-            lease: field("lease")?,
-            outcome: TrialOutcome::from_json(v)?,
-            wait_ms: optional("wait_ms")?,
-        }),
-        "fail" => Ok(Request::Fail {
-            wid: field("wid")?,
-            lease: field("lease")?,
-            reason: v
-                .get("reason")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string(),
-            wait_ms: optional("wait_ms")?,
-        }),
-        "heartbeat" => {
-            let leases = match v.get("leases").and_then(JsonValue::as_array) {
-                Some(items) => items
-                    .iter()
-                    .map(|i| {
-                        i.as_u64().ok_or_else(|| {
-                            WireError::new("bad-frame", "heartbeat 'leases' must be integers")
-                        })
-                    })
-                    .collect::<Result<Vec<u64>, WireError>>()?,
-                None => Vec::new(),
-            };
-            Ok(Request::Heartbeat {
-                wid: field("wid")?,
-                leases,
-            })
-        }
-        "deregister" => Ok(Request::Deregister { wid: field("wid")? }),
-        other => Err(WireError::new(
-            "unknown-op",
-            format!("unknown op {other:?}"),
-        )),
-    }
+    let request = Request::from_tag(&op, &mut m)
+        .map_err(|e| WireError::new(code, e))?
+        .ok_or_else(|| WireError::new("unknown-op", format!("unknown op {op:?}")))?;
+    let retry = m.take_row::<RetryTag>().map_err(bad_frame)?;
+    let retry = retry.filter(|t| t.attempt >= 1);
+    Ok((request, retry.map(|t| (t.attempt, t.delay_ms))))
 }
 
 /// Render a request (the client side of [`parse_request`]).
 pub fn render_request(request: &Request) -> String {
-    let base = JsonObject::new().u64("v", VERSION);
-    match request {
-        Request::Submit(spec) => spec.fill(base.str("op", "submit")).finish(),
-        Request::Status { sid } => {
-            let o = base.str("op", "status");
-            match sid {
-                Some(s) => o.u64("sid", *s).finish(),
-                None => o.finish(),
-            }
-        }
-        Request::Watch { sid } => base.str("op", "watch").u64("sid", *sid).finish(),
-        Request::Result { sid } => base.str("op", "result").u64("sid", *sid).finish(),
-        Request::Cancel { sid } => base.str("op", "cancel").u64("sid", *sid).finish(),
-        Request::Stats { sid } => {
-            let o = base.str("op", "stats");
-            match sid {
-                Some(s) => o.u64("sid", *s).finish(),
-                None => o.finish(),
-            }
-        }
-        Request::Shutdown { drain } => base.str("op", "shutdown").bool("drain", *drain).finish(),
-        Request::Register {
-            executor,
-            slots,
-            reconnect,
-        } => {
-            let o = base
-                .str("op", "register")
-                .str("executor", executor)
-                .u64("slots", *slots);
-            match reconnect {
-                Some(rc) => o
-                    .u64("prev_wid", rc.prev_wid)
-                    .u64("attempts", rc.attempts)
-                    .finish(),
-                None => o.finish(),
-            }
-        }
-        Request::Lease { wid, wait_ms } => base
-            .str("op", "lease")
-            .u64("wid", *wid)
-            .u64("wait_ms", *wait_ms)
-            .finish(),
-        Request::Complete {
-            wid,
-            lease,
-            outcome,
-            wait_ms,
-        } => with_wait(
-            outcome.fill(
-                base.str("op", "complete")
-                    .u64("wid", *wid)
-                    .u64("lease", *lease),
-            ),
-            *wait_ms,
-        ),
-        Request::Fail {
-            wid,
-            lease,
-            reason,
-            wait_ms,
-        } => with_wait(
-            base.str("op", "fail")
-                .u64("wid", *wid)
-                .u64("lease", *lease)
-                .str("reason", reason),
-            *wait_ms,
-        ),
-        Request::Heartbeat { wid, leases } => base
-            .str("op", "heartbeat")
-            .u64("wid", *wid)
-            .u64_array("leases", leases)
-            .finish(),
-        Request::Deregister { wid } => base.str("op", "deregister").u64("wid", *wid).finish(),
-    }
+    request
+        .put_fields(JsonObject::new().u64("v", VERSION))
+        .finish()
 }
 
-/// Finish a `complete`/`fail` frame, appending `wait_ms` only when the
-/// worker asks for its next lease.
-fn with_wait(o: JsonObject, wait_ms: Option<u64>) -> String {
-    match wait_ms {
-        Some(ms) => o.u64("wait_ms", ms).finish(),
-        None => o.finish(),
+json_rows! {
+    /// Every reply the daemon can send (except streamed watch-event lines,
+    /// which carry raw payload between an opening [`Response::Sid`] ack and
+    /// a closing [`Response::WatchDone`]). A reply is the first row, in
+    /// table order, whose selecting keys are all present.
+    ///
+    /// `Sessions`/`Stats` hold their payloads as raw pre-rendered JSON so
+    /// the round trip through [`render_response`]/[`parse_response`] is
+    /// byte-exact — status rows and metric objects pass through untouched.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response: lenient, untagged {
+        /// `lease` grant (also the reply to a `complete`/`fail` carrying
+        /// `wait_ms`).
+        Leased when ["lease", "sid"] (LeaseOffer),
+        /// `complete`/`fail` ack without `wait_ms` (also sent for stale
+        /// leases, which the daemon discards silently — the slot was already
+        /// reissued).
+        LeaseAck when ["lease"] {
+            /// The lease acknowledged.
+            lease: u64,
+        },
+        /// `heartbeat` ack.
+        HeartbeatAck when ["leases"] {
+            /// How many of the reported leases had their deadline extended.
+            leases: u64,
+        },
+        /// `register`/`deregister` ack.
+        WorkerAck when ["wid"] {
+            /// The worker id (issued on register, confirmed on deregister).
+            wid: u64,
+        },
+        /// `lease` without work; with `draining`, the worker should exit.
+        Idle when ["idle" = true] {
+            /// The daemon is shutting down — finish up and disconnect.
+            draining: bool => IfTrue,
+        },
+        /// `result`: the raw record JSON follows on the next line.
+        RecordFollows when ["follows" = "record"],
+        /// Terminal frame of a watch stream.
+        WatchDone when ["done" = true],
+        /// `stats`: raw per-session rows plus daemon-wide metrics.
+        Stats when ["server"] {
+            /// Pre-rendered JSON array of per-session metric rows.
+            sessions: String => Raw,
+            /// Pre-rendered JSON object of daemon-wide metrics.
+            server: String => Raw,
+        },
+        /// `status`: raw array of per-session row objects.
+        Sessions when ["sessions"] {
+            /// Pre-rendered JSON array, passed through byte-exact.
+            sessions: String => Raw,
+        },
+        /// `shutdown` ack.
+        ShuttingDown when ["draining"] {
+            /// Whether in-flight sessions are being checkpointed first.
+            drain as "draining": bool,
+        },
+        /// `submit`/`cancel` ack, and the frame opening a watch stream.
+        Sid when ["sid"] {
+            /// The session acted on.
+            sid: u64,
+        },
     }
-}
-
-/// Every reply the daemon can send (except streamed watch-event lines,
-/// which carry raw payload between an opening [`Response::Sid`] ack and
-/// a closing [`Response::WatchDone`]).
-///
-/// `Sessions`/`Stats` hold their payloads as raw pre-rendered JSON so
-/// the round trip through [`render_response`]/[`parse_response`] is
-/// byte-exact — status rows and metric objects pass through untouched.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// `submit`/`cancel` ack, and the frame opening a watch stream.
-    Sid {
-        /// The session acted on.
-        sid: u64,
-    },
-    /// `status`: raw array of per-session row objects.
-    Sessions {
-        /// Pre-rendered JSON array, passed through byte-exact.
-        sessions: String,
-    },
-    /// `result`: the raw record JSON follows on the next line.
-    RecordFollows,
-    /// `stats`: raw per-session rows plus daemon-wide metrics.
-    Stats {
-        /// Pre-rendered JSON array of per-session metric rows.
-        sessions: String,
-        /// Pre-rendered JSON object of daemon-wide metrics.
-        server: String,
-    },
-    /// `shutdown` ack.
-    ShuttingDown {
-        /// Whether in-flight sessions are being checkpointed first.
-        drain: bool,
-    },
-    /// Terminal frame of a watch stream.
-    WatchDone,
-    /// `register`/`deregister` ack.
-    WorkerAck {
-        /// The worker id (issued on register, confirmed on deregister).
-        wid: u64,
-    },
-    /// `lease` grant (also the reply to a `complete`/`fail` carrying
-    /// `wait_ms`).
-    Leased(LeaseOffer),
-    /// `lease` without work; with `draining`, the worker should exit.
-    Idle {
-        /// The daemon is shutting down — finish up and disconnect.
-        draining: bool,
-    },
-    /// `complete`/`fail` ack without `wait_ms` (also sent for stale
-    /// leases, which the daemon discards silently — the slot was already
-    /// reissued).
-    LeaseAck {
-        /// The lease acknowledged.
-        lease: u64,
-    },
-    /// `heartbeat` ack.
-    HeartbeatAck {
-        /// How many of the reported leases had their deadline extended.
-        leases: u64,
-    },
 }
 
 /// Render a reply frame (the single server-side encode path).
 pub fn render_response(response: &Response) -> String {
-    match response {
-        Response::Sid { sid } => ok_frame().u64("sid", *sid).finish(),
-        Response::Sessions { sessions } => ok_frame().raw("sessions", sessions).finish(),
-        Response::RecordFollows => ok_frame().str("follows", "record").finish(),
-        Response::Stats { sessions, server } => ok_frame()
-            .raw("sessions", sessions)
-            .raw("server", server)
-            .finish(),
-        Response::ShuttingDown { drain } => ok_frame().bool("draining", *drain).finish(),
-        Response::WatchDone => ok_frame().bool("done", true).finish(),
-        Response::WorkerAck { wid } => ok_frame().u64("wid", *wid).finish(),
-        Response::Leased(offer) => ok_frame()
-            .u64("lease", offer.lease)
-            .u64("sid", offer.sid)
-            .u64("slot", offer.slot)
-            .u64("seed", offer.seed)
-            .u64("fingerprint", offer.fingerprint)
-            .str("executor", &offer.executor)
-            .u64("deadline_ms", offer.deadline_ms)
-            .str_array("config", &offer.config)
-            .finish(),
-        Response::Idle { draining } => {
-            let o = ok_frame().bool("idle", true);
-            if *draining {
-                o.bool("draining", true).finish()
-            } else {
-                o.finish()
-            }
-        }
-        Response::LeaseAck { lease } => ok_frame().u64("lease", *lease).finish(),
-        Response::HeartbeatAck { leases } => ok_frame().u64("leases", *leases).finish(),
-    }
+    response.put_fields(ok_frame()).finish()
 }
 
 /// Parse a reply line into a typed [`Response`] (the single client- and
 /// worker-side decode path). Error frames surface the server's stable
 /// code verbatim.
 pub fn parse_response(line: &str) -> Result<Response, WireError> {
-    let v = parse_reply(line)?;
-    let u = |key: &str| v.get(key).and_then(JsonValue::as_u64);
-    if let Some(lease) = u("lease") {
-        if u("sid").is_some() {
-            let req = |key: &str| {
-                u(key).ok_or_else(|| {
-                    WireError::new("bad-frame", format!("lease offer missing {key:?}"))
-                })
-            };
-            let config = match v.get("config").and_then(JsonValue::as_array) {
-                Some(items) => items
-                    .iter()
-                    .map(|i| {
-                        i.as_str().map(str::to_string).ok_or_else(|| {
-                            WireError::new("bad-frame", "lease 'config' must be strings")
-                        })
-                    })
-                    .collect::<Result<Vec<String>, WireError>>()?,
-                None => Vec::new(),
-            };
-            return Ok(Response::Leased(LeaseOffer {
-                lease,
-                sid: req("sid")?,
-                slot: req("slot")?,
-                seed: req("seed")?,
-                fingerprint: req("fingerprint")?,
-                executor: v
-                    .get("executor")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| WireError::new("bad-frame", "lease offer missing 'executor'"))?
-                    .to_string(),
-                deadline_ms: req("deadline_ms")?,
-                config,
-            }));
-        }
-        return Ok(Response::LeaseAck { lease });
-    }
-    if let Some(leases) = u("leases") {
-        return Ok(Response::HeartbeatAck { leases });
-    }
-    if let Some(wid) = u("wid") {
-        return Ok(Response::WorkerAck { wid });
-    }
-    if v.get("idle").and_then(JsonValue::as_bool) == Some(true) {
-        return Ok(Response::Idle {
-            draining: v.get("draining").and_then(JsonValue::as_bool) == Some(true),
-        });
-    }
-    if v.get("follows").and_then(JsonValue::as_str) == Some("record") {
-        return Ok(Response::RecordFollows);
-    }
-    if v.get("done").and_then(JsonValue::as_bool) == Some(true) {
-        return Ok(Response::WatchDone);
-    }
-    if v.get("server").is_some() {
-        let slice = |key: &str| {
-            raw_field_slice(line, key)
-                .map(str::to_string)
-                .ok_or_else(|| WireError::new("bad-frame", format!("stats reply missing {key:?}")))
-        };
-        return Ok(Response::Stats {
-            sessions: slice("sessions")?,
-            server: slice("server")?,
-        });
-    }
-    if v.get("sessions").is_some() {
-        let sessions = raw_field_slice(line, "sessions")
-            .map(str::to_string)
-            .ok_or_else(|| WireError::new("bad-frame", "status reply missing 'sessions'"))?;
-        return Ok(Response::Sessions { sessions });
-    }
-    if let Some(drain) = v.get("draining").and_then(JsonValue::as_bool) {
-        return Ok(Response::ShuttingDown { drain });
-    }
-    if let Some(sid) = u("sid") {
-        return Ok(Response::Sid { sid });
-    }
-    Err(WireError::new("bad-frame", "unrecognised reply shape"))
-}
-
-/// The raw text of a top-level field's value inside one JSON object
-/// line, string- and nesting-aware. This is how `Sessions`/`Stats`
-/// payloads survive [`parse_response`] byte-exact.
-fn raw_field_slice<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let bytes = line.as_bytes();
-    let needle = format!("\"{key}\":");
-    let mut depth = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                if depth == 1 && line[i..].starts_with(needle.as_str()) {
-                    let start = i + needle.len();
-                    return scan_value(line, start).map(|end| &line[start..end]);
-                }
-                i = scan_value(line, i)?;
-            }
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// End index (exclusive) of the JSON value starting at `start`.
-fn scan_value(s: &str, start: usize) -> Option<usize> {
-    let bytes = s.as_bytes();
-    let mut i = start;
-    match *bytes.get(i)? {
-        b'"' => {
-            i += 1;
-            let mut escaped = false;
-            while i < bytes.len() {
-                match bytes[i] {
-                    _ if escaped => escaped = false,
-                    b'\\' => escaped = true,
-                    b'"' => return Some(i + 1),
-                    _ => {}
-                }
-                i += 1;
-            }
-            None
-        }
-        b'{' | b'[' => {
-            let mut depth = 0usize;
-            let mut in_string = false;
-            let mut escaped = false;
-            while i < bytes.len() {
-                let b = bytes[i];
-                if in_string {
-                    match b {
-                        _ if escaped => escaped = false,
-                        b'\\' => escaped = true,
-                        b'"' => in_string = false,
-                        _ => {}
-                    }
-                } else {
-                    match b {
-                        b'"' => in_string = true,
-                        b'{' | b'[' => depth += 1,
-                        b'}' | b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some(i + 1);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                i += 1;
-            }
-            None
-        }
-        _ => {
-            while i < bytes.len() && !matches!(bytes[i], b',' | b'}' | b']') {
-                i += 1;
-            }
-            Some(i)
-        }
-    }
+    let bad_frame = |e: String| WireError::new("bad-frame", e);
+    let mut m = Fields::of(parse_reply(line)?, line).map_err(bad_frame)?;
+    Response::from_fields(&mut m).map_err(bad_frame)
 }
 
 /// Start an ok reply frame; [`render_response`] adds the payload.
@@ -838,15 +474,8 @@ pub fn ok_frame() -> JsonObject {
 
 /// Render a complete error reply frame.
 pub fn error_frame(error: &WireError) -> String {
-    let o = JsonObject::new()
-        .u64("v", VERSION)
-        .bool("ok", false)
-        .str("code", &error.code)
-        .str("error", &error.message);
-    match error.retry_after_ms {
-        Some(ms) => o.u64("retry_after_ms", ms).finish(),
-        None => o.finish(),
-    }
+    let o = JsonObject::new().u64("v", VERSION).bool("ok", false);
+    error.put_fields(o).finish()
 }
 
 /// Render a reply: the response on success, an error frame otherwise.
@@ -876,44 +505,25 @@ pub fn watch_done_frame() -> String {
 /// server error carrying the server's stable code verbatim (or a
 /// `bad-frame` error for unparseable lines).
 pub fn parse_reply(line: &str) -> Result<JsonValue, WireError> {
-    let v = json::parse(line).map_err(|e| WireError::new("bad-frame", e))?;
-    if v.get("ok").and_then(JsonValue::as_bool) == Some(false) {
-        let message = v
-            .get("error")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("unknown error")
-            .to_string();
-        let code = v
-            .get("code")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("server-error")
-            .to_string();
-        let mut err = WireError::new(code, message);
-        if let Some(ms) = v.get("retry_after_ms").and_then(JsonValue::as_u64) {
-            err = err.with_retry_after(ms);
-        }
-        return Err(err);
+    let v = jtune_util::json::parse(line).map_err(|e| WireError::new("bad-frame", e))?;
+    if v.get("ok").and_then(JsonValue::as_bool) != Some(false) {
+        return Ok(v);
     }
-    Ok(v)
+    let mut m = Fields::of(v, line).map_err(|e| WireError::new("bad-frame", e))?;
+    Err(WireError::take_fields(&mut m).unwrap_or_else(|e| WireError::new("bad-frame", e)))
 }
 
 /// Tag a rendered request frame with retry metadata: `attempt` (≥ 1)
 /// and the backoff delay the peer just slept. First attempts are never
 /// tagged, so pre-retry request frames keep their exact bytes; the
-/// daemon reads the tag with [`retry_tag`] to count client retries.
+/// daemon reads the tag back in [`parse_tagged_request`] to count client
+/// retries.
 pub fn tag_retry(frame: &str, attempt: u64, delay_ms: u64) -> String {
+    let tag = rows::encode(&RetryTag { attempt, delay_ms });
     match frame.strip_suffix('}') {
-        Some(body) => format!("{body},\"attempt\":{attempt},\"delay_ms\":{delay_ms}}}"),
+        Some(body) => format!("{body},{}", &tag[1..]),
         None => frame.to_string(),
     }
-}
-
-/// Retry metadata from a parsed request frame, if the peer tagged it:
-/// `(attempt, delay_ms)`.
-pub fn retry_tag(v: &JsonValue) -> Option<(u64, u64)> {
-    let attempt = v.get("attempt").and_then(JsonValue::as_u64)?;
-    let delay_ms = v.get("delay_ms").and_then(JsonValue::as_u64).unwrap_or(0);
-    (attempt >= 1).then_some((attempt, delay_ms))
 }
 
 #[cfg(test)]
@@ -1213,6 +823,45 @@ mod tests {
     }
 
     #[test]
+    fn absent_optional_keys_read_their_defaults() {
+        for (line, request) in [
+            (
+                "{\"v\":1,\"op\":\"shutdown\"}",
+                Request::Shutdown { drain: true },
+            ),
+            (
+                "{\"v\":1,\"op\":\"register\",\"executor\":\"sim\",\"slots\":1,\"prev_wid\":3}",
+                Request::Register {
+                    executor: "sim".into(),
+                    slots: 1,
+                    reconnect: Some(Reconnect {
+                        prev_wid: 3,
+                        attempts: 1,
+                    }),
+                },
+            ),
+            (
+                "{\"v\":1,\"op\":\"fail\",\"wid\":1,\"lease\":2}",
+                Request::Fail {
+                    wid: 1,
+                    lease: 2,
+                    reason: String::new(),
+                    wait_ms: None,
+                },
+            ),
+            (
+                "{\"v\":1,\"op\":\"heartbeat\",\"wid\":1}",
+                Request::Heartbeat {
+                    wid: 1,
+                    leases: Vec::new(),
+                },
+            ),
+        ] {
+            assert_eq!(parse_request(line), Ok(request), "{line}");
+        }
+    }
+
+    #[test]
     fn error_frames_surface_the_servers_code_verbatim() {
         let line = error_frame(&WireError::new("capacity", "daemon full"));
         let err = parse_reply(&line).unwrap_err();
@@ -1243,20 +892,22 @@ mod tests {
     #[test]
     fn retry_tags_splice_into_frames_and_parse_back() {
         let frame = render_request(&Request::Status { sid: None });
-        assert_eq!(
-            retry_tag(&json::parse(&frame).expect("frame parses")),
-            None,
-            "untagged frames carry no retry metadata"
-        );
         let tagged = tag_retry(&frame, 2, 310);
-        let v = json::parse(&tagged).expect("tagged frame still parses");
-        assert_eq!(retry_tag(&v), Some((2, 310)));
         // The tag must not confuse the request decoder.
         assert_eq!(
             parse_tagged_request(&tagged).expect("tagged request parses"),
             (Request::Status { sid: None }, Some((2, 310)))
         );
-        assert_eq!(parse_tagged_request(&frame).unwrap().1, None);
+        assert_eq!(
+            parse_tagged_request(&frame).unwrap().1,
+            None,
+            "untagged frames carry no retry metadata"
+        );
+        // Attempt 0 is the original try, never a retry.
+        assert_eq!(
+            parse_tagged_request(&tag_retry(&frame, 0, 0)).unwrap().1,
+            None
+        );
     }
 
     #[test]

@@ -79,6 +79,34 @@ fn junk_request_frames_decode_to_stable_codes() {
             "bad-frame",
         ),
         ("{\"v\":1,\"op\":\"deregister\",\"wid\":{}}", "bad-frame"),
+        // Wrongly typed optional fields are bad frames, not defaults.
+        ("{\"v\":1,\"op\":\"status\",\"sid\":\"x\"}", "bad-frame"),
+        ("{\"v\":1,\"op\":\"stats\",\"sid\":-1}", "bad-frame"),
+        ("{\"v\":1,\"op\":\"shutdown\",\"drain\":\"no\"}", "bad-frame"),
+        (
+            "{\"v\":1,\"op\":\"register\",\"executor\":\"sim\",\"slots\":1,\"prev_wid\":\"3\"}",
+            "bad-frame",
+        ),
+        (
+            "{\"v\":1,\"op\":\"register\",\"executor\":\"sim\",\"slots\":1,\"prev_wid\":3,\"attempts\":true}",
+            "bad-frame",
+        ),
+        (
+            "{\"v\":1,\"op\":\"fail\",\"wid\":1,\"lease\":2,\"reason\":7}",
+            "bad-frame",
+        ),
+        (
+            "{\"v\":1,\"op\":\"complete\",\"wid\":1,\"lease\":2,\"time_ns\":3,\"pause_p99_ns\":\"4\"}",
+            "bad-frame",
+        ),
+        (
+            "{\"v\":1,\"op\":\"lease\",\"wid\":1,\"wait_ms\":5,\"attempt\":\"2\"}",
+            "bad-frame",
+        ),
+        (
+            "{\"v\":1,\"op\":\"submit\",\"program\":\"c\",\"seed\":\"x\"}",
+            "invalid-spec",
+        ),
     ];
     for (line, want) in table {
         let err = parse_request(line).expect_err(&format!("{line:?} must not decode"));

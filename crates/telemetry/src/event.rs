@@ -8,229 +8,39 @@
 //! ordering contract).
 //!
 //! The trace format is declared once, in the `trace_events!` table
-//! below. One row per variant says whether it is a `fact` (serialised
-//! to the JSONL trace) or `live` (seen by live sinks only) and lists its
-//! fields in JSON order, each with its type and, where the type alone
-//! does not say how it is written, its codec. The enum,
-//! [`TraceEvent::kind`], [`TraceEvent::is_ephemeral`],
-//! [`TraceEvent::to_json`] and [`TraceEvent::from_json`] are all
-//! generated from that table, so the encoder, the decoder and the
-//! live/fact split cannot disagree.
+//! below, with the shared row machinery of [`jtune_util::rows`]. One
+//! row per variant says whether it is a `fact` (serialised to the JSONL
+//! trace) or `live` (seen by live sinks only) and lists its fields in
+//! JSON order, each with its type and, where the type alone does not
+//! say how it is written, its codec. The enum, [`TraceEvent::kind`],
+//! [`TraceEvent::is_ephemeral`], the encoder behind
+//! [`TraceEvent::to_json`] and the decoder behind
+//! [`TraceEvent::from_json`] are all generated from that table, so the
+//! encoder, the decoder and the live/fact split cannot disagree.
 
-use jtune_util::json::{self, JsonObject, JsonValue};
-
-/// A field type with one JSON shape: how it is written and read back.
-trait Field: Sized {
-    /// What a wrong value was expected to be, for decode errors.
-    const EXPECTED: &'static str;
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject;
-    fn from_value(v: JsonValue) -> Option<Self>;
-}
-
-impl Field for String {
-    const EXPECTED: &'static str = "a string";
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject {
-        o.str(key, self)
-    }
-    fn from_value(v: JsonValue) -> Option<Self> {
-        match v {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-impl Field for u64 {
-    const EXPECTED: &'static str = "an unsigned integer";
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject {
-        o.u64(key, *self)
-    }
-    fn from_value(v: JsonValue) -> Option<Self> {
-        v.as_u64()
-    }
-}
-
-/// Written as a `u64`.
-impl Field for usize {
-    const EXPECTED: &'static str = "an unsigned integer";
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject {
-        o.u64(key, *self as u64)
-    }
-    fn from_value(v: JsonValue) -> Option<Self> {
-        v.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-}
-
-/// A non-finite value is written as `null`, and `null` reads as NaN.
-impl Field for f64 {
-    const EXPECTED: &'static str = "a number or null";
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject {
-        o.f64(key, *self)
-    }
-    fn from_value(v: JsonValue) -> Option<Self> {
-        match v {
-            JsonValue::Null => Some(f64::NAN),
-            v => v.as_f64(),
-        }
-    }
-}
-
-impl Field for bool {
-    const EXPECTED: &'static str = "a boolean";
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject {
-        o.bool(key, *self)
-    }
-    fn from_value(v: JsonValue) -> Option<Self> {
-        v.as_bool()
-    }
-}
-
-impl Field for Vec<f64> {
-    const EXPECTED: &'static str = "an array of numbers";
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject {
-        o.f64_array(key, self)
-    }
-    fn from_value(v: JsonValue) -> Option<Self> {
-        match v {
-            JsonValue::Array(items) => items.into_iter().map(f64::from_value).collect(),
-            _ => None,
-        }
-    }
-}
-
-impl Field for Vec<String> {
-    const EXPECTED: &'static str = "an array of strings";
-    fn put(&self, o: JsonObject, key: &str) -> JsonObject {
-        o.str_array(key, self)
-    }
-    fn from_value(v: JsonValue) -> Option<Self> {
-        match v {
-            JsonValue::Array(items) => items.into_iter().map(String::from_value).collect(),
-            _ => None,
-        }
-    }
-}
-
-/// The not yet decoded fields of one trace line.
-struct Fields {
-    kind: String,
-    members: Vec<(String, JsonValue)>,
-}
-
-impl Fields {
-    /// Move the value of `key` out, if present.
-    fn take(&mut self, key: &str) -> Option<JsonValue> {
-        let i = self.members.iter().position(|(k, _)| k == key)?;
-        Some(self.members.remove(i).1)
-    }
-
-    fn missing(&self, key: &str) -> String {
-        format!("{}: missing field `{key}`", self.kind)
-    }
-
-    fn decode<T: Field>(&self, key: &str, v: JsonValue) -> Result<T, String> {
-        T::from_value(v)
-            .ok_or_else(|| format!("{}: field `{key}`: expected {}", self.kind, T::EXPECTED))
-    }
-}
-
-/// How a field's key appears on a trace line.
-trait Codec<T> {
-    fn put(o: JsonObject, key: &str, value: &T) -> JsonObject;
-    fn take(m: &mut Fields, key: &str) -> Result<T, String>;
-}
-
-/// Always written; the key must be present. The default codec.
-struct Plain;
-
-impl<T: Field> Codec<T> for Plain {
-    fn put(o: JsonObject, key: &str, value: &T) -> JsonObject {
-        value.put(o, key)
-    }
-    fn take(m: &mut Fields, key: &str) -> Result<T, String> {
-        let v = m.take(key).ok_or_else(|| m.missing(key))?;
-        m.decode(key, v)
-    }
-}
-
-/// An `Option` written as `null` when `None`; the key must be present.
-struct OrNull;
-
-impl<T: Field> Codec<Option<T>> for OrNull {
-    fn put(o: JsonObject, key: &str, value: &Option<T>) -> JsonObject {
-        match value {
-            Some(v) => v.put(o, key),
-            None => o.raw(key, "null"),
-        }
-    }
-    fn take(m: &mut Fields, key: &str) -> Result<Option<T>, String> {
-        match m.take(key) {
-            None => Err(m.missing(key)),
-            Some(JsonValue::Null) => Ok(None),
-            Some(v) => m.decode(key, v).map(Some),
-        }
-    }
-}
-
-/// An `Option` whose key is left out when `None`; a missing key reads
-/// as `None`.
-struct IfSome;
-
-impl<T: Field> Codec<Option<T>> for IfSome {
-    fn put(o: JsonObject, key: &str, value: &Option<T>) -> JsonObject {
-        match value {
-            Some(v) => v.put(o, key),
-            None => o,
-        }
-    }
-    fn take(m: &mut Fields, key: &str) -> Result<Option<T>, String> {
-        match m.take(key) {
-            None => Ok(None),
-            Some(v) => m.decode(key, v).map(Some),
-        }
-    }
-}
-
-/// Not serialised; reads as the type's default.
-struct Skip;
-
-impl<T: Default> Codec<T> for Skip {
-    fn put(o: JsonObject, _key: &str, _value: &T) -> JsonObject {
-        o
-    }
-    fn take(_m: &mut Fields, _key: &str) -> Result<T, String> {
-        Ok(T::default())
-    }
-}
+use jtune_util::json::JsonObject;
+use jtune_util::rows::Fields;
 
 /// Generate [`TraceEvent`] and its methods from one row per variant:
 /// `fact` or `live`, the variant name, then its fields in JSON order as
-/// `name: Type` with an optional `=> Codec` (default [`Plain`]).
+/// `name: Type` with an optional `=> Codec` (see [`jtune_util::rows`]).
+/// The trace is a strict table: a key no row declares is an error.
 macro_rules! trace_events {
-    (@codec) => { Plain };
-    (@codec $codec:ident) => { $codec };
     (@live live) => { true };
     (@live fact) => { false };
     ($(
         $(#[$vmeta:meta])*
-        $class:ident $variant:ident {
-            $( $(#[$fmeta:meta])* $field:ident: $ty:ty $(=> $codec:ident)?, )*
-        }
+        $class:ident $variant:ident { $($fields:tt)* }
     )*) => {
-        /// One structured event in a tuning session's trace.
-        #[derive(Clone, Debug, PartialEq)]
-        pub enum TraceEvent {
-            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        jtune_util::json_rows! {
+            /// One structured event in a tuning session's trace.
+            #[derive(Clone, Debug, PartialEq)]
+            pub enum TraceEvent: strict, tagged "type" {
+                $( $(#[$vmeta])* $variant { $($fields)* }, )*
+            }
         }
 
         impl TraceEvent {
-            /// Stable event-type tag (the JSON `type` field).
-            pub fn kind(&self) -> &'static str {
-                match self {
-                    $( TraceEvent::$variant { .. } => stringify!($variant), )*
-                }
-            }
-
             /// Is this event live-only — meaningful to an attached
             /// observer but excluded from the serialised JSONL trace?
             /// The `live` rows of the table: resumes, spans and the
@@ -243,45 +53,24 @@ macro_rules! trace_events {
                     $( TraceEvent::$variant { .. } => trace_events!(@live $class), )*
                 }
             }
-
-            /// Render as one JSON object (one line of the JSONL trace).
-            pub fn to_json(&self) -> String {
-                match self {
-                    $( TraceEvent::$variant { $($field),* } => {
-                        let o = JsonObject::new().str("type", stringify!($variant));
-                        $( let o = <trace_events!(@codec $($codec)?) as Codec<$ty>>::put(
-                            o, stringify!($field), $field); )*
-                        o.finish()
-                    } )*
-                }
-            }
-
-            /// Decode one trace line written by [`TraceEvent::to_json`].
-            /// An unknown `type`, a missing or unknown field, or a field
-            /// of the wrong type is an error naming the field.
-            pub fn from_json(line: &str) -> Result<TraceEvent, String> {
-                let JsonValue::Object(members) = json::parse(line)? else {
-                    return Err("not a JSON object".to_string());
-                };
-                let mut m = Fields { kind: String::new(), members };
-                m.kind = match m.take("type") {
-                    Some(JsonValue::Str(kind)) => kind,
-                    _ => return Err("missing event type".to_string()),
-                };
-                let event = match m.kind.as_str() {
-                    $( stringify!($variant) => TraceEvent::$variant { $(
-                        $field: <trace_events!(@codec $($codec)?) as Codec<$ty>>::take(
-                            &mut m, stringify!($field))?,
-                    )* }, )*
-                    other => return Err(format!("unknown event type {other:?}")),
-                };
-                match m.members.first() {
-                    Some((key, _)) => Err(format!("{}: unknown field `{key}`", m.kind)),
-                    None => Ok(event),
-                }
-            }
         }
     };
+}
+
+impl TraceEvent {
+    /// Render as one JSON object (one line of the JSONL trace).
+    pub fn to_json(&self) -> String {
+        self.put_fields(JsonObject::new()).finish()
+    }
+
+    /// Decode one trace line written by [`TraceEvent::to_json`]. An
+    /// unknown `type`, a missing or unknown field, or a field of the
+    /// wrong type is an error naming the field.
+    pub fn from_json(line: &str) -> Result<TraceEvent, String> {
+        let mut m = Fields::parse(line)?;
+        let kind = m.take_tag("type").ok_or("missing event type")?;
+        TraceEvent::from_tag(&kind, &mut m)?.ok_or_else(|| format!("unknown event type {kind:?}"))
+    }
 }
 
 trace_events! {

@@ -4,8 +4,8 @@
 //! but the workspace is deliberately dependency-free (see the crate
 //! docs): this module is a hand-rolled *writer* for the small, flat
 //! shapes we serialise, plus a small recursive-descent *parser*
-//! ([`parse`]) used by the crash-safe trial journal to read those shapes
-//! back. The writer makes two guarantees the telemetry determinism
+//! ([`parse`]) that the row decoder ([`crate::rows`]) reads those shapes
+//! back with. The writer makes two guarantees the telemetry determinism
 //! contract relies on:
 //!
 //! - **Byte determinism**: the same value always renders to the same
@@ -77,16 +77,6 @@ impl JsonObject {
     pub fn str(mut self, key: &str, value: &str) -> Self {
         self.key(key);
         push_str_escaped(&mut self.buf, value);
-        self
-    }
-
-    /// Optional string field (`null` when absent).
-    pub fn opt_str(mut self, key: &str, value: Option<&str>) -> Self {
-        self.key(key);
-        match value {
-            Some(v) => push_str_escaped(&mut self.buf, v),
-            None => self.buf.push_str("null"),
-        }
         self
     }
 
@@ -490,7 +480,7 @@ mod tests {
             .u64("n", 3)
             .f64("x", 1.5)
             .bool("ok", true)
-            .opt_str("err", None)
+            .raw("err", "null")
             .str_array("delta", &["-XX:+UseG1GC".to_string()])
             .f64_array("samples", &[0.25, 0.5])
             .finish();
@@ -526,7 +516,7 @@ mod tests {
         let j = JsonObject::new()
             .str("type", "Trial")
             .u64("fp", u64::MAX)
-            .opt_str("err", None)
+            .raw("err", "null")
             .f64("p", 0.125)
             .bool("ok", true)
             .u64_array("samples", &[1, 2, 9_007_199_254_740_993])

@@ -23,6 +23,8 @@
 //!   help text are all derived.
 //! - [`json`] — minimal, byte-deterministic JSON emission for the
 //!   telemetry trace stream and the CLI's `--json` surface.
+//! - [`rows`] — every JSON line format declared once, as rows, with
+//!   [`json_rows!`]: the type, its encoder and its typed decoder.
 //!
 //! The RNG and statistics are implemented here rather than pulled from
 //! crates so the numerical core of the reproduction is auditable and
@@ -35,6 +37,7 @@ pub mod cli;
 pub mod histogram;
 pub mod json;
 pub mod rng;
+pub mod rows;
 pub mod simtime;
 pub mod stats;
 pub mod table;
