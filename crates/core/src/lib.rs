@@ -60,6 +60,6 @@ pub use manipulator::{
 pub use techniques::bandit::Bandit;
 pub use techniques::{Technique, TechniqueSet};
 pub use tuner::{
-    ManipulatorKind, OptionsError, SessionError, Tuner, TunerOptions, TunerOptionsBuilder,
-    TuningResult, TUNER_OPTIONS,
+    ManipulatorKind, OptionsError, SessionError, TracedSession, Tuner, TunerOptions,
+    TunerOptionsBuilder, TuningResult, TUNER_OPTIONS,
 };

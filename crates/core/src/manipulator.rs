@@ -138,6 +138,20 @@ pub fn mutate_value(domain: &Domain, value: FlagValue, rng: &mut dyn RngDyn) -> 
 // Hierarchical (the paper's manipulator)
 // ---------------------------------------------------------------------
 
+/// The flags among `ids` that make a continuous dimension: an int or
+/// double range that affects performance.
+fn numeric(registry: &Registry, ids: impl IntoIterator<Item = FlagId>) -> Vec<FlagId> {
+    ids.into_iter()
+        .filter(|&id| {
+            let spec = registry.spec(id);
+            matches!(
+                spec.domain,
+                Domain::IntRange { .. } | Domain::DoubleRange { .. }
+            ) && spec.perf
+        })
+        .collect()
+}
+
 /// Tree-aware moves: selectors switch whole structural alternatives, flag
 /// mutations are restricted to the active set, and canonicalisation resets
 /// dead flags so the search space is exactly the pruned hierarchy.
@@ -253,16 +267,7 @@ impl ConfigManipulator for HierarchicalManipulator {
     }
 
     fn numeric_flags(&self, config: &JvmConfig) -> Vec<FlagId> {
-        self.tree
-            .active_flags(config)
-            .into_iter()
-            .filter(|id| {
-                matches!(
-                    self.registry.spec(*id).domain,
-                    Domain::IntRange { .. } | Domain::DoubleRange { .. }
-                ) && self.registry.spec(*id).perf
-            })
-            .collect()
+        numeric(self.registry, self.tree.active_flags(config))
     }
 
     fn name(&self) -> &'static str {
@@ -375,16 +380,7 @@ impl ConfigManipulator for FlatManipulator {
     fn canonicalize(&self, _config: &mut JvmConfig) {}
 
     fn numeric_flags(&self, _config: &JvmConfig) -> Vec<FlagId> {
-        self.tunable
-            .iter()
-            .copied()
-            .filter(|id| {
-                matches!(
-                    self.registry.spec(*id).domain,
-                    Domain::IntRange { .. } | Domain::DoubleRange { .. }
-                ) && self.registry.spec(*id).perf
-            })
-            .collect()
+        numeric(self.registry, self.tunable.iter().copied())
     }
 
     fn name(&self) -> &'static str {
@@ -492,16 +488,7 @@ impl ConfigManipulator for SubsetManipulator {
     }
 
     fn numeric_flags(&self, _config: &JvmConfig) -> Vec<FlagId> {
-        self.subset
-            .iter()
-            .copied()
-            .filter(|id| {
-                matches!(
-                    self.registry.spec(*id).domain,
-                    Domain::IntRange { .. } | Domain::DoubleRange { .. }
-                ) && self.registry.spec(*id).perf
-            })
-            .collect()
+        numeric(self.registry, self.subset.iter().copied())
     }
 
     fn name(&self) -> &'static str {

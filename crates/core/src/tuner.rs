@@ -27,8 +27,9 @@
 //! session resumable with a byte-identical trace.
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::SeqCst;
+use std::sync::Arc;
 
 use jtune_flags::{JvmConfig, Registry};
 use jtune_harness::{
@@ -37,7 +38,9 @@ use jtune_harness::{
     TrialRecord,
 };
 use jtune_model::{FeatureEncoder, ModelPolicy, Surrogate};
-use jtune_telemetry::{phase, TelemetryBus, TraceEvent};
+use jtune_telemetry::{
+    phase, JsonlSink, ProgressReporter, TelemetryBus, TraceEvent, TuningObserver,
+};
 use jtune_util::cli::{self, Opt};
 use jtune_util::{stats, SimDuration, Xoshiro256pp};
 
@@ -558,6 +561,63 @@ impl Tuner {
             step = session.step();
         }
         Ok(session.finish(matches!(step, Step::Suspended)))
+    }
+}
+
+/// A session's telemetry, opened before the session runs: the one place
+/// a front end (`jtune tune`, the experiment runner, the daemon) builds
+/// its bus and opens its JSONL trace.
+pub struct TracedSession {
+    bus: TelemetryBus,
+    trace: Option<Arc<JsonlSink>>,
+}
+
+impl TracedSession {
+    /// A bus with timing spans when `spans` is set, a JSONL trace
+    /// created (or truncated) at `trace`, a stderr progress reporter
+    /// when `progress` is set, then `observers`. A trace that cannot be
+    /// created is left off the bus and its error comes back beside the
+    /// session: whether that fails the session is the caller's policy.
+    pub fn open(
+        trace: Option<&Path>,
+        progress: bool,
+        spans: bool,
+        observers: impl IntoIterator<Item = Arc<dyn TuningObserver>>,
+    ) -> (TracedSession, Option<String>) {
+        let mut bus = TelemetryBus::new().with_spans(spans);
+        let (mut sink, mut error) = (None, None);
+        if let Some(path) = trace {
+            match JsonlSink::create(path) {
+                Ok(created) => sink = Some(Arc::new(created)),
+                Err(e) => error = Some(format!("cannot create trace file {}: {e}", path.display())),
+            }
+        }
+        if let Some(sink) = &sink {
+            bus.add(Arc::clone(sink) as Arc<dyn TuningObserver>);
+        }
+        if progress {
+            bus.add(Arc::new(ProgressReporter::stderr()));
+        }
+        for observer in observers {
+            bus.add(observer);
+        }
+        (TracedSession { bus, trace: sink }, error)
+    }
+
+    /// Run `opts`'s session for `program` on `executor` as
+    /// [`Tuner::try_run`] does, then warn on stderr when the trace lost
+    /// writes. The trace closes when this returns.
+    pub fn run(
+        self,
+        executor: &dyn Executor,
+        opts: TunerOptions,
+        program: &str,
+    ) -> Result<TuningResult, SessionError> {
+        let result = Tuner::new(opts).try_run(executor, program, &self.bus);
+        if let Some(lost) = self.trace.and_then(|sink| sink.lost_writes()) {
+            eprintln!("warning: {lost}");
+        }
+        result
     }
 }
 
@@ -1548,6 +1608,36 @@ mod tests {
         assert_eq!(compacted, prefix.join("\n") + "\n");
         assert!(!compacted.contains("{torn"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The opener's trace is the plain bus's trace byte for byte, spans
+    /// on or off; a trace it cannot create comes back as an error naming
+    /// the path, and the session runs without it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn traced_sessions_write_the_plain_trace_or_run_without_one() {
+        let ex = SimExecutor::new(startup_workload());
+        let dir = std::env::temp_dir().join(format!("jtune-traced-{}", std::process::id()));
+        let (opened, plain) = (dir.join("opened.jsonl"), dir.join("plain.jsonl"));
+        let (session, error) = TracedSession::open(Some(&opened), false, true, []);
+        assert_eq!(error, None);
+        let traced = session.run(&ex, quick_opts(), "t").expect("session runs");
+        let sink = JsonlSink::create(&plain).expect("plain trace");
+        let bus = TelemetryBus::new().with(Arc::new(sink));
+        let reference = Tuner::new(quick_opts()).run(&ex, "t", &bus);
+        drop(bus);
+        let read = |path: &PathBuf| std::fs::read(path).expect("trace written");
+        assert_eq!(read(&opened), read(&plain));
+        assert_eq!(traced.session, reference.session);
+
+        let uncreatable = Path::new("/proc/jtune-no-such-dir/trace.jsonl");
+        let (session, error) = TracedSession::open(Some(uncreatable), false, false, []);
+        let error = error.expect("nothing can be created under /proc");
+        let named = "cannot create trace file /proc/jtune-no-such-dir/trace.jsonl: ";
+        assert!(error.starts_with(named), "{error}");
+        let untraced = session.run(&ex, quick_opts(), "t").expect("runs untraced");
+        assert_eq!(untraced.session, reference.session);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,12 +30,13 @@
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use autotuner_core::{Tuner, TunerOptions, TuningResult, TUNER_OPTIONS};
+use autotuner_core::{TracedSession, TunerOptions, TuningResult, TUNER_OPTIONS};
+use jtune_harness::pool::run_indexed;
 use jtune_harness::{ExecutorKind, ExecutorSpec, EXECUTOR_OPTIONS};
 use jtune_jvmsim::Workload;
-use jtune_telemetry::{JsonlSink, MetricsRegistry, ProgressReporter, TelemetryBus, TuningObserver};
+use jtune_telemetry::{MetricsRegistry, TuningObserver};
 use jtune_util::cli::{self, Args, Opt, Table};
 use jtune_util::table::{fnum, fpct, Align, Table as TextTable};
 use jtune_util::{stats, SimDuration};
@@ -219,30 +220,7 @@ impl Experiment {
     /// [`Experiment::run`] on at most `width` threads, the caller's
     /// included.
     fn run_at(&self, jobs: Vec<Job>, width: usize) -> Vec<SuiteRow> {
-        let width = width.clamp(1, jobs.len().max(1));
-        let queue = Mutex::new(jobs.into_iter().enumerate());
-        let next = || queue.lock().unwrap_or_else(|p| p.into_inner()).next();
-        let work = || {
-            let mut done = Vec::new();
-            while let Some((i, job)) = next() {
-                done.push((i, self.telemetry.tune(job)));
-            }
-            done
-        };
-        let mut done = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..width).map(|_| s.spawn(work)).collect();
-            let mut done = work();
-            for helper in helpers {
-                done.extend(
-                    helper
-                        .join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-                );
-            }
-            done
-        });
-        done.sort_unstable_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, row)| row).collect()
+        run_indexed(jobs.len(), width, |i| self.telemetry.tune(&jobs[i]))
     }
 }
 
@@ -311,26 +289,16 @@ impl ExperimentTelemetry {
     /// Run one job with its own bus: a trace at `<dir>/<label>.jsonl`
     /// (path-hostile characters replaced), the run-wide metrics when
     /// spans are on, and a progress reporter when asked for.
-    fn tune(&self, job: Job) -> SuiteRow {
-        let mut bus = TelemetryBus::new().with_spans(self.spans);
-        let mut trace = None;
-        if let Some(dir) = &self.dir {
-            let file = format!("{}.jsonl", job.label.replace([':', '/', '\\', ' '], "-"));
-            let path = dir.join(file);
-            match JsonlSink::create(&path) {
-                Ok(sink) => {
-                    let sink = Arc::new(sink);
-                    bus.add(Arc::clone(&sink) as Arc<dyn TuningObserver>);
-                    trace = Some((path, sink));
-                }
-                Err(e) => eprintln!("warning: trace disabled for {}: {e}", job.label),
-            }
-        }
-        if self.spans {
-            bus.add(Arc::clone(&self.metrics) as Arc<dyn TuningObserver>);
-        }
-        if self.progress {
-            bus.add(Arc::new(ProgressReporter::stderr()));
+    fn tune(&self, job: &Job) -> SuiteRow {
+        let file = format!("{}.jsonl", job.label.replace([':', '/', '\\', ' '], "-"));
+        let trace = self.dir.as_ref().map(|dir| dir.join(file));
+        let metrics = self
+            .spans
+            .then_some(Arc::clone(&self.metrics) as Arc<dyn TuningObserver>);
+        let (session, error) =
+            TracedSession::open(trace.as_deref(), self.progress, self.spans, metrics);
+        if let Some(e) = error {
+            eprintln!("warning: {e}");
         }
         // A simulated session is named after its program.
         let name = match &job.executor.kind {
@@ -340,19 +308,10 @@ impl ExperimentTelemetry {
         let executor = job.executor.build();
         let opts = TunerOptions {
             workers: 1,
-            ..job.options
+            ..job.options.clone()
         };
-        let result = Tuner::new(opts).run(executor.as_ref(), &name, &bus);
-        if let Some((path, sink)) = trace {
-            match sink.write_errors() {
-                0 => {}
-                lost => eprintln!(
-                    "warning: trace {} is incomplete: {lost} failed writes",
-                    path.display()
-                ),
-            }
-        }
-        SuiteRow::from(result)
+        let result = session.run(executor.as_ref(), opts, &name);
+        SuiteRow::from(result.unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Render everything the run left in the trace directory into

@@ -77,4 +77,4 @@ pub use protocol::{
     BackoffPolicy, Evaluation, Protocol, RaceAbort, Racing, RetryPolicy, RetryRecord,
     BACKOFF_OPTIONS,
 };
-pub use results::{SessionRecord, TrialRecord};
+pub use results::{SessionRecord, TechniqueFold, TechniqueStats, TrialRecord};

@@ -123,26 +123,36 @@ pub(crate) fn run_selected(
     workers: usize,
     baseline: Option<&[f64]>,
 ) -> Vec<(Evaluation, f64)> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(Evaluation, f64)>>> =
-        selected.iter().map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let k = next.fetch_add(1, Ordering::Relaxed);
-        if k >= selected.len() {
-            break;
-        }
+    run_indexed(selected.len(), workers, |k| {
         let i = selected[k];
         let start = Instant::now();
         let ev =
             protocol.evaluate_raced(executor, &candidates[i], seed_for(base_seed, i), baseline);
-        let wall = start.elapsed().as_secs_f64();
+        (ev, start.elapsed().as_secs_f64())
+    })
+}
+
+/// Run `job(0)` … `job(n - 1)` on at most `workers` threads, the
+/// caller's included, and return the results in index order. Threads
+/// take the next index off one shared counter, so a slow job never holds
+/// up the others. A panic in any job, the caller's included, reaches the
+/// caller once the queue has drained.
+pub fn run_indexed<T: Send>(n: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        if k >= n {
+            break;
+        }
+        let done = job(k);
         // A panicking sibling poisons the mutex but not the data:
         // recover rather than cascading the panic into the daemon.
-        *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((ev, wall));
+        *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some(done);
     };
     // The caller works the queue too, so it spawns one helper fewer than
-    // `workers`, and none for a single worker or a single slot.
-    let helpers = workers.min(selected.len()).saturating_sub(1);
+    // `workers`, and none for a single worker or a single job.
+    let helpers = workers.min(n).saturating_sub(1);
     std::thread::scope(|scope| {
         let threads: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
         work();

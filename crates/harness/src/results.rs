@@ -6,6 +6,8 @@
 //! `jtune suite --json` and the daemon's `result.json` carry. The trial
 //! stream itself is archived as a JSONL trace (`jtune-telemetry`).
 
+use std::collections::BTreeMap;
+
 use jtune_util::json::JsonObject;
 
 /// One evaluated candidate within a session.
@@ -21,6 +23,71 @@ pub struct TrialRecord {
     pub technique: String,
     /// Flags changed from default, rendered as command-line arguments.
     pub delta: Vec<String>,
+}
+
+/// One technique's share of a session's trials.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TechniqueStats {
+    /// Technique name (as attributed in the trial log; ensemble arms are
+    /// individual).
+    pub name: String,
+    /// Candidates this technique proposed.
+    pub proposals: u64,
+    /// Proposals that failed to run.
+    pub failures: u64,
+    /// Proposals that improved on the best-so-far.
+    pub wins: u64,
+    /// Total best-score improvement attributed, seconds (the bandit's
+    /// reward signal, reconstructed).
+    pub reward_secs: f64,
+    /// Best score this technique proposed (`None` if every proposal
+    /// failed).
+    pub best_secs: Option<f64>,
+}
+
+/// The per-technique tally of a session's trials, folded in evaluation
+/// order: a trial that beats the best-so-far is a win for its technique,
+/// worth the improvement; the first scored trial sets the best and wins
+/// nothing. [`SessionRecord::technique_usage`] and the report's
+/// technique table both come from it.
+#[derive(Debug, Default)]
+pub struct TechniqueFold {
+    by_name: BTreeMap<String, TechniqueStats>,
+    best: Option<f64>,
+}
+
+impl TechniqueFold {
+    /// Fold the next trial; true when its score is a new best-so-far.
+    pub fn trial(&mut self, technique: &str, score_secs: Option<f64>) -> bool {
+        let t = self.by_name.entry(technique.to_string()).or_default();
+        t.proposals += 1;
+        let Some(s) = score_secs else {
+            t.failures += 1;
+            return false;
+        };
+        if t.best_secs.is_none_or(|b| s < b) {
+            t.best_secs = Some(s);
+        }
+        match self.best {
+            Some(best) if s >= best => false,
+            prev => {
+                if let Some(best) = prev {
+                    t.wins += 1;
+                    t.reward_secs += best - s;
+                }
+                self.best = Some(s);
+                true
+            }
+        }
+    }
+
+    /// Every technique's tally, in name order.
+    pub fn finish(self) -> Vec<TechniqueStats> {
+        self.by_name
+            .into_iter()
+            .map(|(name, t)| TechniqueStats { name, ..t })
+            .collect()
+    }
 }
 
 /// One complete tuning session for one program.
@@ -73,37 +140,14 @@ impl SessionRecord {
         jtune_util::stats::improvement_percent(self.default_secs, self.best_secs)
     }
 
-    /// Per-technique usage summary derived from the trial log: for each
-    /// technique (in name order) the trials it proposed, how many
-    /// failed, how many improved on the best-so-far, and the total
-    /// best-score improvement attributed to it, seconds.
-    pub fn technique_usage(&self) -> Vec<(String, u64, u64, u64, f64)> {
-        use std::collections::BTreeMap;
-        let mut by_name: BTreeMap<&str, (u64, u64, u64, f64)> = BTreeMap::new();
-        let mut best: Option<f64> = None;
+    /// Per-technique usage derived from the trial log, in technique
+    /// name order (see [`TechniqueFold`]).
+    pub fn technique_usage(&self) -> Vec<TechniqueStats> {
+        let mut fold = TechniqueFold::default();
         for t in &self.trials {
-            let e = by_name.entry(&t.technique).or_default();
-            e.0 += 1;
-            match t.score_secs {
-                None => e.1 += 1,
-                Some(s) => match best {
-                    Some(b) if s >= b => {}
-                    prev => {
-                        if let Some(b) = prev {
-                            e.2 += 1;
-                            e.3 += b - s;
-                        }
-                        best = Some(s);
-                    }
-                },
-            }
+            fold.trial(&t.technique, t.score_secs);
         }
-        by_name
-            .into_iter()
-            .map(|(name, (trials, failures, wins, reward))| {
-                (name.to_string(), trials, failures, wins, reward)
-            })
-            .collect()
+        fold.finish()
     }
 
     /// Render the session as a single JSON object (the `--json` surface).
@@ -111,13 +155,13 @@ impl SessionRecord {
         let techniques: Vec<String> = self
             .technique_usage()
             .iter()
-            .map(|(name, trials, failures, wins, reward)| {
+            .map(|t| {
                 JsonObject::new()
-                    .str("name", name)
-                    .u64("trials", *trials)
-                    .u64("failures", *failures)
-                    .u64("wins", *wins)
-                    .f64("reward_secs", *reward)
+                    .str("name", &t.name)
+                    .u64("trials", t.proposals)
+                    .u64("failures", t.failures)
+                    .u64("wins", t.wins)
+                    .f64("reward_secs", t.reward_secs)
                     .finish()
             })
             .collect();
@@ -220,13 +264,16 @@ mod tests {
         });
         let usage = s.technique_usage();
         // Name order: default, random.
-        assert_eq!(usage[0].0, "default");
-        assert_eq!(usage[0].1, 1);
-        assert_eq!(usage[1].0, "random");
-        assert_eq!(usage[1].1, 2);
-        assert_eq!(usage[1].2, 1, "one failed trial");
-        assert_eq!(usage[1].3, 1, "one win");
-        assert!((usage[1].4 - 12.5).abs() < 1e-12, "reward 42.5 - 30");
+        assert_eq!(usage[0].name, "default");
+        assert_eq!(usage[0].proposals, 1);
+        assert_eq!(usage[1].name, "random");
+        assert_eq!(usage[1].proposals, 2);
+        assert_eq!(usage[1].failures, 1, "one failed trial");
+        assert_eq!(usage[1].wins, 1, "one win");
+        assert!(
+            (usage[1].reward_secs - 12.5).abs() < 1e-12,
+            "reward 42.5 - 30"
+        );
         let json = s.to_json();
         assert!(json.contains("\"techniques\":[{\"name\":\"default\""));
         assert!(json.contains("\"reward_secs\":12.5"));

@@ -9,7 +9,9 @@
 
 use std::collections::BTreeMap;
 
-use jtune_harness::TraceEvent;
+use jtune_harness::{TechniqueFold, TraceEvent};
+
+pub use jtune_harness::TechniqueStats;
 
 /// One point of a session's convergence curve: the best score known
 /// after an evaluation finished.
@@ -21,26 +23,6 @@ pub struct ConvergencePoint {
     pub spent_secs: f64,
     /// Best score found so far, seconds.
     pub best_secs: f64,
-}
-
-/// Per-technique proposal statistics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TechniqueStats {
-    /// Technique name (as attributed in the trace; ensemble arms are
-    /// individual).
-    pub name: String,
-    /// Candidates this technique proposed.
-    pub proposals: u64,
-    /// Proposals that failed to run.
-    pub failures: u64,
-    /// Proposals that improved on the best-so-far.
-    pub wins: u64,
-    /// Total best-score improvement attributed, seconds (the bandit's
-    /// reward signal, reconstructed).
-    pub reward_secs: f64,
-    /// Best score this technique proposed (`None` if every proposal
-    /// failed).
-    pub best_secs: Option<f64>,
 }
 
 /// Pipeline and fault-tolerance counters aggregated over a session.
@@ -135,10 +117,9 @@ pub fn flag_name(arg: &str) -> Option<&str> {
 #[derive(Default)]
 struct Accumulator {
     convergence: Vec<ConvergencePoint>,
-    techniques: BTreeMap<String, TechniqueStats>,
+    techniques: TechniqueFold,
     flags: BTreeMap<String, FlagImpact>,
     counters: SessionCounters,
-    best_so_far: Option<f64>,
     default_secs: Option<f64>,
 }
 
@@ -153,40 +134,19 @@ impl Accumulator {
         delta: &[String],
     ) {
         self.counters.evaluations += 1;
-        let t = self
-            .techniques
-            .entry(technique.to_string())
-            .or_insert_with(|| TechniqueStats {
-                name: technique.to_string(),
-                ..TechniqueStats::default()
-            });
-        t.proposals += 1;
+        let improved = self.techniques.trial(technique, score_secs);
         match score_secs {
-            None => {
-                t.failures += 1;
-                self.counters.failures += 1;
-            }
+            None => self.counters.failures += 1,
             Some(s) => {
-                if t.best_secs.is_none_or(|b| s < b) {
-                    t.best_secs = Some(s);
-                }
                 if index == 0 && self.default_secs.is_none() {
                     self.default_secs = Some(s);
                 }
-                match self.best_so_far {
-                    Some(best) if s >= best => {}
-                    prev => {
-                        if let Some(best) = prev {
-                            t.wins += 1;
-                            t.reward_secs += best - s;
-                        }
-                        self.best_so_far = Some(s);
-                        self.convergence.push(ConvergencePoint {
-                            index,
-                            spent_secs,
-                            best_secs: s,
-                        });
-                    }
+                if improved {
+                    self.convergence.push(ConvergencePoint {
+                        index,
+                        spent_secs,
+                        best_secs: s,
+                    });
                 }
             }
         }
@@ -244,7 +204,7 @@ impl Accumulator {
             .collect();
         (
             self.convergence,
-            self.techniques.into_values().collect(),
+            self.techniques.finish(),
             flags,
             self.counters,
         )
@@ -348,7 +308,7 @@ impl SessionSummary {
                 // Truncated trace (killed session): report what the
                 // replay reconstructed.
                 let default = acc.default_secs.unwrap_or(0.0);
-                let best = acc.best_so_far.unwrap_or(default);
+                let best = acc.convergence.last().map_or(default, |p| p.best_secs);
                 (
                     default,
                     best,

@@ -254,6 +254,136 @@ mod tests {
         assert_eq!(sched.grants(2), 5);
     }
 
+    /// Seeded sequences of acquire, release and charge over 2–4
+    /// sessions and 1–3 slots. Each acquire blocks on its own thread and
+    /// holds its permit until a later release step. Once a step settles,
+    /// the permits in use never exceed the slots, `grants` and `charged`
+    /// equal the model's sums, and the fairness invariant of the module
+    /// docs holds: between two grants to one session, every other session
+    /// that waited the whole interval was granted.
+    #[test]
+    fn generated_sequences_keep_slots_fairness_and_accounting() {
+        use jtune_util::{Rng, Xoshiro256pp};
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+
+        const CASES: u64 = 64;
+        const STEPS: usize = 80;
+        for case in 0..CASES {
+            let seed = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5c4ed;
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let sessions = 2 + rng.next_below(3) as usize;
+            let slots = 1 + rng.next_below(3) as usize;
+            let sched = FairScheduler::new(slots);
+            let (in_use, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            // Waiter numbers in the order their acquire returned.
+            let granted = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                let (sched, in_use, peak, granted) = (&sched, &in_use, &peak, &granted);
+                // Per waiter: its session and the sender that releases it.
+                let mut waiters = Vec::new();
+                let mut held: Vec<(usize, std::thread::ScopedJoinHandle<'_, ()>)> = Vec::new();
+                let mut pending = Vec::new();
+                let (mut acquired, mut released) = (0usize, 0usize);
+                let (mut grants, mut charged) = (vec![0u64; sessions], vec![0u64; sessions]);
+                // Per session: the step of its last grant, and the first
+                // step since which it has had a waiter after every step.
+                let mut last_grant: Vec<Option<usize>> = vec![None; sessions];
+                let mut waiting_from: Vec<Option<usize>> = vec![None; sessions];
+                let mut step = 0;
+                while step < STEPS || acquired > released {
+                    let op = if step < STEPS { rng.next_below(10) } else { 9 };
+                    match op {
+                        0..=3 if acquired - released < 8 => {
+                            let s = rng.next_below(sessions as u64) as usize;
+                            let k = waiters.len();
+                            let (release, wait) = mpsc::channel::<()>();
+                            waiters.push((s, release));
+                            pending.push((
+                                k,
+                                scope.spawn(move || {
+                                    let permit = sched.acquire(s as u64 + 1);
+                                    let now = in_use.fetch_add(1, Ordering::SeqCst) + 1;
+                                    peak.fetch_max(now, Ordering::SeqCst);
+                                    granted.lock().expect("log mutex healthy").push(k);
+                                    let _ = wait.recv();
+                                    in_use.fetch_sub(1, Ordering::SeqCst);
+                                    drop(permit);
+                                }),
+                            ));
+                            acquired += 1;
+                        }
+                        4..=6 => {
+                            let s = rng.next_below(sessions as u64) as usize;
+                            let nanos = rng.next_below(1_000_000_000);
+                            sched.charge(s as u64 + 1, SimDuration::from_nanos(nanos));
+                            charged[s] += nanos;
+                        }
+                        _ if !held.is_empty() => {
+                            let (k, thread) =
+                                held.swap_remove(rng.next_below(held.len() as u64) as usize);
+                            waiters[k].1.send(()).expect("holder waits for its release");
+                            thread.join().expect("holder exits cleanly");
+                            released += 1;
+                        }
+                        _ => {}
+                    }
+                    // Settled: every permit a free slot allows is granted,
+                    // and every other acquire is registered as a waiter.
+                    let expect = released + (acquired - released).min(slots);
+                    spin_until(5000, || {
+                        let waiting: usize =
+                            (1..=sessions as u64).map(|sid| sched.waiting(sid)).sum();
+                        granted.lock().expect("log mutex healthy").len() == expect
+                            && waiting == acquired - expect
+                    });
+                    let log = granted.lock().expect("log mutex healthy").clone();
+                    let new = &log[held.len() + released..];
+                    assert!(
+                        new.len() <= 1,
+                        "case {case} step {step}: one step, {} grants",
+                        new.len()
+                    );
+                    if let Some(&k) = new.first() {
+                        let a = waiters[k].0;
+                        let i = pending
+                            .iter()
+                            .position(|(w, _)| *w == k)
+                            .expect("granted once");
+                        held.push(pending.swap_remove(i));
+                        grants[a] += 1;
+                        if let Some(t1) = last_grant[a] {
+                            for b in (0..sessions).filter(|&b| b != a) {
+                                let waited = waiting_from[b].is_some_and(|from| from <= t1);
+                                assert!(
+                                    !waited || last_grant[b].is_some_and(|g| g > t1),
+                                    "case {case} step {step}: session {} granted twice while {} waited",
+                                    a + 1,
+                                    b + 1
+                                );
+                            }
+                        }
+                        last_grant[a] = Some(step);
+                    }
+                    for (s, from) in waiting_from.iter_mut().enumerate() {
+                        *from = (sched.waiting(s as u64 + 1) > 0).then(|| from.unwrap_or(step));
+                    }
+                    assert!(
+                        peak.load(Ordering::SeqCst) <= slots,
+                        "case {case}: over {slots} slots"
+                    );
+                    assert_eq!(in_use.load(Ordering::SeqCst), held.len(), "case {case}");
+                    for s in 0..sessions {
+                        let sid = s as u64 + 1;
+                        assert_eq!(sched.grants(sid), grants[s], "case {case} step {step}");
+                        assert_eq!(sched.charged(sid).as_nanos(), charged[s], "case {case}");
+                    }
+                    step += 1;
+                }
+            });
+        }
+    }
+
     #[test]
     fn accounting_tracks_charges_per_session() {
         let sched = FairScheduler::new(2);

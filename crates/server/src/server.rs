@@ -9,9 +9,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use autotuner_core::Tuner;
+use autotuner_core::TracedSession;
 use jtune_harness::{MeasurementCache, MemoExecutor};
-use jtune_telemetry::{EventStreamSink, JsonlSink, MetricsRegistry, TelemetryBus, TraceEvent};
+use jtune_telemetry::{EventStreamSink, MetricsRegistry, TelemetryBus, TraceEvent, TuningObserver};
 use jtune_util::cli::{self, Opt};
 use jtune_workloads::workload_by_name;
 
@@ -527,15 +527,6 @@ impl TuneServer {
                 return;
             }
         };
-        let sink = match JsonlSink::create(&trace) {
-            Ok(sink) => sink,
-            Err(e) => {
-                handle.set_state(SessionState::Failed(format!(
-                    "cannot create trace file: {e}"
-                )));
-                return;
-            }
-        };
         let executor: Arc<SessionExecutor> = Arc::new(MemoExecutor::new(
             GatedExecutor::new(
                 RemoteExecutor::new(base, Arc::clone(&self.workers), handle.sid),
@@ -555,18 +546,22 @@ impl TuneServer {
             Tally::Frozen { .. } => unreachable!("a session thread starts once"),
         };
 
+        let observers: [Arc<dyn TuningObserver>; 3] =
+            [handle.stream.clone(), handle.probe.clone(), metrics];
+        let (session, error) =
+            TracedSession::open(Some(&trace), false, self.config.spans, observers);
+        if let Some(e) = error {
+            handle.set_state(SessionState::Failed(e));
+            handle.settle();
+            return;
+        }
+
         let mut opts = handle.spec.tuner_options();
         opts.checkpoint = Some(journal.clone());
         if journal.exists() {
             opts.resume = Some(journal);
         }
         opts.stop = Some(Arc::clone(&handle.stop));
-
-        let mut bus = TelemetryBus::new().with_spans(self.config.spans);
-        bus.add(Arc::new(sink));
-        bus.add(Arc::clone(&handle.stream) as Arc<dyn jtune_telemetry::TuningObserver>);
-        bus.add(Arc::clone(&handle.probe) as Arc<dyn jtune_telemetry::TuningObserver>);
-        bus.add(metrics as Arc<dyn jtune_telemetry::TuningObserver>);
 
         handle.set_state(SessionState::Running);
         let thread_handle = Arc::clone(&handle);
@@ -578,11 +573,11 @@ impl TuneServer {
         let join = std::thread::spawn(move || {
             let program = thread_handle.spec.program.clone();
             let outcome = {
-                // Dropped at the block's end: the trace file closes, and
-                // only the handle holds the executor stack until `settle`
-                // releases it.
-                let (executor, bus) = (executor, bus);
-                Tuner::new(opts).try_run(executor.as_ref(), &program, &bus)
+                // The trace file closes when `run` returns, and the
+                // executor stack at the block's end: only the handle holds
+                // it then, until `settle` releases it.
+                let executor = executor;
+                session.run(executor.as_ref(), opts, &program)
             };
             let next = match outcome {
                 Ok(result) if result.suspended => {

@@ -2,7 +2,7 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::bus::TuningObserver;
@@ -16,6 +16,7 @@ use crate::event::TraceEvent;
 /// [`JsonlSink::write_errors`].
 #[derive(Debug)]
 pub struct JsonlSink {
+    path: PathBuf,
     out: Mutex<BufWriter<File>>,
     write_errors: std::sync::atomic::AtomicU64,
 }
@@ -32,6 +33,7 @@ impl JsonlSink {
         }
         let file = File::create(path)?;
         Ok(JsonlSink {
+            path: path.to_path_buf(),
             out: Mutex::new(BufWriter::new(file)),
             write_errors: std::sync::atomic::AtomicU64::new(0),
         })
@@ -41,6 +43,18 @@ impl JsonlSink {
     /// trace lost events.
     pub fn write_errors(&self) -> u64 {
         self.write_errors.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// `trace PATH is incomplete: N failed writes` when the trace lost
+    /// writes; the one wording every front end warns with.
+    pub fn lost_writes(&self) -> Option<String> {
+        match self.write_errors() {
+            0 => None,
+            lost => Some(format!(
+                "trace {} is incomplete: {lost} failed writes",
+                self.path.display()
+            )),
+        }
     }
 }
 
@@ -102,6 +116,7 @@ mod tests {
             assert!(line.starts_with("{\"type\":\"RoundProposed\""));
         }
         assert_eq!(sink.write_errors(), 0);
+        assert_eq!(sink.lost_writes(), None);
         drop(sink);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -116,6 +131,11 @@ mod tests {
         });
         sink.flush();
         assert!(sink.write_errors() >= 1, "{}", sink.write_errors());
+        let lost = format!(
+            "trace /dev/full is incomplete: {} failed writes",
+            sink.write_errors()
+        );
+        assert_eq!(sink.lost_writes(), Some(lost));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! tables (tuner, executor, daemon, worker, session, backoff, chaos) plus
 //! the few below that only the command line has.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 
 use hotspot_autotuner::experiments::{render_suite_table, Experiment, ExperimentTelemetry};
 use hotspot_autotuner::flagtree::SpaceStats;
@@ -18,7 +17,7 @@ use hotspot_autotuner::server::{
     WORKER_OPTIONS,
 };
 use hotspot_autotuner::tuner::analysis::{flag_impact, split_hitchhikers, ImpactOptions};
-use hotspot_autotuner::tuner::TUNER_OPTIONS;
+use hotspot_autotuner::tuner::{TracedSession, TUNER_OPTIONS};
 use hotspot_autotuner::util::cli::{self, Args, Opt, Table};
 use hotspot_autotuner::util::json;
 
@@ -159,38 +158,6 @@ fn parse_tune(cmd: &str, rest: &[String]) -> Result<(Args, TunerOptions, Local),
     Ok((args, opts, local))
 }
 
-/// Build the telemetry bus requested on the command line: `--trace PATH`
-/// attaches a JSONL sink (returned too, for [`warn_lost_events`]),
-/// `--progress` a live stderr reporter.
-fn telemetry_from(local: &Local) -> (TelemetryBus, Option<Arc<JsonlSink>>) {
-    let mut bus = TelemetryBus::new();
-    let mut trace = None;
-    if let Some(path) = &local.trace {
-        match JsonlSink::create(path) {
-            Ok(sink) => {
-                let sink = Arc::new(sink);
-                bus.add(Arc::clone(&sink) as Arc<dyn TuningObserver>);
-                trace = Some(sink);
-            }
-            Err(e) => eprintln!("warning: cannot create trace file {path:?}: {e}"),
-        }
-    }
-    if local.progress {
-        bus.add(Arc::new(ProgressReporter::stderr()));
-    }
-    (bus, trace)
-}
-
-/// Warn on stderr when the `--trace` file lost events.
-fn warn_lost_events(local: &Local, trace: Option<Arc<JsonlSink>>) {
-    if let (Some(path), Some(sink)) = (&local.trace, trace) {
-        match sink.write_errors() {
-            0 => {}
-            lost => eprintln!("warning: trace {path:?} is incomplete: {lost} failed writes"),
-        }
-    }
-}
-
 fn cmd_tune(rest: &[String]) -> Result<i32, String> {
     let (args, opts, local) = parse_tune("tune", rest)?;
     let name = args.positional(0).ok_or("tune: missing workload name")?;
@@ -200,7 +167,11 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
     // attribution below always measures fault-free.
     let mut spec = ExecutorSpec::sim(workload);
     args.apply(&mut spec, EXECUTOR_OPTIONS)?;
-    let (bus, trace) = telemetry_from(&local);
+    let trace = local.trace.as_deref().map(Path::new);
+    let (session, error) = TracedSession::open(trace, local.progress, false, []);
+    if let Some(e) = error {
+        eprintln!("warning: {e}");
+    }
     if !local.json {
         println!(
             "tuning {name} ({} budget, technique {}, {:?} manipulator)",
@@ -210,14 +181,13 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
     let tuning_executor = spec.build();
     // Session errors (unreadable or mismatched --resume journal, bad
     // --technique) are operator errors, not bugs: report and exit 1.
-    let result = match Tuner::new(opts).try_run(tuning_executor.as_ref(), name, &bus) {
+    let result = match session.run(tuning_executor.as_ref(), opts, name) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("tune: {e}");
             return Ok(1);
         }
     };
-    warn_lost_events(&local, trace);
     if local.json {
         println!("{}", result.session.to_json());
         return Ok(0);
