@@ -134,10 +134,6 @@ pub fn mutate_value(domain: &Domain, value: FlagValue, rng: &mut dyn RngDyn) -> 
     }
 }
 
-// ---------------------------------------------------------------------
-// Hierarchical (the paper's manipulator)
-// ---------------------------------------------------------------------
-
 /// The flags among `ids` that make a continuous dimension: an int or
 /// double range that affects performance.
 fn numeric(registry: &Registry, ids: impl IntoIterator<Item = FlagId>) -> Vec<FlagId> {
@@ -151,6 +147,10 @@ fn numeric(registry: &Registry, ids: impl IntoIterator<Item = FlagId>) -> Vec<Fl
         })
         .collect()
 }
+
+// ---------------------------------------------------------------------
+// Hierarchical (the paper's manipulator)
+// ---------------------------------------------------------------------
 
 /// Tree-aware moves: selectors switch whole structural alternatives, flag
 /// mutations are restricted to the active set, and canonicalisation resets

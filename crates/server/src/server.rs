@@ -527,6 +527,17 @@ impl TuneServer {
                 return;
             }
         };
+        let observers: [Arc<dyn TuningObserver>; 3] = [
+            handle.stream.clone(),
+            handle.probe.clone(),
+            handle.metrics(),
+        ];
+        let (session, error) =
+            TracedSession::open(Some(&trace), false, self.config.spans, observers);
+        if let Some(e) = error {
+            handle.set_state(SessionState::Failed(e));
+            return;
+        }
         let executor: Arc<SessionExecutor> = Arc::new(MemoExecutor::new(
             GatedExecutor::new(
                 RemoteExecutor::new(base, Arc::clone(&self.workers), handle.sid),
@@ -535,25 +546,9 @@ impl TuneServer {
             ),
             Arc::clone(&self.memo),
         ));
-        let metrics = match &mut *handle.tally() {
-            Tally::Live {
-                metrics,
-                executor: slot,
-            } => {
-                *slot = Some(Arc::clone(&executor));
-                Arc::clone(metrics)
-            }
+        match &mut *handle.tally() {
+            Tally::Live { executor: slot, .. } => *slot = Some(Arc::clone(&executor)),
             Tally::Frozen { .. } => unreachable!("a session thread starts once"),
-        };
-
-        let observers: [Arc<dyn TuningObserver>; 3] =
-            [handle.stream.clone(), handle.probe.clone(), metrics];
-        let (session, error) =
-            TracedSession::open(Some(&trace), false, self.config.spans, observers);
-        if let Some(e) = error {
-            handle.set_state(SessionState::Failed(e));
-            handle.settle();
-            return;
         }
 
         let mut opts = handle.spec.tuner_options();
