@@ -102,7 +102,6 @@ pub fn random_value(domain: &Domain, rng: &mut dyn RngDyn) -> FlagValue {
             FlagValue::Int(v.clamp(*lo, *hi))
         }
         Domain::DoubleRange { lo, hi } => FlagValue::Double(lo + rng.next_f64_dyn() * (hi - lo)),
-        Domain::Enum { variants } => FlagValue::Enum(below(rng, variants.len().max(1)) as u16),
     }
 }
 
@@ -125,9 +124,6 @@ pub fn mutate_value(domain: &Domain, value: FlagValue, rng: &mut dyn RngDyn) -> 
         (Domain::DoubleRange { lo, hi }, FlagValue::Double(v)) => {
             let next = v + rng.next_gaussian_dyn() * 0.15 * (hi - lo);
             FlagValue::Double(next.clamp(*lo, *hi))
-        }
-        (Domain::Enum { variants }, FlagValue::Enum(_)) => {
-            FlagValue::Enum(below(rng, variants.len().max(1)) as u16)
         }
         // Type mismatch (corrupt input): resample.
         (d, _) => random_value(d, rng),
@@ -644,12 +640,6 @@ mod tests {
         for _ in 0..200 {
             v = mutate_value(&d, v, &mut r);
             assert!(d.contains(v), "{v:?} escaped domain");
-        }
-        let e = Domain::Enum {
-            variants: &["a", "b", "c"],
-        };
-        for _ in 0..50 {
-            assert!(e.contains(mutate_value(&e, FlagValue::Enum(1), &mut r)));
         }
     }
 

@@ -182,10 +182,6 @@ pub(crate) fn denormalize(domain: &Domain, x: f64) -> FlagValue {
         }
         Domain::DoubleRange { lo, hi } => FlagValue::Double(lo + x * (hi - lo)),
         Domain::Bool => FlagValue::Bool(x >= 0.5),
-        Domain::Enum { variants } => {
-            let n = variants.len().max(1);
-            FlagValue::Enum(((x * n as f64) as usize).min(n - 1) as u16)
-        }
     }
 }
 

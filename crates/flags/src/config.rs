@@ -132,13 +132,6 @@ impl JvmConfig {
                     }
                     FlagValue::Int(i) => format!("-XX:{}={i}", spec.name),
                     FlagValue::Double(x) => format!("-XX:{}={x}", spec.name),
-                    FlagValue::Enum(e) => {
-                        let label = match &spec.domain {
-                            Domain::Enum { variants } => variants[e as usize],
-                            _ => unreachable!("enum value on non-enum domain"),
-                        };
-                        format!("-XX:{}={label}", spec.name)
-                    }
                 }
             })
             .collect()
@@ -147,7 +140,7 @@ impl JvmConfig {
     /// Parse HotSpot `-XX:` arguments on top of the default configuration.
     ///
     /// Accepts `-XX:+Name`, `-XX:-Name`, `-XX:Name=value` (integers, sizes
-    /// with `k/m/g` suffixes, doubles, and enum labels). Unknown flags and
+    /// with `k/m/g` suffixes, and doubles). Unknown flags and
     /// malformed values are errors — the tuner never emits them, so seeing
     /// one means the caller's input is wrong.
     pub fn parse_args(registry: &Registry, args: &[String]) -> Result<Self, ParseError> {
@@ -183,13 +176,6 @@ impl JvmConfig {
                         raw.parse::<f64>()
                             .map_err(|_| ParseError::BadValue(arg.clone()))?,
                     ),
-                    Domain::Enum { variants } => {
-                        let idx = variants
-                            .iter()
-                            .position(|v| *v == raw)
-                            .ok_or_else(|| ParseError::BadValue(arg.clone()))?;
-                        FlagValue::Enum(idx as u16)
-                    }
                 };
                 config
                     .set_checked(registry, id, value)
@@ -366,27 +352,5 @@ mod tests {
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].name, "NewRatio");
         assert_eq!(delta[0].value, FlagValue::Int(4));
-    }
-
-    #[test]
-    fn enum_flags_render_labels() {
-        let r = hotspot_registry();
-        let mut c = JvmConfig::default_for(r);
-        // AllocatePrefetchStyle is modelled as an int in HotSpot but we keep
-        // a real enum flag in the registry for coverage: use it if present.
-        let id = r.id("PrintAssemblyOptions");
-        // The registry may model this as enum or not; this test simply
-        // exercises the enum path when such a flag exists.
-        if let Some(id) = id {
-            if let Domain::Enum { variants } = &r.spec(id).domain {
-                if variants.len() > 1 {
-                    c.set(id, FlagValue::Enum(1));
-                    let args = c.to_args(r);
-                    assert!(args[0].contains(variants[1]));
-                    let back = JvmConfig::parse_args(r, &args).unwrap();
-                    assert_eq!(back.get(id), FlagValue::Enum(1));
-                }
-            }
-        }
     }
 }

@@ -7,14 +7,18 @@
 //! ## Structure
 //!
 //! - [`value`] — [`FlagValue`] (a runtime value) and [`Domain`] (the set of
-//!   values a flag may take, including tuning ranges and log-scaling hints).
+//!   values a flag may take: bool, integer range with a log-scaling hint,
+//!   or double range).
 //! - [`spec`] — [`FlagSpec`] (one flag's static description), [`FlagId`]
 //!   (dense index), [`Category`] and [`FlagKind`].
-//! - [`registry`] — [`Registry`]: the full flag table with name lookup and
-//!   validation, plus [`hotspot_registry`] returning the shared JDK-7 table.
+//! - [`registry`] — [`Registry`]: a validated flag table with name lookup,
+//!   plus [`hotspot_registry`] returning the shared JDK-7 table.
 //! - [`config`] — [`JvmConfig`]: a complete assignment of values to every
 //!   flag, diffing against defaults, and command-line round-tripping.
-//! - [`data`] — the registry entries themselves, organised by subsystem.
+//! - `data/hotspot7.tsv` — the JDK-7 table itself, one tab-separated row
+//!   per flag (name, category, shape `bool|int|int-log|size|double`,
+//!   bounds, default, kind, perf marker, description), parsed once by
+//!   [`hotspot_registry`].
 //!
 //! ## Design notes
 //!
@@ -31,12 +35,12 @@
 #![deny(unsafe_code)]
 
 pub mod config;
-pub mod data;
+mod data;
 pub mod registry;
 pub mod spec;
 pub mod value;
 
 pub use config::{ConfigDelta, JvmConfig, ParseError};
-pub use registry::{hotspot_registry, Registry, RegistryBuilder, ValidationError};
+pub use registry::{hotspot_registry, Registry, ValidationError};
 pub use spec::{Category, FlagId, FlagKind, FlagSpec};
 pub use value::{Domain, FlagValue};

@@ -44,59 +44,6 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Incremental [`Registry`] construction with validation.
-#[derive(Default)]
-pub struct RegistryBuilder {
-    specs: Vec<FlagSpec>,
-}
-
-impl RegistryBuilder {
-    /// Empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one spec.
-    pub fn push(&mut self, spec: FlagSpec) -> &mut Self {
-        self.specs.push(spec);
-        self
-    }
-
-    /// Add many specs.
-    pub fn extend(&mut self, specs: impl IntoIterator<Item = FlagSpec>) -> &mut Self {
-        self.specs.extend(specs);
-        self
-    }
-
-    /// Validate and freeze into a [`Registry`].
-    pub fn build(self) -> Result<Registry, ValidationError> {
-        if self.specs.len() > u16::MAX as usize {
-            return Err(ValidationError::TooManyFlags(self.specs.len()));
-        }
-        let mut by_name = HashMap::with_capacity(self.specs.len());
-        for (i, spec) in self.specs.iter().enumerate() {
-            if by_name.insert(spec.name, FlagId(i as u16)).is_some() {
-                return Err(ValidationError::DuplicateName(spec.name));
-            }
-            if !spec.domain.contains(spec.default) {
-                return Err(ValidationError::DefaultOutOfDomain(spec.name));
-            }
-        }
-        let tunable: Vec<FlagId> = self
-            .specs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tunable())
-            .map(|(i, _)| FlagId(i as u16))
-            .collect();
-        Ok(Registry {
-            specs: self.specs,
-            by_name,
-            tunable,
-        })
-    }
-}
-
 /// A frozen table of flag specifications with O(1) id- and name-lookup.
 #[derive(Debug)]
 pub struct Registry {
@@ -106,6 +53,34 @@ pub struct Registry {
 }
 
 impl Registry {
+    /// Validate `specs` and freeze them, in order, into a registry: the
+    /// spec at index `i` gets `FlagId(i)`.
+    pub fn new(specs: Vec<FlagSpec>) -> Result<Registry, ValidationError> {
+        if specs.len() > u16::MAX as usize {
+            return Err(ValidationError::TooManyFlags(specs.len()));
+        }
+        let mut by_name = HashMap::with_capacity(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            if by_name.insert(spec.name, FlagId(i as u16)).is_some() {
+                return Err(ValidationError::DuplicateName(spec.name));
+            }
+            if !spec.domain.contains(spec.default) {
+                return Err(ValidationError::DefaultOutOfDomain(spec.name));
+            }
+        }
+        let tunable: Vec<FlagId> = specs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.tunable())
+            .map(|(i, _)| FlagId(i as u16))
+            .collect();
+        Ok(Registry {
+            specs,
+            by_name,
+            tunable,
+        })
+    }
+
     /// Number of flags.
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -177,13 +152,12 @@ impl Registry {
     }
 }
 
-/// The shared JDK-7 HotSpot registry (600+ flags), built once.
+/// The shared JDK-7 HotSpot registry (600+ flags), parsed from
+/// `data/hotspot7.tsv` once per process.
 pub fn hotspot_registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let mut b = RegistryBuilder::new();
-        crate::data::populate(&mut b);
-        b.build()
+        Registry::new(crate::data::parse(crate::data::HOTSPOT7))
             .expect("the built-in HotSpot flag table must validate")
     })
 }
@@ -209,15 +183,16 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let mut b = RegistryBuilder::new();
-        b.push(mini_spec("X")).push(mini_spec("X"));
-        assert_eq!(b.build().unwrap_err(), ValidationError::DuplicateName("X"));
+        let specs = vec![mini_spec("X"), mini_spec("X")];
+        assert_eq!(
+            Registry::new(specs).unwrap_err(),
+            ValidationError::DuplicateName("X")
+        );
     }
 
     #[test]
     fn default_out_of_domain_rejected() {
-        let mut b = RegistryBuilder::new();
-        b.push(FlagSpec {
+        let specs = vec![FlagSpec {
             domain: Domain::IntRange {
                 lo: 0,
                 hi: 10,
@@ -225,18 +200,16 @@ mod tests {
             },
             default: FlagValue::Int(99),
             ..mini_spec("Bad")
-        });
+        }];
         assert_eq!(
-            b.build().unwrap_err(),
+            Registry::new(specs).unwrap_err(),
             ValidationError::DefaultOutOfDomain("Bad")
         );
     }
 
     #[test]
     fn lookup_by_name_and_id() {
-        let mut b = RegistryBuilder::new();
-        b.push(mini_spec("A")).push(mini_spec("B"));
-        let r = b.build().unwrap();
+        let r = Registry::new(vec![mini_spec("A"), mini_spec("B")]).unwrap();
         let a = r.id("A").unwrap();
         assert_eq!(r.spec(a).name, "A");
         assert_eq!(r.id("C"), None);
@@ -249,21 +222,18 @@ mod tests {
 
     #[test]
     fn develop_flags_excluded_from_tunable() {
-        let mut b = RegistryBuilder::new();
-        b.push(mini_spec("P"));
-        b.push(FlagSpec {
+        let develop = FlagSpec {
             kind: FlagKind::Develop,
             ..mini_spec("D")
-        });
-        let r = b.build().unwrap();
+        };
+        let r = Registry::new(vec![mini_spec("P"), develop]).unwrap();
         assert_eq!(r.tunable_ids().len(), 1);
         assert_eq!(r.spec(r.tunable_ids()[0]).name, "P");
     }
 
     #[test]
     fn check_validates_values() {
-        let mut b = RegistryBuilder::new();
-        b.push(FlagSpec {
+        let r = Registry::new(vec![FlagSpec {
             domain: Domain::IntRange {
                 lo: 1,
                 hi: 5,
@@ -271,8 +241,8 @@ mod tests {
             },
             default: FlagValue::Int(3),
             ..mini_spec("N")
-        });
-        let r = b.build().unwrap();
+        }])
+        .unwrap();
         let id = r.id("N").unwrap();
         assert!(r.check(id, FlagValue::Int(5)).is_ok());
         assert!(r.check(id, FlagValue::Int(6)).is_err());

@@ -14,8 +14,6 @@ pub enum FlagValue {
     Int(i64),
     /// A floating-point flag (`double` in HotSpot terms).
     Double(f64),
-    /// An enumerated choice, stored as an index into the domain's variants.
-    Enum(u16),
 }
 
 impl FlagValue {
@@ -42,7 +40,6 @@ impl FlagValue {
             FlagValue::Bool(b) => 0x1000_0000_0000_0000 | b as u64,
             FlagValue::Int(i) => 0x2000_0000_0000_0000 ^ i as u64,
             FlagValue::Double(d) => 0x3000_0000_0000_0000 ^ d.to_bits(),
-            FlagValue::Enum(e) => 0x4000_0000_0000_0000 | e as u64,
         }
     }
 }
@@ -53,7 +50,6 @@ impl fmt::Display for FlagValue {
             FlagValue::Bool(b) => write!(f, "{b}"),
             FlagValue::Int(i) => write!(f, "{i}"),
             FlagValue::Double(d) => write!(f, "{d}"),
-            FlagValue::Enum(e) => write!(f, "#{e}"),
         }
     }
 }
@@ -84,11 +80,6 @@ pub enum Domain {
         /// Largest allowed value.
         hi: f64,
     },
-    /// One of a fixed set of named variants.
-    Enum {
-        /// Variant names, in index order.
-        variants: &'static [&'static str],
-    },
 }
 
 impl Domain {
@@ -99,7 +90,6 @@ impl Domain {
             Domain::Bool => Some(2),
             Domain::IntRange { lo, hi, .. } => Some((*hi as i128 - *lo as i128 + 1) as u128),
             Domain::DoubleRange { .. } => None,
-            Domain::Enum { variants } => Some(variants.len() as u128),
         }
     }
 
@@ -120,7 +110,6 @@ impl Domain {
             (Domain::DoubleRange { lo, hi }, FlagValue::Double(d)) => {
                 d.is_finite() && *lo <= d && d <= *hi
             }
-            (Domain::Enum { variants }, FlagValue::Enum(e)) => (e as usize) < variants.len(),
             _ => false,
         }
     }
@@ -141,9 +130,6 @@ impl Domain {
                     Some(FlagValue::Double(d.clamp(*lo, *hi)))
                 }
             }
-            (Domain::Enum { variants }, FlagValue::Enum(e)) => Some(FlagValue::Enum(
-                e.min(variants.len().saturating_sub(1) as u16),
-            )),
             _ => None,
         }
     }
@@ -205,7 +191,6 @@ mod tests {
             FlagValue::Int(0).hash_key(),
             FlagValue::Int(1).hash_key(),
             FlagValue::Double(0.0).hash_key(),
-            FlagValue::Enum(0).hash_key(),
         ];
         for i in 0..keys.len() {
             for j in i + 1..keys.len() {
@@ -226,13 +211,6 @@ mod tests {
             .cardinality(),
             Some(10)
         );
-        assert_eq!(
-            Domain::Enum {
-                variants: &["a", "b", "c"]
-            }
-            .cardinality(),
-            Some(3)
-        );
         assert_eq!(Domain::DoubleRange { lo: 0.0, hi: 1.0 }.cardinality(), None);
         assert!((Domain::DoubleRange { lo: 0.0, hi: 1.0 }.log10_cardinality() - 3.0).abs() < 1e-12);
     }
@@ -248,11 +226,6 @@ mod tests {
         assert!(d.contains(FlagValue::Int(100)));
         assert!(!d.contains(FlagValue::Int(101)));
         assert!(!d.contains(FlagValue::Bool(true)));
-        let e = Domain::Enum {
-            variants: &["x", "y"],
-        };
-        assert!(e.contains(FlagValue::Enum(1)));
-        assert!(!e.contains(FlagValue::Enum(2)));
         let f = Domain::DoubleRange { lo: 0.0, hi: 1.0 };
         assert!(!f.contains(FlagValue::Double(f64::NAN)));
     }
@@ -273,10 +246,6 @@ mod tests {
             f.clamp(FlagValue::Double(f64::NAN)),
             Some(FlagValue::Double(0.0))
         );
-        let e = Domain::Enum {
-            variants: &["a", "b"],
-        };
-        assert_eq!(e.clamp(FlagValue::Enum(9)), Some(FlagValue::Enum(1)));
     }
 
     #[test]

@@ -832,9 +832,6 @@ mod tests {
                 Domain::Bool => FlagValue::Bool(rng.next_bool(0.5)),
                 Domain::IntRange { lo, hi, .. } => FlagValue::Int(rng.next_range_i64(lo, hi)),
                 Domain::DoubleRange { lo, hi } => FlagValue::Double(rng.next_range_f64(lo, hi)),
-                Domain::Enum { variants } => {
-                    FlagValue::Enum(rng.next_below(variants.len() as u64) as u16)
-                }
             };
             c.set(id, value);
         }

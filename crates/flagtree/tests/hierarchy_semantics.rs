@@ -86,7 +86,6 @@ fn dead_flag_values_cannot_affect_the_simulator() {
             jtune_flags::Domain::Bool => FlagValue::Bool(true),
             jtune_flags::Domain::IntRange { hi, .. } => FlagValue::Int(*hi),
             jtune_flags::Domain::DoubleRange { hi, .. } => FlagValue::Double(*hi),
-            jtune_flags::Domain::Enum { variants } => FlagValue::Enum((variants.len() - 1) as u16),
         };
         scribbled.set(id, extreme);
     }

@@ -453,9 +453,6 @@ mod tests {
             }
             Domain::IntRange { lo, hi, .. } => FlagValue::Int(rng.next_range_i64(lo, hi)),
             Domain::DoubleRange { lo, hi } => FlagValue::Double(rng.next_range_f64(lo, hi)),
-            Domain::Enum { variants } => {
-                FlagValue::Enum(rng.next_below(variants.len().max(1) as u64) as u16)
-            }
         }
     }
 

@@ -78,13 +78,6 @@ impl<'a> FeatureEncoder<'a> {
                     0.0
                 }
             }
-            (Domain::Enum { variants }, FlagValue::Enum(i)) => {
-                if variants.len() <= 1 {
-                    0.0
-                } else {
-                    f64::from(i) / (variants.len() - 1) as f64
-                }
-            }
             (Domain::IntRange { lo, hi, log_scale }, FlagValue::Int(v)) => {
                 unit_position(*lo as f64, *hi as f64, v as f64, *log_scale)
             }

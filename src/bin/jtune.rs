@@ -5,6 +5,7 @@
 //! tables (tuner, executor, daemon, worker, session, backoff, chaos) plus
 //! the few below that only the command line has.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use hotspot_autotuner::experiments::{render_suite_table, Experiment, ExperimentTelemetry};
@@ -159,6 +160,10 @@ fn parse_tune(cmd: &str, rest: &[String]) -> Result<(Args, TunerOptions, Local),
 }
 
 fn cmd_tune(rest: &[String]) -> Result<i32, String> {
+    // Here and in `suite`, `simulate` and `report`, write errors are
+    // ignored as in the listings: a reader that closes stdout early
+    // (`jtune tune serial | head -1`) is a normal way to consume output.
+    let mut out = std::io::stdout();
     let (args, opts, local) = parse_tune("tune", rest)?;
     let name = args.positional(0).ok_or("tune: missing workload name")?;
     let workload = workload_by_name(name)
@@ -173,7 +178,8 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
         eprintln!("warning: {e}");
     }
     if !local.json {
-        println!(
+        let _ = writeln!(
+            out,
             "tuning {name} ({} budget, technique {}, {:?} manipulator)",
             opts.budget, opts.technique, opts.manipulator
         );
@@ -189,10 +195,11 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
         }
     };
     if local.json {
-        println!("{}", result.session.to_json());
+        let _ = writeln!(out, "{}", result.session.to_json());
         return Ok(0);
     }
-    println!(
+    let _ = writeln!(
+        out,
         "default {:.3}s -> best {:.3}s  ({:+.1}%)  [{} candidates]",
         result.session.default_secs,
         result.session.best_secs,
@@ -200,24 +207,32 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
         result.session.evaluations
     );
     if local.minimize {
-        println!("\nmeasuring marginal flag impacts (reverting one at a time)...");
+        let _ = writeln!(
+            out,
+            "\nmeasuring marginal flag impacts (reverting one at a time)..."
+        );
         let impact_executor = spec.with_fault(None).build();
         let opts = ImpactOptions::default();
         let impacts = flag_impact(impact_executor.as_ref(), &result.best_config, opts);
         let (load_bearing, hitchhikers) = split_hitchhikers(impacts, opts.hitchhiker_threshold);
-        println!("{:<44} {:>10}", "flag", "impact");
+        let _ = writeln!(out, "{:<44} {:>10}", "flag", "impact");
         for i in &load_bearing {
-            println!(
+            let _ = writeln!(
+                out,
                 "{:<44} {:>9.1}%",
                 format!("{}={}", i.name, i.value),
                 i.impact_percent
             );
         }
-        println!("(+ {} inert hitchhiker flags omitted)", hitchhikers.len());
+        let _ = writeln!(
+            out,
+            "(+ {} inert hitchhiker flags omitted)",
+            hitchhikers.len()
+        );
     } else {
-        println!("\nrecommended flags:");
+        let _ = writeln!(out, "\nrecommended flags:");
         for f in &result.session.best_delta {
-            println!("  {f}");
+            let _ = writeln!(out, "  {f}");
         }
     }
     Ok(0)
@@ -226,6 +241,7 @@ fn cmd_tune(rest: &[String]) -> Result<i32, String> {
 /// Tune every program of a suite through the experiment runner: one
 /// session per program, side by side, each traced to its own file.
 fn cmd_suite(rest: &[String]) -> Result<i32, String> {
+    let mut out = std::io::stdout();
     let (args, base, local) = parse_tune("suite", rest)?;
     let (suite, workloads) = match args.positional(0) {
         Some("spec") => ("SPECjvm2008 startup", specjvm2008_startup()),
@@ -247,11 +263,11 @@ fn cmd_suite(rest: &[String]) -> Result<i32, String> {
     let rows = exp.run(exp.suite(workloads));
     if local.json {
         let records: Vec<String> = rows.iter().map(|r| r.result.session.to_json()).collect();
-        println!("{}", json::array_of(&records));
+        let _ = writeln!(out, "{}", json::array_of(&records));
     } else {
         let budget = exp.options.budget.as_mins_f64();
         let title = format!("{suite}, {budget}-minute budget per program");
-        print!("{}", render_suite_table(&title, &rows));
+        let _ = write!(out, "{}", render_suite_table(&title, &rows));
     }
     Ok(0)
 }
@@ -282,7 +298,6 @@ fn cmd_serve(rest: &[String]) -> Result<i32, String> {
     // scripts and tests can discover the ephemeral port.
     match listener.local_addr() {
         Ok(addr) => {
-            use std::io::Write as _;
             println!("listening on {addr}");
             let _ = std::io::stdout().flush();
         }
@@ -447,7 +462,9 @@ fn cmd_report(rest: &[String]) -> Result<i32, String> {
                 return Ok(1);
             }
         }
-        None => print!("{rendered}"),
+        None => {
+            let _ = std::io::stdout().write_all(rendered.as_bytes());
+        }
     }
     Ok(0)
 }
@@ -475,15 +492,16 @@ fn cmd_simulate(rest: &[String]) -> i32 {
         }
     };
     let gclog = rest.iter().any(|a| a == "--gclog");
+    let mut out = std::io::stdout();
     let executor = SimExecutor::new(workload);
     let outcome = executor.run_full(&config, 1);
     if gclog {
         let machine = hotspot_autotuner::jvmsim::Machine::default();
         match hotspot_autotuner::jvmsim::FlagView::resolve(registry, &config, &machine) {
-            Ok((view, _)) => print!(
-                "{}",
-                hotspot_autotuner::jvmsim::gclog::render(&outcome, view.collector)
-            ),
+            Ok((view, _)) => {
+                let log = hotspot_autotuner::jvmsim::gclog::render(&outcome, view.collector);
+                let _ = out.write_all(log.as_bytes());
+            }
             // The VM refused to start (e.g. conflicting collector
             // selections): there is no collector to render a log for.
             Err(e) => eprintln!("run FAILED: {e}"),
@@ -491,36 +509,37 @@ fn cmd_simulate(rest: &[String]) -> i32 {
         return if outcome.ok() { 0 } else { 1 };
     }
     if let Some(f) = &outcome.failure {
-        println!("run FAILED: {f}");
+        let _ = writeln!(out, "run FAILED: {f}");
         return 1;
     }
-    println!("total      {}", outcome.total);
-    println!("startup    {}", outcome.breakdown.startup);
-    println!("mutator    {}", outcome.breakdown.mutator);
-    println!(
+    let _ = writeln!(out, "total      {}", outcome.total);
+    let _ = writeln!(out, "startup    {}", outcome.breakdown.startup);
+    let _ = writeln!(out, "mutator    {}", outcome.breakdown.mutator);
+    let _ = writeln!(
+        out,
         "gc pauses  {} ({} young, {} full, p99 {})",
         outcome.breakdown.gc_pause,
         outcome.gc.young_collections,
         outcome.gc.full_collections,
         outcome.gc.pauses.percentile(99.0)
     );
-    println!("gc drag    {}", outcome.breakdown.gc_concurrent_drag);
-    println!(
+    let _ = writeln!(out, "gc drag    {}", outcome.breakdown.gc_concurrent_drag);
+    let _ = writeln!(
+        out,
         "jit stalls {} ({} C1 + {} C2 compiles, {:.0}% of work at C2)",
         outcome.breakdown.jit_stall,
         outcome.jit.c1_compiles,
         outcome.jit.c2_compiles,
         outcome.jit.c2_work_fraction * 100.0
     );
-    println!("peak heap  {:.1} MB", outcome.peak_heap / 1e6);
+    let _ = writeln!(out, "peak heap  {:.1} MB", outcome.peak_heap / 1e6);
     for w in &outcome.warnings {
-        println!("warning: {w}");
+        let _ = writeln!(out, "warning: {w}");
     }
     0
 }
 
 fn cmd_flags(rest: &[String]) -> i32 {
-    use std::io::Write as _;
     let registry = hotspot_registry();
     let filter = rest.first().map(String::as_str).unwrap_or("");
     let stdout = std::io::stdout();
@@ -551,7 +570,6 @@ fn cmd_flags(rest: &[String]) -> i32 {
 }
 
 fn cmd_tree() -> i32 {
-    use std::io::Write as _;
     let registry = hotspot_registry();
     let tree = hotspot_tree();
     let stdout = std::io::stdout();
@@ -577,7 +595,6 @@ fn cmd_tree() -> i32 {
 }
 
 fn cmd_workloads() -> i32 {
-    use std::io::Write as _;
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let _ = writeln!(out, "SPECjvm2008 startup (16):");

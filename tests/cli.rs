@@ -598,3 +598,33 @@ fn report_rejects_a_trace_it_cannot_decode() {
     assert!(err.contains(trace_arg) && err.contains(&want), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that stops after the first line (`jtune tune … | head -1`)
+/// closes the pipe while the session still runs; the summary written
+/// after it must be dropped quietly, not panic.
+#[test]
+fn tune_survives_a_reader_that_closes_stdout_early() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_jtune"))
+        .args(["tune", "serial", "--budget", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run jtune");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout piped"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("tuning serial"), "{first}");
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut err)
+        .expect("read stderr");
+    let status = child.wait().expect("wait for jtune");
+    assert_eq!(status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
